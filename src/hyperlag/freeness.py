@@ -1,9 +1,11 @@
-"""Subgraph containment testing, specialized forbidden-configuration
-detectors, the dense-and-left-compressed rewriting loop, and the
-symmetrize-and-clean iteration."""
+"""Subgraph containment by a bitmask matcher compiled once per pattern,
+linear-path detectors (grown outward from a new edge inside searches),
+the dense-and-left-compressed rewriting loop, and the symmetrize-and-clean
+iteration."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -69,76 +71,107 @@ def _pattern_order(pattern: Hypergraph) -> list[int]:
     return ordered
 
 
+@functools.lru_cache(maxsize=256)
+def _plan(r: int, n: int, edges: tuple) -> tuple:
+    """The search plan of a pattern, built once: its vertices in
+    ``_pattern_order``, their degrees, and per position the edges whose
+    last vertex sits there ("ready") and the edges left with exactly one
+    unplaced vertex once it is placed -- those that already were
+    ("carried") and those it brings to that state ("fresh").  An edge is
+    stored as the positions of its placed vertices, less this one for a
+    fresh edge."""
+    order = _pattern_order(Hypergraph(r, n, edges))
+    pos = {v: i for i, v in enumerate(order)}
+    deg = [0] * (n + 1)
+    ready, carried, fresh = ([[] for _ in range(n)] for _ in range(3))
+    for e in edges:
+        ps = sorted(pos[v] for v in e)
+        for v in e:
+            deg[v] += 1
+        ready[ps[-1]].append(tuple(ps[:-1]))
+        if r > 1:
+            fresh[ps[-2]].append(tuple(ps[:-2]))
+            for i in range(ps[-2] + 1, ps[-1]):
+                carried[i].append(tuple(ps[:-1]))
+    return (tuple(order), tuple(deg[v] for v in order),
+            *(tuple(map(tuple, lists)) for lists in (ready, carried, fresh)))
+
+
 def _contains_edges(n: int, edges: tuple, pattern: Hypergraph):
-    """Backtracking embedding search of pattern into (n, edges)."""
+    """Backtracking embedding search of pattern into (n, edges) over host
+    vertex bitmasks, following the pattern's cached ``_plan``.
+
+    ``completions`` maps the bitmask of any r-1 host vertices to the
+    bitmask of the vertices that complete them to a host edge.  A pattern
+    vertex's candidates are the unused host vertices of large enough
+    degree that complete each of its ready edges; a placement must leave
+    every edge with one unplaced vertex an unused completion.  Candidates
+    are tried lowest id first, so the witness is the first embedding in
+    pattern order and increasing host id."""
     if pattern.n > n:
         return None
-    es = set(edges)
+    order, pdeg, ready, carried, fresh = _plan(pattern.r, pattern.n, pattern.edges)
+    completions: dict[int, int] = {}
     host_deg = [0] * (n + 1)
     for e in edges:
+        m = 0
         for v in e:
+            m |= 1 << v
             host_deg[v] += 1
-    pdeg = [0] * (pattern.n + 1)
-    for e in pattern.edges:
         for v in e:
-            pdeg[v] += 1
-    order = _pattern_order(pattern)
-    pos = {v: i for i, v in enumerate(order)}
-    # edges fully decided once vertex at position i is placed
-    ready = [[] for _ in range(pattern.n)]
-    for e in pattern.edges:
-        ready[max(pos[v] for v in e)].append(e)
-    # for forward pruning: edges with exactly one vertex after position i
-    complet = {}
-    if pattern.r == 3:
-        for e in edges:
-            for a, b in itertools.combinations(e, 2):
-                complet.setdefault((a, b), []).append(sum(e) - a - b)
+            key = m ^ (1 << v)
+            completions[key] = completions.get(key, 0) | (1 << v)
+    deg_ok = {d: sum(1 << v for v in range(1, n + 1) if host_deg[v] >= d) for d in set(pdeg)}
+    allowed = [deg_ok[d] for d in pdeg]
+    k = len(order)
+    img = [0] * k  # the host vertex bit placed at each position
 
-    assign = {}
-    used = [False] * (n + 1)
-
-    def feasible_forward(i: int) -> bool:
-        if pattern.r != 3:
+    def extend(i: int, used: int) -> bool:
+        if i == k:
             return True
-        for e in pattern.edges:
-            idxs = sorted(pos[v] for v in e)
-            if idxs[1] <= i < idxs[2]:
-                a, b = sorted(assign[v] for v in e if pos[v] <= i)
-                cands = complet.get((a, b))
-                if not cands or not any(not used[c] for c in cands):
-                    return False
-        return True
-
-    def extend(i: int):
-        if i == pattern.n:
-            return EmbeddingMap(tuple(sorted(assign.items())))
-        p = order[i]
-        for h in range(1, n + 1):
-            if used[h] or host_deg[h] < pdeg[p]:
-                continue
-            assign[p] = h
-            ok = True
-            for e in ready[i]:
-                if tuple(sorted(assign[v] for v in e)) not in es:
-                    ok = False
+        cand = allowed[i] & ~used
+        for others in ready[i]:
+            key = 0
+            for j in others:
+                key |= img[j]
+            cand &= completions.get(key, 0)
+        for others in carried[i]:
+            key = 0
+            for j in others:
+                key |= img[j]
+            c = completions.get(key, 0) & ~used
+            if c & (c - 1) == 0:  # at most one completion left: keep it free
+                cand &= ~c
+        bases = []
+        for others in fresh[i]:
+            key = 0
+            for j in others:
+                key |= img[j]
+            bases.append(key)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            now = used | low
+            for base in bases:
+                if not completions.get(base | low, 0) & ~now:
                     break
-            if ok and feasible_forward(i):
-                used[h] = True
-                found = extend(i + 1)
-                used[h] = False
-                if found is not None:
-                    return found
-            del assign[p]
-        return None
+            else:
+                img[i] = low
+                if extend(i + 1, now):
+                    return True
+        return False
 
-    return extend(0)
+    if not extend(0, 0):
+        return None
+    return EmbeddingMap(tuple(sorted((p, img[i].bit_length() - 1) for i, p in enumerate(order))))
 
 
 def contains(g: Hypergraph, pattern: Hypergraph):
     """A witness embedding of the pattern into g, or None.  The search
-    places pattern vertices most-constrained first and tries host vertices
-    in increasing id, so the first witness is deterministic."""
+    (``_contains_edges``) follows the pattern's compiled plan, placing
+    pattern vertices most-constrained first, and filters host vertices
+    through completion masks, trying them in increasing id, so the
+    witness is the first embedding in that order."""
     if g.r != pattern.r:
         raise ValueError(f"uniformity mismatch: host r={g.r}, pattern r={pattern.r}")
     return _contains_edges(g.n, g.edges, pattern)
@@ -152,29 +185,16 @@ def is_free(g: Hypergraph, pattern: Hypergraph) -> bool:
 # linear paths, specialized
 
 
-def _path_masks(edges) -> list[int]:
-    masks = []
-    for e in edges:
-        m = 0
-        for v in e:
-            m |= 1 << v
-        masks.append(m)
-    return masks
-
-
-def _find_path_sequence(masks: list[int], t: int, required: int | None = None):
+def _find_path_sequence(masks: list[int], t: int):
     """Indices of t edges forming a linear path: consecutive edges share
-    exactly one vertex, the rest are pairwise disjoint.  If ``required``
-    is given, that edge index must participate."""
+    exactly one vertex, the rest are pairwise disjoint."""
     nedges = len(masks)
     if nedges < t:
         return None
 
     def extend(seq: list[int], used_before: int):
         if len(seq) == t:
-            if required is None or required in seq:
-                return list(seq)
-            return None
+            return list(seq)
         cur = masks[seq[-1]]
         for j in range(nedges):
             if j in seq:
@@ -204,7 +224,7 @@ def contains_linear_path(g: Hypergraph, t: int):
         raise ValueError(f"needs a 3-uniform graph, got r={g.r}")
     if g.n < 2 * t + 1:
         return None
-    masks = _path_masks(g.edges)
+    masks = [sum(1 << v for v in e) for e in g.edges]
     seq = _find_path_sequence(masks, t)
     if seq is None:
         return None
@@ -235,9 +255,31 @@ def _path_embedding(g: Hypergraph, seq: list[int], t: int) -> EmbeddingMap:
 def creates_linear_path(edge_masks: list[int], new_mask: int, t: int) -> bool:
     """Whether adding the edge with bitmask ``new_mask`` creates a linear
     path of t edges through it; ``edge_masks`` are the existing edges.
-    Used as the incremental prune inside enumerations."""
-    masks = edge_masks + [new_mask]
-    return _find_path_sequence(masks, t, required=len(masks) - 1) is not None
+    Used as the incremental prune inside enumerations.
+
+    The path is grown outward from the new edge, first to the right and
+    then to the left, each step by an edge meeting the path's vertex union
+    in exactly one free vertex of that end (a vertex of the end edge not
+    shared with its neighbour).  That keeps consecutive edges meeting in
+    one vertex and all others disjoint.  A path and its reverse are the
+    same, so the left arm is never made longer than the right one."""
+
+    def grow(union: int, left: int, right: int, need: int, arm: int) -> bool:
+        # arm: length of the right arm while it still grows, -1 afterwards
+        if need == 0:
+            return True
+        for m in edge_masks:
+            x = m & union
+            if x & (x - 1):
+                continue
+            if arm >= 0 and x & right and grow(union | m, left & ~m, m & ~union, need - 1, arm + 1):
+                return True
+            if need <= arm or arm < 0:
+                if x & left and grow(union | m, m & ~union, right, need - 1, -1):
+                    return True
+        return False
+
+    return grow(new_mask, new_mask, new_mask, t - 1, 0)
 
 
 def contains_core(g: Hypergraph, pattern: Hypergraph, p: int) -> bool:

@@ -26,7 +26,7 @@ from math import comb
 
 from .freeness import _contains_edges, creates_linear_path
 from .hgio import to_json_obj
-from .hypergraph import Hypergraph, covers_pairs, induced, linear_path, named, new
+from .hypergraph import Hypergraph, complete, covers_pairs, induced, linear_path, named, new
 from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, maximize
 
 CHECKPOINT_VERSION = 1
@@ -441,9 +441,6 @@ def turan_number(n: int, forbidden, max_nodes: int | None = None,
 # density evidence
 
 
-_PATTERNS = {"P2": 2, "P3": 3, "P4": 4, "T2": None}
-
-
 def _pattern_graph(name: str) -> Hypergraph:
     if name in ("P2", "P3", "P4"):
         return linear_path(int(name[1]))
@@ -452,53 +449,20 @@ def _pattern_graph(name: str) -> Hypergraph:
     raise ValueError(f"density evidence supports P2, T2, P3, P4; got {name!r}")
 
 
-def _creates_pattern(name: str):
-    """Incremental test: does adding the new edge create the pattern
-    through it?"""
+def _creates_pattern(name: str, n: int):
+    """Incremental test ``check(masks, new_mask)``: does adding the new
+    edge create the pattern through it?  On fewer vertices than the
+    pattern has, it never can."""
+    if n < _pattern_graph(name).n:
+        return lambda masks, new_mask: False
     if name in ("P3", "P4"):
         t = int(name[1])
-
-        def check(masks, new_mask, _edges, _new_edge):
-            return creates_linear_path(masks, new_mask, t)
-
-        return check
+        return lambda masks, new_mask: creates_linear_path(masks, new_mask, t)
     if name == "P2":
-        def check(masks, new_mask, _edges, _new_edge):
-            return any((m & new_mask).bit_count() == 1 for m in masks)
-
-        return check
+        return lambda masks, new_mask: any((m & new_mask).bit_count() == 1 for m in masks)
     if name == "T2":
-        def check(masks, new_mask, _edges, _new_edge):
-            return any((m & new_mask).bit_count() == 2 for m in masks)
-
-        return check
+        return lambda masks, new_mask: any((m & new_mask).bit_count() == 2 for m in masks)
     raise ValueError(name)
-
-
-def _adds_complete(edge_set: set, e: tuple[int, ...], n: int, m: int) -> bool:
-    """Would adding e complete some clique of order m?"""
-    others = [v for v in range(1, n + 1) if v not in e]
-    need = m - len(e)
-    if need < 0:
-        return False
-    for extra in itertools.combinations(others, need):
-        verts = sorted(e + extra)
-        ok = True
-        for tri in itertools.combinations(verts, len(e)):
-            if tri != e and tri not in edge_set:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def _has_complete(edges: tuple, n: int, m: int) -> bool:
-    es = set(edges)
-    for verts in itertools.combinations(range(1, n + 1), m):
-        if all(t in es for t in itertools.combinations(verts, 3)):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -557,7 +521,8 @@ class DensityRun(_ColexDFS):
         self.require_covered_pairs = require_covered_pairs
         self.top = top
         self.clique_order = pat.n - 1
-        self._creates = _creates_pattern(pattern)
+        self.clique = complete(self.clique_order, 3)
+        self._creates = _creates_pattern(pattern, n)
         self.cand_plain: list[tuple[float, tuple]] = []
         self.cand_cfree: list[tuple[float, tuple]] = []
         self.evaluated = 0
@@ -568,8 +533,7 @@ class DensityRun(_ColexDFS):
                 "mode": self.mode, "evaluate_every_survivor": self.evaluate_every_survivor}
 
     def include_accept(self, k: int) -> bool:
-        return not self._creates(self.included_masks(), self.masks[k],
-                                 self.included_edges(), self.ground[k])
+        return not self._creates(self.included_masks(), self.masks[k])
 
     def _push(self, heap: list, value: float, edges: tuple) -> None:
         heap.append((value, edges))
@@ -588,8 +552,7 @@ class DensityRun(_ColexDFS):
     def on_leaf(self) -> None:
         edges = self.included_edges()
         masks = self.included_masks()
-        es = set(edges)
-        has_clique = _has_complete(edges, self.n, self.clique_order)
+        has_clique = _contains_edges(self.n, edges, self.clique) is not None
         if self.evaluate_every_survivor:
             v = self._cheap_value(edges)
             self._push(self.cand_plain, v, edges)
@@ -603,12 +566,13 @@ class DensityRun(_ColexDFS):
                 continue
             if not self._include_allowed(k):
                 continue
-            if self._creates(masks, self.masks[k], edges, self.ground[k]):
+            if self._creates(masks, self.masks[k]):
                 continue
             ext_plain = True
             if has_clique:
                 break
-            if not _adds_complete(es, self.ground[k], self.n, self.clique_order):
+            # no clique yet, so any clique in the extension contains ground[k]
+            if _contains_edges(self.n, edges + (self.ground[k],), self.clique) is None:
                 ext_cfree = True
                 break
         value = None

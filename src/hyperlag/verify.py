@@ -278,7 +278,7 @@ def check_path4_evidence(config: OptimizerConfig, count: int = 1000) -> list[Che
         g = corpora.left_compressed_dense_path4_free_9(rnd, density_cache=density_cache)
         if g.edges not in value_cache:
             value_cache[g.edges] = (maximize(g, config).value,
-                                    _contains_clique(g, 8))
+                                    contains(g, k8) is not None)
         lam, has_k8 = value_cache[g.edges]
         worst = max(worst, lam)
         if lam > cap_all:
@@ -292,14 +292,6 @@ def check_path4_evidence(config: OptimizerConfig, count: int = 1000) -> list[Che
                             "largest_lambda": worst, "distinct_samples": len(value_cache),
                             "elapsed_s": elapsed}))
     return out
-
-
-def _contains_clique(g: Hypergraph, order: int) -> bool:
-    es = g.edge_set()
-    for verts in itertools.combinations(range(1, g.n + 1), order):
-        if all(t in es for t in itertools.combinations(verts, 3)):
-            return True
-    return False
 
 
 def apex_fan_clique() -> Hypergraph:

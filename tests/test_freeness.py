@@ -2,10 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlag.corpora import covers_pairs_path_free, random_hypergraph
 from hyperlag.freeness import (
     EmbeddingMap,
+    _contains_edges,
+    _pattern_order,
     check_structures,
     contains,
     contains_core,
@@ -18,6 +22,7 @@ from hyperlag.freeness import (
 from hyperlag.hypergraph import (
     Hypergraph,
     complete,
+    complete_minus,
     compress,
     covers_pairs,
     induced,
@@ -67,6 +72,57 @@ def test_contains_invariant_under_relabeling():
         rnd.shuffle(perm)
         h = relabel(g, {i + 1: perm[i] for i in range(7)})
         assert (contains(g, pat) is None) == (contains(h, pat) is None)
+
+
+def _first_embedding(n, edges, pattern):
+    """Brute-force oracle: the first injective map, with pattern vertices
+    taken in _pattern_order and host ids increasing, that sends every
+    pattern edge onto a host edge."""
+    order = _pattern_order(pattern)
+    es = set(edges)
+    for hosts in itertools.permutations(range(1, n + 1), pattern.n):
+        m = dict(zip(order, hosts))
+        if all(tuple(sorted(m[v] for v in e)) in es for e in pattern.edges):
+            return m
+    return None
+
+
+def _named_patterns(r):
+    if r == 2:
+        return [complete(m, 2) for m in (2, 3, 4, 5)] + [complete_minus(4, 2)]
+    return ([complete(m, 3) for m in (3, 4, 5)]
+            + [complete_minus(4), named("F1"), named("F2"), named("F5"), named("T2")]
+            + [linear_path(t) for t in (1, 2, 3)])
+
+
+@st.composite
+def _host_and_pattern(draw):
+    r = draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        pattern = draw(st.sampled_from(_named_patterns(r)))
+    else:
+        pn = draw(st.integers(r, 5))
+        pool = list(itertools.combinations(range(1, pn + 1), r))
+        pattern = new(r, pn, draw(st.lists(st.sampled_from(pool), max_size=6)))
+    n = draw(st.integers(r, 8))
+    pool = list(itertools.combinations(range(1, n + 1), r))
+    edges = set(draw(st.lists(st.sampled_from(pool), max_size=len(pool))))
+    if pattern.n <= n and draw(st.booleans()):
+        # plant a copy under a random injective map, so hits are common
+        image = draw(st.permutations(range(1, n + 1)))
+        edges |= {tuple(sorted(image[v - 1] for v in e)) for e in pattern.edges}
+    return n, tuple(sorted(edges)), pattern
+
+
+@settings(max_examples=300, deadline=None)
+@given(_host_and_pattern())
+def test_matcher_agrees_with_brute_force_first_witness(case):
+    n, edges, pattern = case
+    found = _contains_edges(n, edges, pattern)
+    oracle = _first_embedding(n, edges, pattern)
+    assert (found is None) == (oracle is None)
+    if found is not None:
+        assert found.as_dict() == oracle
 
 
 def test_embedding_map_rejects_collisions():
@@ -124,6 +180,37 @@ def test_creates_linear_path_incremental_matches_full():
             continue
         bigger = new(3, n, list(g.edges) + [e])
         assert creates_linear_path(masks, em, t) == (contains_linear_path(bigger, t) is not None)
+
+
+@st.composite
+def _path_free_base_and_edge(draw):
+    n = draw(st.integers(3, 9))
+    t = draw(st.integers(1, 4))
+    pool = list(itertools.combinations(range(1, n + 1), 3))
+    new_edge = draw(st.sampled_from(pool))
+    offered = draw(st.lists(st.sampled_from(pool), unique=True, max_size=40))
+    base: list[tuple[int, ...]] = []
+    for e in offered:  # keep the base free of the path, greedily
+        if e != new_edge and contains_linear_path(new(3, n, base + [e]), t) is None:
+            base.append(e)
+    return n, t, base, new_edge
+
+
+def test_creates_linear_path_at_every_position_of_the_new_edge():
+    for t in range(1, 5):
+        masks = [sum(1 << v for v in e) for e in linear_path(t).edges]
+        for j in range(t):
+            assert creates_linear_path(masks[:j] + masks[j + 1:], masks[j], t)
+            assert not creates_linear_path(masks[:j] + masks[j + 1:], masks[j], t + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_path_free_base_and_edge())
+def test_creates_linear_path_agrees_with_full_search_on_superset(case):
+    n, t, base, e = case
+    masks = [sum(1 << v for v in ed) for ed in base]
+    grown = contains_linear_path(new(3, n, base + [e]), t) is not None
+    assert creates_linear_path(masks, sum(1 << v for v in e), t) == grown
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ import json
 import pytest
 
 from hyperlag.freeness import contains, creates_linear_path, is_free
+import hyperlag.search as search_mod
 from hyperlag.hypergraph import (
     Hypergraph,
     complete,
+    complete_minus,
     is_left_compressed,
     linear_path,
     named,
@@ -243,6 +245,24 @@ def test_turan_shard_determinism_with_forbidden_prefixes():
         assert sharded.status == "exact"
 
 
+def test_turan_six_f5_pinned_report():
+    # frozen from the vertex-backtracking matcher the bitmask one replaced
+    res = turan_number(6, [named("F5")])
+    assert res.max_edges == 10 and res.status == "exact"
+    assert res.stats.to_json() == {"nodes": 6294, "leaves": 44, "pruned": 3965, "bound_cuts": 2286}
+    star = tuple((1, a, b) for a, b in itertools.combinations(range(2, 7), 2))
+    assert tuple(w.edges for w in res.witnesses) == (star,)
+
+
+def test_turan_six_k4_minus_pinned_report():
+    res = turan_number(6, [complete_minus(4)])
+    assert res.max_edges == 10 and res.status == "exact"
+    assert res.stats.to_json() == {"nodes": 13173, "leaves": 203, "pruned": 6925, "bound_cuts": 6046}
+    assert tuple(w.edges for w in res.witnesses) == ((
+        (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)),)
+
+
 def test_turan_input_validation():
     with pytest.raises(ValueError):
         turan_number(5, [])
@@ -277,6 +297,32 @@ def test_density_every_survivor_mode_agrees():
     assert fast.max_lambda == pytest.approx(1 / 16, abs=1e-9)
     assert fast.max_lambda == pytest.approx(slow.max_lambda, abs=1e-10)
     assert fast.max_lambda_complete_free == pytest.approx(slow.max_lambda_complete_free, abs=1e-10)
+
+
+def test_density_p3_eleven_pinned_report():
+    rep = density_evidence("P3", 11)
+    assert rep.counts == {"nodes": 63356, "survivors": 787, "pruned": 29, "optimized": 7}
+    assert rep.max_lambda == pytest.approx(5 / 54, abs=1e-12)
+    assert rep.argmax_graph == new(3, 11, complete(6, 3).edges)
+    assert rep.max_lambda_complete_free == pytest.approx(0.08866210790363471, abs=1e-12)
+    assert rep.argmax_complete_free == new(3, 11, complete_minus(6).edges)
+    assert rep.status == "exact"
+
+
+def test_density_p4_on_eight_vertices_skips_the_path_test(monkeypatch):
+    # a linear 4-path spans 9 vertices, so on 8 nothing can be pruned and
+    # the path test must not run at all; the report is the exhaustive one
+    def never(*args):
+        raise AssertionError("path test ran on a graph too small to hold the path")
+
+    monkeypatch.setattr(search_mod, "creates_linear_path", never)
+    rep = density_evidence("P4", 8)
+    assert rep.counts == {"nodes": 40682, "survivors": 2431, "pruned": 0, "optimized": 2}
+    assert rep.max_lambda == pytest.approx(7 / 64, abs=1e-12)
+    assert rep.argmax_graph == complete(8, 3)
+    assert rep.max_lambda_complete_free == pytest.approx(0.10767488654714333, abs=1e-12)
+    assert rep.argmax_complete_free == complete_minus(8)
+    assert rep.status == "exact"
 
 
 def test_density_budget_marks_partial():
