@@ -43,15 +43,13 @@ class RunConfig:
     seed: int = 0
     restarts: int = 64
     kkt_tol: float = 1e-8
-    value_tol: float = 1e-9
     max_nodes: int | None = None
     max_seconds: float | None = None
     threads: int = 1
     fmt: str = "human"  # human | json
 
     def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(restarts=self.restarts, seed=self.seed,
-                               kkt_tol=self.kkt_tol, value_tol=self.value_tol)
+        return OptimizerConfig(restarts=self.restarts, seed=self.seed, kkt_tol=self.kkt_tol)
 
 
 def _env(name: str, cast, default):
@@ -68,7 +66,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
     p.add_argument("--restarts", type=int, default=_env("RESTARTS", int, 64))
     p.add_argument("--kkt-tol", type=float, default=_env("KKT_TOL", float, 1e-8))
-    p.add_argument("--value-tol", type=float, default=_env("VALUE_TOL", float, 1e-9))
     p.add_argument("--max-nodes", type=int, default=_env("MAX_NODES", int, None))
     p.add_argument("--max-seconds", type=float, default=_env("MAX_SECONDS", float, None))
     p.add_argument("--threads", type=int, default=_env("THREADS", int, 1))
@@ -78,8 +75,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _config(args) -> RunConfig:
     return RunConfig(seed=args.seed, restarts=args.restarts, kkt_tol=args.kkt_tol,
-                     value_tol=args.value_tol, max_nodes=args.max_nodes,
-                     max_seconds=args.max_seconds, threads=args.threads,
+                     max_nodes=args.max_nodes, max_seconds=args.max_seconds, threads=args.threads,
                      fmt="json" if args.json else "human")
 
 

@@ -12,12 +12,19 @@ The maximizer runs three strategies and keeps the best result:
 * support enumeration on the reduced problem when it is small enough,
   as an exactness backstop.
 
+All of them, and the certification starts below, run as one ascent batch
+per call.  A row leaves the batch when it stalls, or at once when its
+line search finds no ascent in 22 halvings.
+
 The best point is polished by a guarded Newton iteration on the active
-support, then certified: a result is "certified" only if its first-order
-residual is below ``kkt_tol`` and eight extra random starts fail to beat
-its value by more than ``kkt_tol``.  Certification is a stationarity
-check, not a proof of global optimality; the value is always a valid
-lower bound for the true maximum.
+support, which drops its lightest variable when the optimum is not
+isolated there (a face of maximizers makes the Newton system singular).
+It is then certified: a result is "certified" only if its first-order
+residual is below ``kkt_tol`` and eight extra random starts, which share
+the batch but are never taken as the best point, fail to beat its value
+by more than ``kkt_tol``.  Certification is a stationarity check, not a
+proof of global optimality; the value is always a valid lower bound for
+the true maximum.
 """
 
 from __future__ import annotations
@@ -171,18 +178,18 @@ class _BlockProblem:
             for k in range(self.m):
                 c.extend([k] * int(expo[t, k]))
             self._cols[t] = c
-        # gradient data: for variable k, terms touching k with k lowered once
-        self._gcols = []
-        for k in range(self.m):
-            ak = expo[:, k] if T else np.zeros(0, dtype=np.int64)
-            rows = np.nonzero(ak)[0]
-            gc = np.zeros((len(rows), max(self.degree - 1, 0)), dtype=np.int64)
-            for idx, t in enumerate(rows):
-                c = []
-                for l in range(self.m):
-                    c.extend([l] * int(expo[t, l] - (1 if l == k else 0)))
-                gc[idx] = c
-            self._gcols.append((gc, (coeffs[rows] * ak[rows]) if len(rows) else np.zeros(0)))
+        # gradient data: a term touching variable k, with k lowered once, is
+        # a (degree-1)-multiset of columns.  The distinct ones are gathered
+        # once per call and mapped to the partials by a (U, m) matrix.
+        lowered: dict[tuple[int, ...], np.ndarray] = {}
+        for t in range(T):
+            for k in np.nonzero(expo[t])[0]:
+                c = self._cols[t].tolist()
+                c.remove(k)
+                lowered.setdefault(tuple(c), np.zeros(self.m))[k] = coeffs[t] * expo[t, k]
+        U = len(lowered)
+        self._gmono = np.array(list(lowered), dtype=np.int64).reshape(U, max(self.degree - 1, 0))
+        self._gcoef = np.array(list(lowered.values())).reshape(U, self.m)
 
     @classmethod
     def from_graph(cls, g: Hypergraph):
@@ -219,13 +226,7 @@ class _BlockProblem:
         return P @ self.coeffs
 
     def grad(self, Y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(Y)
-        for k in range(self.m):
-            gc, cf = self._gcols[k]
-            if len(cf):
-                P = Y[..., gc].prod(axis=-1)
-                out[..., k] = P @ cf
-        return out
+        return Y[..., self._gmono].prod(axis=-1) @ self._gcoef
 
     def hessian(self, y: np.ndarray) -> np.ndarray:
         H = np.zeros((self.m, self.m))
@@ -276,8 +277,10 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
 
 def _pga(problem: _BlockProblem, Y0: np.ndarray, masks: np.ndarray | None, iters: int, tol: float):
     """Batched projected gradient ascent with backtracking line search.
-    Rows with a support mask keep the masked-out coordinates at zero;
-    stalled rows are retired from the batch as they converge."""
+    Rows with a support mask keep the masked-out coordinates at zero.
+    Rows are retired from the batch as they stall, and at once when their
+    line search finds no ascent in 22 halvings (stationary at float
+    precision)."""
     outY = Y0.astype(float).copy()
     if masks is not None:
         outY = outY * masks
@@ -313,7 +316,7 @@ def _pga(problem: _BlockProblem, Y0: np.ndarray, masks: np.ndarray | None, iters
         F = np.where(accept, fc, F)
         eta = np.where(accept, np.minimum(eta * 1.25, 1e3), eta)
         stall = np.where(gain < tol, stall + 1, 0)
-        done = stall >= 5
+        done = (stall >= 5) | ~accept
         if done.any():
             outY[idx[done]] = Y[done]
             outF[idx[done]] = F[done]
@@ -333,8 +336,11 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray, max_rounds: int = 8
     """Sharpen a stationary point: Newton on the equal-partial system over
     the active support (with an explicit multiplier variable), then grow
     the support while any inactive variable has a partial above the common
-    value, which is a first-order improvement direction.  Never returns a
-    point worse than the input."""
+    value, which is a first-order improvement direction.  A singular or
+    unproductive Newton system with the residual still at least 1e-13
+    means the optimum is not isolated on the support (a face of
+    maximizers): the lightest support variable is dropped and the round
+    redone.  Never returns a point worse than the input (up to rounding)."""
     m = problem.m
     y = y_in.copy()
     support = set(np.nonzero(y > 1e-9)[0].tolist()) or {int(np.argmax(y))}
@@ -348,6 +354,7 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray, max_rounds: int = 8
         s = len(S)
         g = problem.grad(y[None, :])[0]
         mu = float(np.mean(g[S]))
+        stuck = False
         for _it in range(40):
             F = np.append(g[S] - mu, y[S].sum() - 1.0)
             base_res = float(np.max(np.abs(F)))
@@ -361,6 +368,7 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray, max_rounds: int = 8
             try:
                 delta = np.linalg.solve(J, -F)
             except np.linalg.LinAlgError:
+                stuck = True
                 break
             step = 1.0
             moved = False
@@ -378,7 +386,14 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray, max_rounds: int = 8
                         break
                 step *= 0.5
             if not moved:
+                stuck = base_res >= 1e-13
                 break
+        if stuck and s > 1:
+            k = min(S, key=lambda k: y[k])
+            support.discard(k)
+            y[k] = 0.0
+            y /= y.sum()
+            continue
         g = problem.grad(y[None, :])[0]
         val = float(problem.value(y[None, :])[0])
         grow = [k for k in range(m) if k not in support and g[k] > problem.degree * val + 1e-12]
@@ -388,7 +403,9 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray, max_rounds: int = 8
         support.add(k)
         y[k] = max(y[k], 1e-4)
         y = y / y.sum()
-    if float(problem.value(y[None, :])[0]) < float(problem.value(y_in[None, :])[0]):
+    # the polished point may evaluate a few ulps below the input; 1e-13 is
+    # above that rounding and far below any real loss
+    if float(problem.value(y[None, :])[0]) < float(problem.value(y_in[None, :])[0]) - 1e-13:
         return y_in
     return y
 
@@ -404,12 +421,11 @@ class OptimizerConfig:
     exact_support_n: int = 8
     kkt_tol: float = 1e-8
     iterations: int = 400
-    value_tol: float = 1e-9
 
     def cheap(self) -> "OptimizerConfig":
         """Profile for bulk evaluation inside enumerations."""
         return OptimizerConfig(restarts=8, seed=self.seed, exact_support_n=0,
-                               kkt_tol=self.kkt_tol, iterations=160, value_tol=self.value_tol)
+                               kkt_tol=self.kkt_tol, iterations=160)
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -442,6 +458,9 @@ class OptimumResult:
         if self.exact_value is not None:
             out["exact_value"] = str(self.exact_value)
         return out
+
+
+_CERT_STARTS = 8
 
 
 def _dirichlet(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
@@ -501,10 +520,11 @@ def maximize(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG) -> Optimum
         sup = np.array(sup_rows)
         starts.append(sup / sup.sum(axis=1, keepdims=True))
         masks.append(sup)
-    Y0 = np.vstack(starts)
-    M0 = np.vstack(masks)
-    Y, f = _pga(problem, Y0, M0, config.iterations, 1e-14)
-    best = int(np.argmax(f))
+    # the certification starts share the batch but never supply the optimum
+    starts.append(_dirichlet(np.random.default_rng(config.seed + 0x9E3779B9), _CERT_STARTS, m))
+    masks.append(np.ones((_CERT_STARTS, m)))
+    Y, f = _pga(problem, np.vstack(starts), np.vstack(masks), config.iterations, 1e-14)
+    best = int(np.argmax(f[:-_CERT_STARTS]))
     y = _newton_polish(problem, Y[best])
 
     x = problem.expand(y)
@@ -521,9 +541,7 @@ def maximize(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG) -> Optimum
     else:
         kkt = 0.0
 
-    extra = _dirichlet(np.random.default_rng(config.seed + 0x9E3779B9), 8, m)
-    _, f_extra = _pga(problem, extra, np.ones_like(extra), config.iterations, 1e-14)
-    beaten = float(f_extra.max(initial=0.0)) > value + config.kkt_tol
+    beaten = float(f[-_CERT_STARTS:].max()) > value + config.kkt_tol
     certified = (kkt <= config.kkt_tol) and not beaten
 
     mode = "float"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,6 +136,19 @@ def test_extend_writes_extension(tmp_path, capsys):
     out = tmp_path / "ext.hg"
     assert main(["extend", str(src), "--out", str(out)]) == 0
     assert canonical_form(load(out)) == canonical_form(named("F5"))
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "hyperlag", "construct", "K", "4", "3"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == "r=3 n=4 1 2 3 1 2 4 1 3 4 2 3 4".split()
+
+
+def test_value_tol_flag_is_gone():
+    with pytest.raises(SystemExit):
+        main(["lambda", "--value-tol", "1e-9", "x.hg"])
 
 
 def test_construct_variants(tmp_path, capsys):

@@ -22,9 +22,11 @@ from hyperlag.hypergraph import (
     matching,
     new,
 )
+from hyperlag import lagrangian
 from hyperlag.lagrangian import (
     OptimizerConfig,
     WeightVector,
+    _BlockProblem,
     closed_form,
     densify,
     evaluate,
@@ -159,6 +161,83 @@ def test_maximize_deterministic_given_seed():
     a = maximize(g, OptimizerConfig(seed=3))
     b = maximize(g, OptimizerConfig(seed=3))
     assert a.value == b.value and a.weighting == b.weighting
+
+
+def _assert_certified_exactly(g, seeds):
+    for seed in seeds:
+        res = maximize(g, OptimizerConfig(seed=seed))
+        assert res.certified, seed
+        assert res.kkt_residual <= 1e-12, (seed, res.kkt_residual)
+
+
+def test_polish_keeps_its_converged_point():
+    # Newton polishes these to a residual near 0, but the polished point
+    # evaluates a few ulps below the PGA point; it must still be kept
+    rnd = random.Random(7)
+    for _ in range(122):
+        n = rnd.randint(6, 10)
+        g = random_hypergraph(rnd, n)
+    _assert_certified_exactly(g, [0])
+    triangle = new(2, 9, [(1, 7), (2, 4), (2, 6), (2, 9), (4, 7), (5, 9), (6, 9)])
+    _assert_certified_exactly(triangle, range(12))
+    assert maximize(triangle).exact_value == Fraction(1, 3)
+
+
+def test_polish_leaves_a_face_of_maximizers():
+    # the maximizers form a face, so the KKT Jacobian on the PGA support
+    # is singular; the polish must drop support variables to reach a vertex
+    g = new(2, 10, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 10), (2, 5),
+                    (2, 6), (2, 8), (2, 10), (3, 4), (3, 5), (3, 6), (3, 8), (3, 9), (4, 5),
+                    (4, 6), (4, 7), (4, 8), (4, 9), (4, 10), (5, 6), (5, 7), (5, 10), (6, 8),
+                    (6, 9), (6, 10), (7, 8), (7, 9), (7, 10), (8, 9), (9, 10)])
+    _assert_certified_exactly(g, range(12))
+    assert maximize(g).value == pytest.approx(motzkin_straus(g)[0], abs=1e-15)
+
+
+def test_certification_starts_never_supply_the_optimum():
+    # two disjoint K4^3: the uniform start stalls at the saddle 1/64 and
+    # only the random starts reach 1/16
+    k4 = complete(4, 3)
+    g = new(3, 8, list(k4.edges) + [tuple(v + 4 for v in e) for e in k4.edges])
+    res = maximize(g, OptimizerConfig(restarts=0, exact_support_n=0))
+    assert res.value == pytest.approx(1 / 64, abs=1e-15)
+    assert res.certified is False
+    res = maximize(g)
+    assert res.value == pytest.approx(1 / 16, abs=1e-15)
+    assert res.certified and res.mode == "rational-certified"
+
+
+def test_one_ascent_batch_per_maximize(monkeypatch):
+    calls = []
+    pga = lagrangian._pga
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return pga(*args, **kwargs)
+
+    monkeypatch.setattr(lagrangian, "_pga", counting)
+    g = random_hypergraph(random.Random(3), 7)
+    for config in (OptimizerConfig(), OptimizerConfig().cheap()):
+        calls.clear()
+        maximize(g, config)
+        assert len(calls) == 1
+
+
+@given(st.sampled_from([2, 3]), st.integers(3, 8), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_block_gradient_matches_vertex_gradient(r, n, seed, blow):
+    rnd = random.Random(seed)
+    g = random_hypergraph(rnd, max(n, r), r=r)
+    if blow:
+        # blown-up classes are weight-exchangeable, so blocks get multiplicities
+        g = blowup(g, [rnd.randint(1, 3) for _ in range(g.n)])
+    problem = _BlockProblem.from_graph(g)
+    y = np.array(random_simplex_point(rnd, problem.m))
+    got = problem.grad(y[None, :])[0]
+    want = gradient(g, problem.expand(y).tolist())
+    for k, cls in enumerate(problem.classes):
+        for v in cls:
+            assert got[k] == pytest.approx(want[v - 1], abs=1e-13)
 
 
 def test_closed_forms():
