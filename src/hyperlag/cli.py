@@ -45,7 +45,6 @@ class RunConfig:
     kkt_tol: float = 1e-8
     max_nodes: int | None = None
     max_seconds: float | None = None
-    threads: int = 1
     fmt: str = "human"  # human | json
 
     def optimizer(self) -> OptimizerConfig:
@@ -68,14 +67,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kkt-tol", type=float, default=_env("KKT_TOL", float, 1e-8))
     p.add_argument("--max-nodes", type=int, default=_env("MAX_NODES", int, None))
     p.add_argument("--max-seconds", type=float, default=_env("MAX_SECONDS", float, None))
-    p.add_argument("--threads", type=int, default=_env("THREADS", int, 1))
     p.add_argument("--json", action="store_true", default=_env("FORMAT", str, "human") == "json")
     p.add_argument("--out", type=str, default=None, help="write the result graph to this file")
 
 
 def _config(args) -> RunConfig:
     return RunConfig(seed=args.seed, restarts=args.restarts, kkt_tol=args.kkt_tol,
-                     max_nodes=args.max_nodes, max_seconds=args.max_seconds, threads=args.threads,
+                     max_nodes=args.max_nodes, max_seconds=args.max_seconds,
                      fmt="json" if args.json else "human")
 
 
@@ -216,8 +214,7 @@ def cmd_turan(args) -> int:
     cfg = _config(args)
     forbidden = [pattern_by_name(s) for s in args.forbid]
     res = turan_number(args.n, forbidden, max_nodes=cfg.max_nodes,
-                       max_seconds=cfg.max_seconds, shards=args.shards,
-                       threads=cfg.threads)
+                       max_seconds=cfg.max_seconds, shards=args.shards)
     payload = res.to_json()
     if args.compare_m is not None:
         # the balanced-blowup count is the conjectured extremal value only

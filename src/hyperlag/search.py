@@ -20,16 +20,24 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
 from .freeness import _contains_edges, creates_linear_path
 from .hgio import to_json_obj
-from .hypergraph import Hypergraph, complete, covers_pairs, induced, linear_path, named, new
+from .hypergraph import (
+    Hypergraph,
+    complete,
+    covers_pairs,
+    equivalence_classes,
+    induced,
+    linear_path,
+    named,
+    new,
+)
 from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, maximize
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -215,8 +223,6 @@ def enumerate_all(n: int, r: int, filter=None, visit=None, up_to_iso: bool = Fal
     M = comb(n, r)
     if M > max_bits:
         raise ValueError(f"ground set of {M} edges exceeds the cap of {max_bits} bits")
-    if up_to_iso and n > 7:
-        raise ValueError("isomorphism reduction is limited to n <= 7")
     ground = colex_ground(n, r)
     stats = SearchStats()
     for bits in range(1 << M):
@@ -241,17 +247,121 @@ def enumerate_all(n: int, r: int, filter=None, visit=None, up_to_iso: bool = Fal
 
 
 def canonical_form(g: Hypergraph) -> Hypergraph:
-    """Minimum lexicographic edge list over all vertex permutations."""
-    if g.n > 7:
-        raise ValueError("canonical form by full permutation search is limited to n <= 7")
-    best = None
-    ids = list(range(1, g.n + 1))
-    for perm in itertools.permutations(ids):
-        mapping = {old: newv for old, newv in zip(ids, perm)}
-        edges = tuple(sorted(tuple(sorted(mapping[v] for v in e)) for e in g.edges))
-        if best is None or edges < best:
-            best = edges
-    return Hypergraph(g.r, g.n, best if best is not None else ())
+    """Minimum lexicographic sorted edge list over all vertex labellings,
+    for any n, found by a branch-and-bound labelling search (after McKay
+    and Piperno, "Practical graph isomorphism, II", 2014) in place of
+    trying all n! permutations.
+
+    Soundness:
+
+    - Sorted edge lists compare like indicator vectors.  Every labelling
+      gives a list of the same length m.  Two such lists compare the way
+      their edge sets compare at the lex-smallest r-set in which they
+      differ: the list that holds that r-set is the smaller one.  So the
+      canonical form is the labelling whose indicator vector over r-sets
+      of labels, taken in lex order, is lex-largest.  Read as an integer
+      with the first r-set as the top bit, it is the largest integer.
+    - What this allows at each step.  Labels are given out as 1, 2, ...,
+      k.  An r-set's value is fixed once all its labels are given out.
+      Every r-set lex-before the first one not yet fixed, which is
+      (1, ..., r-1, k+1) once k >= r-1 and (1, ..., r) before, is fixed,
+      so every completion agrees on them.  So the vertex that gets label
+      k+1 only needs to be tried among those that can make that r-set an
+      edge, when any can: every other choice loses at it.  Two unlabelled
+      vertices in one class of :func:`~hyperlag.hypergraph.equivalence_classes`
+      lead to identical subtrees, because swapping them is an automorphism
+      that fixes every labelled vertex.  So one vertex per class is tried.
+    - The incumbent cut.  An edge of g whose labelled vertices hold the
+      labels S (|S| < r) ends up as an r-set S + T, T a set of labels
+      above k.  All of T exceeds all of S, so these r-sets come in the
+      lex order of T.  Let c edges share S, and let the bound hold the
+      r-sets of the edges already fixed and, for every S, the first c
+      r-sets S + T.  Take a completion above the bound and the first
+      r-set where the two differ: the completion holds it, the bound does
+      not.  It is not fixed, so it is some S + T beyond the first c of
+      its S, all of which come before it and so are held by the
+      completion too: c + 1 edges with labels S, one too many.  So no
+      completion is above the bound, and a node is cut when its bound is
+      not above the best labelling found so far.  Ties are cut too, since
+      a completion equal to the best gives the same form.
+
+    There is no size cap.
+    """
+    r, n = g.r, g.n
+    if not g.edges:
+        return Hypergraph(r, n, ())
+    sets = list(itertools.combinations(range(1, n + 1), r))
+    bit = {s: 1 << (len(sets) - 1 - i) for i, s in enumerate(sets)}
+    incident = {v: [] for v in g.vertices}
+    for e in g.edges:
+        for v in e:
+            incident[v].append(e)
+    cls = {v: c[0] for c in equivalence_classes(g).classes for v in c}
+    part = dict.fromkeys(g.edges, ())
+    best = _extend_labelling(g, bit, incident, cls, part, [], 0)
+    return Hypergraph(r, n, tuple(s for s in sets if best & bit[s]))
+
+
+def _extend_labelling(g: Hypergraph, bit: dict, incident: dict, cls: dict, part: dict,
+                      order: list, best: int) -> int:
+    """Give out label k+1 (k = len(order)) in every way :func:`canonical_form`'s
+    search allows below the node that gave labels 1..k to ``order``.
+    ``part`` maps each edge to the labels its vertices hold so far, in
+    ascending order.  Returns the larger of ``best`` and the indicator
+    integer of the best completion."""
+    k = len(order)
+    if k == g.n:
+        return _completion_bound(g, bit, part, k)
+    free = [v for v in g.vertices if v not in order]
+    head = tuple(range(1, min(k, g.r - 1) + 1))
+    forced = [x for x in free if any(part[e] == head for e in incident[x])]
+    children = []
+    tried = set()
+    for x in forced or free:
+        if cls[x] not in tried:
+            tried.add(cls[x])
+            _give_label(incident[x], part, k + 1)
+            children.append((_completion_bound(g, bit, part, k + 1), x))
+            _take_label(incident[x], part)
+    children.sort(reverse=True)
+    for bound, x in children:
+        if bound <= best:
+            break
+        _give_label(incident[x], part, k + 1)
+        order.append(x)
+        best = _extend_labelling(g, bit, incident, cls, part, order, best)
+        order.pop()
+        _take_label(incident[x], part)
+    return best
+
+
+def _give_label(edges, part: dict, label: int) -> None:
+    for e in edges:
+        part[e] += (label,)
+
+
+def _take_label(edges, part: dict) -> None:
+    for e in edges:
+        part[e] = part[e][:-1]
+
+
+def _completion_bound(g: Hypergraph, bit: dict, part: dict, k: int) -> int:
+    """The bits of the edges whose labels are all given out plus, for each
+    set S of labels that c other edges hold, the first c r-sets S + T with
+    T drawn from the labels above k (see :func:`canonical_form`).  Once
+    every label is given out, this is the labelling's indicator integer."""
+    bound = 0
+    shared: dict[tuple, int] = {}
+    for s in part.values():
+        if len(s) == g.r:
+            bound |= bit[s]
+        else:
+            shared[s] = shared.get(s, 0) + 1
+    above = range(k + 1, g.n + 1)
+    for s, c in shared.items():
+        for t in itertools.islice(itertools.combinations(above, g.r - len(s)), c):
+            bound |= bit[s + t]
+    return bound
 
 
 def isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
@@ -310,7 +420,8 @@ class TuranRun(_ColexDFS):
 
     def space_descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n, "r": self.r,
-                "forbidden": [to_json_obj(f) for f in self.forbidden]}
+                "forbidden": [to_json_obj(f) for f in self.forbidden],
+                "downset": self.downset}
 
     def include_accept(self, k: int) -> bool:
         edges = self.included_edges() + (self.ground[k],)
@@ -336,6 +447,8 @@ class TuranRun(_ColexDFS):
             self.witness_edges = set()
         if cnt == self.best:
             g = Hypergraph(self.r, self.n, self.included_edges())
+            # canonical_form has no size cap; canonicalizing from n = 8 on
+            # would change the witnesses those reports list
             if self.n <= 7:
                 g = canonical_form(g)
             self.witness_edges.add(g.edges)
@@ -387,8 +500,7 @@ def _shard_prefixes(n: int, r: int, depth: int) -> list[list[int]]:
 
 
 def turan_number(n: int, forbidden, max_nodes: int | None = None,
-                 max_seconds: float | None = None, shards: int = 1,
-                 threads: int = 1) -> TuranResult:
+                 max_seconds: float | None = None, shards: int = 1) -> TuranResult:
     """Exact maximum edge count of a graph on [n] avoiding every forbidden
     graph, with all extremal witnesses (canonical when n <= 7).  Budgets
     degrade the status to lower_bound, never silently truncate.
@@ -412,11 +524,7 @@ def turan_number(n: int, forbidden, max_nodes: int | None = None,
         finished = run.run(max_nodes, max_seconds)
         return finished, run
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            outcomes = list(ex.map(run_prefix, prefixes))
-    else:
-        outcomes = [run_prefix(p) for p in prefixes]
+    outcomes = [run_prefix(p) for p in prefixes]
     best = -1
     witnesses: set[tuple] = set()
     stats = SearchStats()
@@ -530,7 +638,9 @@ class DensityRun(_ColexDFS):
 
     def space_descriptor(self) -> dict:
         return {"kind": self.kind, "pattern": self.pattern, "n": self.n,
-                "mode": self.mode, "evaluate_every_survivor": self.evaluate_every_survivor}
+                "mode": self.mode, "evaluate_every_survivor": self.evaluate_every_survivor,
+                "require_covered_pairs": self.require_covered_pairs, "top": self.top,
+                "config": asdict(self.config)}
 
     def include_accept(self, k: int) -> bool:
         return not self._creates(self.included_masks(), self.masks[k])
@@ -611,6 +721,7 @@ class DensityRun(_ColexDFS):
             if res.value > best_val:
                 best_val = res.value
                 best_graph = g
+        # as in TuranRun.on_leaf, argmax graphs from n = 8 on stay as found
         if best_graph is not None and best_graph.n <= 7:
             best_graph = canonical_form(best_graph)
         return best_val, best_graph
@@ -686,10 +797,12 @@ def checkpoint_resume(path, expect_space: dict | None = None):
     if space["kind"] == "turan":
         forbidden = [new(f["r"], f["n"], [tuple(e) for e in f["edges"]])
                      for f in space["forbidden"]]
-        run = TuranRun(space["n"], forbidden)
+        run = TuranRun(space["n"], forbidden, space["downset"])
     elif space["kind"] == "density":
         run = DensityRun(space["pattern"], space["n"], space["mode"],
-                         evaluate_every_survivor=space["evaluate_every_survivor"])
+                         OptimizerConfig(**space["config"]),
+                         space["evaluate_every_survivor"], space["require_covered_pairs"],
+                         space["top"])
     else:
         raise CheckpointError(f"unknown checkpoint kind {space.get('kind')!r}")
     run.load_state(payload["state"])

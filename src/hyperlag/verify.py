@@ -335,7 +335,7 @@ def check_turan_machinery(config: OptimizerConfig) -> list[CheckResult]:
     enumerate_all(5, 3, visit=visit)
     dual_ok = (bnb.status == "exact" and bnb.max_edges == oracle_best
                and set(w.edges for w in bnb.witnesses) == oracle_wit
-               and 6 <= bnb.max_edges <= 9)
+               and bnb.max_edges == 6)
     out.append(CheckResult("turan-machinery", "turan-5-dual-strategy", dual_ok,
                            {"branch_and_bound": bnb.max_edges, "whole_space": oracle_best,
                             "witnesses": len(bnb.witnesses)}))

@@ -9,7 +9,8 @@ import pytest
 from hyperlag.cli import main, pattern_by_name
 from hyperlag.hgio import emit_hg, load
 from hyperlag.hypergraph import complete, complete_minus, linear_path, matching, named
-from hyperlag.search import canonical_form
+from hyperlag.lagrangian import OptimizerConfig
+from hyperlag.search import DensityRun, TuranRun, canonical_form, checkpoint_save
 
 try:
     import jsonschema
@@ -149,6 +150,20 @@ def test_python_dash_m_runs_the_cli():
 def test_value_tol_flag_is_gone():
     with pytest.raises(SystemExit):
         main(["lambda", "--value-tol", "1e-9", "x.hg"])
+
+
+def test_threads_flag_is_gone():
+    with pytest.raises(SystemExit):
+        main(["turan", "--n", "5", "--forbid", "F5", "--threads", "2"])
+
+
+def test_checkpoints_validate(tmp_path):
+    path = tmp_path / "c.json"
+    for run in (DensityRun("P3", 7, config=OptimizerConfig(seed=3, restarts=8), top=4),
+                TuranRun(5, (named("F5"),), downset=True)):
+        run.run(max_nodes=50)
+        checkpoint_save(run, path)
+        _validate(json.loads(path.read_text()), "checkpoint.schema.json")
 
 
 def test_construct_variants(tmp_path, capsys):

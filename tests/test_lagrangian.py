@@ -38,27 +38,26 @@ from hyperlag.lagrangian import (
 )
 
 
-def simplex_grid_max(g, denom):
-    """Independent brute-force oracle: maximum of the edge polynomial over
-    all grid points of the simplex with coordinates k/denom."""
+def matching_grid_max(denom):
+    """Independent brute-force oracle: maximum of M2's edge polynomial over
+    the grid points of the simplex with coordinates k/denom, one point per
+    orbit of M2's automorphism group (permute within either edge {1,2,3},
+    {4,5,6}, swap the two): coordinates non-increasing within each edge,
+    and the first edge's tuple no smaller than the second's."""
+    g = matching(2, 3)
+
+    def sorted_triples(total):
+        for a in range(total, -1, -1):
+            for b in range(min(a, total - a), -1, -1):
+                if total - a - b <= b:
+                    yield (a, b, total - a - b)
+
     best = 0.0
-    n = g.n
-
-    def rec(i, left, point):
-        nonlocal best
-        if i == n - 1:
-            point.append(left)
-            val = evaluate(g, [p / denom for p in point])
-            if val > best:
-                best = val
-            point.pop()
-            return
-        for k in range(left + 1):
-            point.append(k)
-            rec(i + 1, left - k, point)
-            point.pop()
-
-    rec(0, denom, [])
+    for s in range(denom + 1):
+        for first in sorted_triples(s):
+            for second in sorted_triples(denom - s):
+                if first >= second:
+                    best = max(best, evaluate(g, [p / denom for p in first + second]))
     return best
 
 
@@ -135,7 +134,7 @@ def test_maximize_matching_grid_oracle():
     g = matching(2, 3)
     res = maximize(g)
     assert res.value == pytest.approx(1 / 27, abs=1e-9)
-    oracle = simplex_grid_max(g, 60)
+    oracle = matching_grid_max(60)
     assert oracle == pytest.approx(1 / 27, abs=1e-15)
     assert res.value >= oracle - 1e-9
 

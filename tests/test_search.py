@@ -1,7 +1,10 @@
 import itertools
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlag.freeness import contains, creates_linear_path, is_free
 import hyperlag.search as search_mod
@@ -14,7 +17,9 @@ from hyperlag.hypergraph import (
     named,
     new,
     relabel,
+    turan_blowup,
 )
+from hyperlag.lagrangian import OptimizerConfig
 from hyperlag.search import (
     CheckpointError,
     DensityRun,
@@ -151,6 +156,10 @@ def test_enumerate_all_up_to_iso():
     enumerate_all(4, 3, visit=lambda e: reps.append(e), up_to_iso=True)
     # subsets of the 4-edge clique up to symmetry: one per edge count
     assert len(reps) == 5
+    # with no size cap on the canonical form, the same holds on 8 vertices
+    reps = []
+    enumerate_all(8, 1, visit=lambda e: reps.append(e), up_to_iso=True)
+    assert reps == [tuple((v,) for v in range(1, k + 1)) for k in range(9)]
 
 
 def test_canonical_form_identifies_relabelings():
@@ -159,8 +168,110 @@ def test_canonical_form_identifies_relabelings():
     assert canonical_form(g) == canonical_form(h)
     assert isomorphic(g, h)
     assert not isomorphic(g, new(3, 5, [(1, 2, 3), (1, 2, 4)]))
-    with pytest.raises(ValueError):
-        canonical_form(complete(8, 3))
+    assert canonical_form(complete(8, 3)) == complete(8, 3)
+    k8 = complete(8, 3).edges
+    minus_meeting = new(3, 8, [e for e in k8 if e not in ((1, 2, 3), (1, 2, 4))])
+    minus_disjoint = new(3, 8, [e for e in k8 if e not in ((1, 2, 3), (4, 5, 6))])
+    assert isomorphic(minus_meeting, new(3, 8, [e for e in k8 if e not in ((3, 7, 8), (5, 7, 8))]))
+    assert not isomorphic(minus_meeting, minus_disjoint)
+
+
+def brute_canonical_form(g):
+    """Reference canonical form: the minimum sorted edge list over all n!
+    vertex permutations."""
+    best = None
+    ids = list(range(1, g.n + 1))
+    for perm in itertools.permutations(ids):
+        mapping = dict(zip(ids, perm))
+        edges = tuple(sorted(tuple(sorted(mapping[v] for v in e)) for e in g.edges))
+        if best is None or edges < best:
+            best = edges
+    return Hypergraph(g.r, g.n, best if best is not None else ())
+
+
+def _on(n, g):
+    return new(g.r, n, g.edges)
+
+
+def _shuffled(g, seed):
+    perm = list(range(1, g.n + 1))
+    random.Random(seed).shuffle(perm)
+    return relabel(g, dict(zip(range(1, g.n + 1), perm)))
+
+
+# the 2-(6,3,2) design: ten triples, every pair in exactly two of them
+DESIGN_6_3_2 = new(3, 6, [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+                          (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)])
+FANO = new(3, 7, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)])
+PETERSEN = new(2, 10, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+                       (5, 10), (6, 8), (8, 10), (7, 10), (7, 9), (6, 9)])
+
+SMALL_FAMILIES = [
+    new(3, 0, []), new(3, 2, []), new(3, 6, []), new(2, 5, []),
+    new(3, 7, [(2, 4, 6)]), new(2, 7, [(1, 2), (3, 4)]),
+    *[_on(7, complete(t, 3)) for t in range(3, 8)],
+    *[_on(7, complete(t, 2)) for t in range(2, 8)],
+    *[_on(7, complete_minus(t, 3)) for t in range(4, 8)],
+    *[_on(7, complete_minus(t, 2)) for t in range(3, 8)],
+    turan_blowup(3, 3, 6), turan_blowup(3, 3, 7), turan_blowup(4, 3, 7),
+    turan_blowup(3, 2, 7), turan_blowup(2, 2, 6),
+    named("F5"), _on(7, named("F5")), named("T2"),
+    DESIGN_6_3_2, _on(7, DESIGN_6_3_2), FANO, linear_path(3),
+]
+
+
+@pytest.mark.parametrize("g", SMALL_FAMILIES, ids=range(len(SMALL_FAMILIES)))
+def test_canonical_form_matches_brute_force_on_families(g):
+    form = brute_canonical_form(g)
+    assert canonical_form(g) == form
+    for seed in range(3):
+        assert canonical_form(_shuffled(g, seed)) == form
+
+
+@st.composite
+def _graph_and_relabelling(draw, n_min, n_max):
+    r = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(n_min, n_max))
+    slots = list(itertools.combinations(range(1, n + 1), r))
+    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    g = new(r, n, [e for e, k in zip(slots, keep) if k])
+    perm = draw(st.permutations(range(1, n + 1)))
+    return g, relabel(g, dict(zip(range(1, n + 1), perm)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_graph_and_relabelling(0, 7))
+def test_canonical_form_matches_brute_force(pair):
+    g, h = pair
+    form = brute_canonical_form(g)
+    assert canonical_form(g) == form
+    assert canonical_form(h) == form
+
+
+LARGE_FAMILIES = [complete(8, 3), complete_minus(8), complete_minus(9), turan_blowup(3, 3, 9),
+                  turan_blowup(4, 3, 10), turan_blowup(3, 2, 10), PETERSEN,
+                  _on(10, DESIGN_6_3_2), _on(9, FANO), linear_path(4)]
+
+
+def _check_form_beyond_seven(g, h):
+    form = canonical_form(g)
+    assert canonical_form(h) == form
+    # every labelling is a candidate, the form is one of them
+    assert form.edges <= g.edges and form.edges <= h.edges
+    assert canonical_form(form) == form
+    assert sorted(form.degrees()) == sorted(g.degrees())
+
+
+@pytest.mark.parametrize("g", LARGE_FAMILIES, ids=range(len(LARGE_FAMILIES)))
+def test_canonical_form_relabelling_invariance_on_families_beyond_seven(g):
+    for seed in range(3):
+        _check_form_beyond_seven(g, _shuffled(g, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graph_and_relabelling(8, 10))
+def test_canonical_form_relabelling_invariance_beyond_seven(pair):
+    _check_form_beyond_seven(*pair)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +338,8 @@ def test_turan_budget_degrades_to_lower_bound():
 
 def test_turan_shard_determinism():
     base = turan_number(5, [named("F5")])
-    for shards, threads in ((2, 1), (4, 2), (8, 2)):
-        sharded = turan_number(5, [named("F5")], shards=shards, threads=threads)
+    for shards in (2, 4, 8):
+        sharded = turan_number(5, [named("F5")], shards=shards)
         assert sharded.max_edges == base.max_edges
         assert tuple(w.edges for w in sharded.witnesses) == tuple(w.edges for w in base.witnesses)
         assert sharded.status == "exact"
@@ -239,7 +350,7 @@ def test_turan_shard_determinism_with_forbidden_prefixes():
     # shards cover only pruned subtrees and must contribute nothing
     for pattern in (named("T2"), linear_path(2)):
         base = turan_number(5, [pattern])
-        sharded = turan_number(5, [pattern], shards=256, threads=2)
+        sharded = turan_number(5, [pattern], shards=256)
         assert sharded.max_edges == base.max_edges
         assert tuple(w.edges for w in sharded.witnesses) == tuple(w.edges for w in base.witnesses)
         assert sharded.status == "exact"
@@ -372,6 +483,28 @@ def test_checkpoint_midrun_turan(tmp_path):
     res = resumed.execute()
     base = turan_number(5, [named("F5")])
     assert res.to_json() == base.to_json()
+
+
+def test_checkpoint_keeps_every_setting(tmp_path):
+    config = OptimizerConfig(seed=3, restarts=8)
+
+    def fresh():
+        return DensityRun("P3", 7, config=config, top=4, require_covered_pairs=False)
+
+    path = tmp_path / "c.json"
+    partial = fresh()
+    assert not partial.run(max_nodes=400)
+    checkpoint_save(partial, path)
+    resumed = checkpoint_resume(path)
+    assert (resumed.config, resumed.top, resumed.require_covered_pairs) == (config, 4, False)
+    assert resumed.execute().to_json() == fresh().execute().to_json()
+
+    run = TuranRun(5, (named("F5"),), downset=True)
+    assert not run.run(max_nodes=10)
+    checkpoint_save(run, path)
+    resumed = checkpoint_resume(path)
+    assert resumed.downset
+    assert resumed.execute().to_json() == TuranRun(5, (named("F5"),), downset=True).execute().to_json()
 
 
 def test_checkpoint_space_mismatch(tmp_path):
