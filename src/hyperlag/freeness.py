@@ -79,57 +79,107 @@ def _plan(r: int, n: int, edges: tuple) -> tuple:
     unplaced vertex once it is placed -- those that already were
     ("carried") and those it brings to that state ("fresh").  An edge is
     stored as the positions of its placed vertices, less this one for a
-    fresh edge."""
+    fresh edge.
+
+    Last, per position j, the positions p < j whose host vertex must have
+    a lower id than j's ("below"): the symmetry-breaking conditions of
+    Grochow & Kellis (RECOMB 2007) over the stabilizer chain of the
+    pattern's automorphism group (McKay & Piperno, 2014).  Let G_p be the
+    automorphisms fixing ``order[:p]`` pointwise.  For every other vertex
+    ``order[j]`` in the G_p-orbit of ``order[p]`` an embedding f must have
+    f(order[p]) < f(order[j]); only the transitive reduction of these
+    pairs is stored, and the search enforces the rest through it.
+
+    Soundness.  Order embeddings lexicographically by their host ids in
+    pattern order, and call f and f o s, for s an automorphism, one class.
+    The lex-least member g of a class meets every condition: were
+    g(order[j]) < g(order[p]) with order[j] = s(order[p]) for s in G_p,
+    then g o s would agree with g on ``order[:p]`` and be smaller at
+    position p, so lex-smaller.  No other member meets them all: for
+    g o s with s not the identity, let p be the first position s moves;
+    then s and its inverse lie in G_p, and the conditions at p for g and
+    for g o s would need g(order[p]) < g(s(order[p])) and
+    g(s(order[p])) < g(order[p]).  So exactly one embedding per class
+    survives, and the lex-least embedding of the host, being lex-least in
+    its class, survives: the first witness is the one found without the
+    conditions, and a miss stays a miss.
+
+    The orbits come from ``_search`` itself, embedding the pattern into
+    itself with ``order[:p]`` pinned and position p pinned to each later
+    vertex of its degree; an edge-preserving injection of a pattern into
+    itself is an automorphism."""
     order = _pattern_order(Hypergraph(r, n, edges))
     pos = {v: i for i, v in enumerate(order)}
-    deg = [0] * (n + 1)
+    completions, deg = _completions(n, edges)
     ready, carried, fresh = ([[] for _ in range(n)] for _ in range(3))
     for e in edges:
         ps = sorted(pos[v] for v in e)
-        for v in e:
-            deg[v] += 1
         ready[ps[-1]].append(tuple(ps[:-1]))
         if r > 1:
             fresh[ps[-2]].append(tuple(ps[:-2]))
             for i in range(ps[-2] + 1, ps[-1]):
                 carried[i].append(tuple(ps[:-1]))
-    return (tuple(order), tuple(deg[v] for v in order),
-            *(tuple(map(tuple, lists)) for lists in (ready, carried, fresh)))
+    pdeg = tuple(deg[v] for v in order)
+    plan = (tuple(order), pdeg, *(tuple(map(tuple, lists)) for lists in (ready, carried, fresh)))
+    free = plan + (((),) * n,)  # no order constraints while finding them
+    same = {d: sum(1 << v for v in order if deg[v] == d) for d in set(pdeg)}
+    below = [[] for _ in range(n)]
+    reach = [0] * n  # per position, the later positions it must map below
+    for p in reversed(range(n)):
+        allowed = [1 << v for v in order[:p]] + [0] + [same[d] for d in pdeg[p + 1:]]
+        orbit = []
+        for j in range(p + 1, n):
+            allowed[p] = 1 << order[j]
+            if pdeg[j] == pdeg[p] and _search(free, completions, allowed) is not None:
+                orbit.append(j)
+        implied = 0
+        for j in orbit:
+            implied |= reach[j]
+        for j in orbit:
+            reach[p] |= 1 << j | reach[j]
+            if not implied >> j & 1:
+                below[j].append(p)
+    return plan + (tuple(map(tuple, below)),)
 
 
-def _contains_edges(n: int, edges: tuple, pattern: Hypergraph):
-    """Backtracking embedding search of pattern into (n, edges) over host
-    vertex bitmasks, following the pattern's cached ``_plan``.
-
-    ``completions`` maps the bitmask of any r-1 host vertices to the
-    bitmask of the vertices that complete them to a host edge.  A pattern
-    vertex's candidates are the unused host vertices of large enough
-    degree that complete each of its ready edges; a placement must leave
-    every edge with one unplaced vertex an unused completion.  Candidates
-    are tried lowest id first, so the witness is the first embedding in
-    pattern order and increasing host id."""
-    if pattern.n > n:
-        return None
-    order, pdeg, ready, carried, fresh = _plan(pattern.r, pattern.n, pattern.edges)
+def _completions(n: int, edges) -> tuple[dict[int, int], list[int]]:
+    """The completion map of an edge list on [n] -- the bitmask of any r-1
+    of its vertices to the bitmask of the vertices completing them to an
+    edge -- and the degree of each vertex, built in one pass."""
     completions: dict[int, int] = {}
-    host_deg = [0] * (n + 1)
+    deg = [0] * (n + 1)
     for e in edges:
         m = 0
         for v in e:
             m |= 1 << v
-            host_deg[v] += 1
         for v in e:
-            key = m ^ (1 << v)
-            completions[key] = completions.get(key, 0) | (1 << v)
-    deg_ok = {d: sum(1 << v for v in range(1, n + 1) if host_deg[v] >= d) for d in set(pdeg)}
-    allowed = [deg_ok[d] for d in pdeg]
-    k = len(order)
+            b = 1 << v
+            key = m ^ b
+            completions[key] = completions.get(key, 0) | b
+            deg[v] += 1
+    return completions, deg
+
+
+def _search(plan: tuple, completions: dict[int, int], allowed: list[int]):
+    """The first embedding, following ``plan``, that maps position i into
+    ``allowed[i]`` and every pattern edge onto an edge of ``completions``:
+    the host vertex bit of each position, or None.
+
+    A position's candidates are the unused allowed vertices that complete
+    each of its ready edges and lie above the vertices of its "below"
+    positions; a placement must leave every edge with one unplaced vertex
+    an unused completion.  Candidates are tried lowest id first, so
+    embeddings are visited in lexicographic order of their host ids."""
+    _, _, ready, carried, fresh, below = plan
+    k = len(ready)
     img = [0] * k  # the host vertex bit placed at each position
 
     def extend(i: int, used: int) -> bool:
         if i == k:
             return True
         cand = allowed[i] & ~used
+        for p in below[i]:
+            cand &= -(img[p] << 1)
         for others in ready[i]:
             key = 0
             for j in others:
@@ -161,9 +211,30 @@ def _contains_edges(n: int, edges: tuple, pattern: Hypergraph):
                     return True
         return False
 
-    if not extend(0, 0):
+    return img if extend(0, 0) else None
+
+
+def _contains_edges(n: int, edges, pattern: Hypergraph):
+    """Backtracking embedding search of pattern into (n, edges) over host
+    vertex bitmasks: ``_search`` following the pattern's cached ``_plan``,
+    with each position allowed the host vertices of at least its degree.
+    The answer does not depend on the order of ``edges``.
+
+    The witness is the first embedding in pattern order and increasing
+    host id.  The plan's symmetry-breaking conditions keep one embedding
+    per automorphism class of the pattern, the lex-least one among them
+    included (the ``_plan`` docstring has the argument), so they change
+    neither that witness nor a miss; they only spare the search the
+    repeats of a failing partial map under the pattern's automorphisms."""
+    if pattern.n > n:
         return None
-    return EmbeddingMap(tuple(sorted((p, img[i].bit_length() - 1) for i, p in enumerate(order))))
+    plan = _plan(pattern.r, pattern.n, pattern.edges)
+    completions, host_deg = _completions(n, edges)
+    deg_ok = {d: sum(1 << v for v in range(1, n + 1) if host_deg[v] >= d) for d in set(plan[1])}
+    img = _search(plan, completions, [deg_ok[d] for d in plan[1]])
+    if img is None:
+        return None
+    return EmbeddingMap(tuple(sorted((p, img[i].bit_length() - 1) for i, p in enumerate(plan[0]))))
 
 
 def contains(g: Hypergraph, pattern: Hypergraph):
@@ -171,7 +242,10 @@ def contains(g: Hypergraph, pattern: Hypergraph):
     (``_contains_edges``) follows the pattern's compiled plan, placing
     pattern vertices most-constrained first, and filters host vertices
     through completion masks, trying them in increasing id, so the
-    witness is the first embedding in that order."""
+    witness is the first embedding in that order.  Of each class of
+    embeddings that differ by an automorphism of the pattern, the search
+    visits only one, which for the first witness is that witness itself
+    (see ``_plan``), so misses cost one search per class."""
     if g.r != pattern.r:
         raise ValueError(f"uniformity mismatch: host r={g.r}, pattern r={pattern.r}")
     return _contains_edges(g.n, g.edges, pattern)

@@ -424,7 +424,9 @@ class TuranRun(_ColexDFS):
                 "downset": self.downset}
 
     def include_accept(self, k: int) -> bool:
-        edges = self.included_edges() + (self.ground[k],)
+        # the matcher's answer does not depend on edge order: no sort here
+        edges = [self.ground[i] for i in self.included]
+        edges.append(self.ground[k])
         for f in self.forbidden:
             if _contains_edges(self.n, edges, f) is not None:
                 return False
@@ -434,7 +436,7 @@ class TuranRun(_ColexDFS):
         """Replayed include decisions bypass the incremental freeness check;
         a shard rooted at an already-forbidden prefix covers only subtrees
         the plain search prunes, and must be skipped whole."""
-        edges = self.included_edges()
+        edges = [self.ground[i] for i in self.included]
         return all(_contains_edges(self.n, edges, f) is None for f in self.forbidden)
 
     def bound_cut(self, depth: int) -> bool:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperlag import freeness
 from hyperlag.corpora import covers_pairs_path_free, random_hypergraph
 from hyperlag.freeness import (
     EmbeddingMap,
     _contains_edges,
     _pattern_order,
+    _plan,
     check_structures,
     contains,
     contains_core,
@@ -29,6 +31,7 @@ from hyperlag.hypergraph import (
     is_left_compressed,
     linear_path,
     link_equal_classes,
+    matching,
     named,
     new,
     relabel,
@@ -87,12 +90,21 @@ def _first_embedding(n, edges, pattern):
     return None
 
 
+# patterns with large automorphism groups, each on at most 8 vertices
+LINEAR_STAR_3 = new(3, 7, [(1, 2, 3), (1, 4, 5), (1, 6, 7)])
+EDGE_PLUS_P2 = new(3, 8, [(1, 2, 3), (4, 5, 6), (6, 7, 8)])
+# the 2-(6,3,2) design: ten triples, every pair in exactly two of them
+DESIGN_6_3_2 = new(3, 6, [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+                          (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)])
+
+
 def _named_patterns(r):
     if r == 2:
         return [complete(m, 2) for m in (2, 3, 4, 5)] + [complete_minus(4, 2)]
     return ([complete(m, 3) for m in (3, 4, 5)]
             + [complete_minus(4), named("F1"), named("F2"), named("F5"), named("T2")]
-            + [linear_path(t) for t in (1, 2, 3)])
+            + [linear_path(t) for t in (1, 2, 3)]
+            + [matching(2), LINEAR_STAR_3, EDGE_PLUS_P2, DESIGN_6_3_2])
 
 
 @st.composite
@@ -114,7 +126,7 @@ def _host_and_pattern(draw):
     return n, tuple(sorted(edges)), pattern
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_host_and_pattern())
 def test_matcher_agrees_with_brute_force_first_witness(case):
     n, edges, pattern = case
@@ -123,6 +135,84 @@ def test_matcher_agrees_with_brute_force_first_witness(case):
     assert (found is None) == (oracle is None)
     if found is not None:
         assert found.as_dict() == oracle
+
+
+def test_f1_f2_witnesses_unchanged_without_symmetry_breaking(monkeypatch):
+    rnd = random.Random(2024)
+    patterns = (named("F1"), named("F2"))
+    for pat in patterns:
+        assert any(_plan(pat.r, pat.n, pat.edges)[-1])
+    hosts = []
+    for i in range(30):
+        base = random_hypergraph(rnd, 10, p=rnd.uniform(0.02, 0.2))
+        image = rnd.sample(range(1, 11), 10)
+        planted = {tuple(sorted(image[v - 1] for v in e)) for e in patterns[i % 2].edges}
+        hosts.append(new(3, 10, sorted(set(base.edges) | planted)))
+    found = [[contains(g, pat) for pat in patterns] for g in hosts]
+    # the same searches with the plan's symmetry-breaking conditions removed
+    monkeypatch.setattr(freeness, "_plan", lambda r, n, edges: _plan(r, n, edges)[:-1] + (((),) * n,))
+    plain = [[contains(g, pat) for pat in patterns] for g in hosts]
+    assert found == plain
+    assert all(found[i][i % 2] is not None for i in range(30))
+    assert any(w is None for row in found for w in row)
+    for g, row in zip(hosts, found):
+        for pat, w in zip(patterns, row):
+            assert w is None or w.verify(pat, g)
+
+
+def _brute_constraints(pattern):
+    """The plan's symmetry-breaking pairs (p, j) from the automorphism
+    group found by trying every permutation: for each position p of the
+    plan's order, the positions j of the other vertices in the orbit of
+    ``order[p]`` under the automorphisms fixing ``order[:p]`` pointwise,
+    then the transitive reduction of all those pairs."""
+    order = _plan(pattern.r, pattern.n, pattern.edges)[0]
+    pos = {v: i for i, v in enumerate(order)}
+    es = {frozenset(e) for e in pattern.edges}
+    group = [image for image in itertools.permutations(range(1, pattern.n + 1))
+             if all(frozenset(image[v - 1] for v in e) in es for e in pattern.edges)]
+    pairs = set()
+    for p, v in enumerate(order):
+        stab = [s for s in group if all(s[u - 1] == u for u in order[:p])]
+        pairs |= {(p, pos[s[v - 1]]) for s in stab if s[v - 1] != v}
+    closure = set(pairs)
+    while True:
+        more = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
+        if not more:
+            break
+        closure |= more
+    return {(a, b) for a, b in pairs
+            if not any((a, c) in closure and (c, b) in closure for c in range(a + 1, b))}
+
+
+def _plan_constraints(pattern):
+    below = _plan(pattern.r, pattern.n, pattern.edges)[-1]
+    return {(p, j) for j, ps in enumerate(below) for p in ps}
+
+
+SYMMETRIC_PATTERNS = {
+    "T2": named("T2"), "F5": named("F5"), "K4-": complete_minus(4), "M2": matching(2),
+    "linear-3-star": LINEAR_STAR_3,
+    **{f"P{t}": linear_path(t) for t in (1, 2, 3)},
+    **{f"K{m}-r2": complete(m, 2) for m in range(2, 9)},
+    **{f"K{m}-r3": complete(m, 3) for m in range(3, 9)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_PATTERNS))
+def test_plan_constraints_match_brute_force_stabilizer_chain(name):
+    pattern = SYMMETRIC_PATTERNS[name]
+    assert _plan_constraints(pattern) == _brute_constraints(pattern)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_plan_constraints_match_brute_force_on_random_patterns(data):
+    r = data.draw(st.sampled_from((2, 3)))
+    pn = data.draw(st.integers(r, 6))
+    pool = list(itertools.combinations(range(1, pn + 1), r))
+    pattern = new(r, pn, data.draw(st.lists(st.sampled_from(pool), max_size=len(pool))))
+    assert _plan_constraints(pattern) == _brute_constraints(pattern)
 
 
 def test_embedding_map_rejects_collisions():
