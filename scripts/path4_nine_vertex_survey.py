@@ -16,8 +16,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hyperlag.corpora import full_star
-from hyperlag.freeness import contains_linear_path, creates_linear_path
-from hyperlag.hypergraph import is_left_compressed, new
+from hyperlag.freeness import contains, creates_linear_path
+from hyperlag.hypergraph import is_left_compressed, linear_path, new
 from hyperlag.lagrangian import is_dense, maximize
 from hyperlag.search import _ColexDFS
 
@@ -53,7 +53,7 @@ def main() -> int:
     rows = []
     for extras in run.found:
         g = new(3, 9, list(star.edges) + list(extras))
-        assert contains_linear_path(g, 4) is None and is_left_compressed(g)
+        assert contains(g, linear_path(4)) is None and is_left_compressed(g)
         dense = is_dense(g)
         lam = maximize(g).value
         rows.append({"extra_edges": [list(e) for e in extras], "edges": len(g.edges),

@@ -47,7 +47,6 @@ from .freeness import (
     check_structures,
     contains,
     contains_core,
-    contains_linear_path,
     is_free,
     left_compress_loop,
     symmetrize_clean,

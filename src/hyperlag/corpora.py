@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .hypergraph import Hypergraph, covers_pairs, is_left_compressed, new
-from .freeness import contains_linear_path, creates_linear_path
+from .hypergraph import Hypergraph, is_left_compressed, linear_path, new
+from .freeness import contains, creates_linear_path
 from .lagrangian import OptimizerConfig, is_dense
 
 _GEN_OPT = OptimizerConfig(restarts=12, exact_support_n=6, iterations=250)
@@ -33,7 +33,9 @@ def random_hypergraph(rnd: random.Random, n: int, r: int = 3, p: float | None = 
 def covers_pairs_path_free(rnd: random.Random, n: int, t: int, max_tries: int = 400) -> Hypergraph:
     """A covering-pairs 3-graph on [n] with no linear path of t edges,
     grown greedily: cover uncovered pairs in random order, choosing third
-    vertices that keep the graph path-free, then sprinkle extra safe edges."""
+    vertices that keep the graph path-free, then sprinkle extra safe edges.
+    Every pair is covered in the first loop and every edge passed
+    ``creates_linear_path``, so the result needs no final check."""
     for _try in range(max_tries):
         edges: list[tuple[int, int, int]] = []
         masks: list[int] = []
@@ -76,9 +78,7 @@ def covers_pairs_path_free(rnd: random.Random, n: int, t: int, max_tries: int = 
                 masks.append(m)
                 have.add(e)
                 extras -= 1
-        g = new(3, n, edges)
-        if covers_pairs(g) and contains_linear_path(g, t) is None:
-            return g
+        return new(3, n, edges)
     raise RuntimeError(f"could not build a covering-pairs length-{t}-path-free graph on {n} vertices")
 
 
@@ -117,6 +117,7 @@ def left_compressed_dense_path4_free_9(rnd: random.Random, max_tries: int = 200,
     space is small, so draws repeat).
     """
     star = full_star(9)
+    path4 = linear_path(4)
     for _try in range(max_tries):
         # Low triples through vertex 2 close downward into triples through
         # vertex 2 again, and those absorb into the two-apex family, which
@@ -132,7 +133,7 @@ def left_compressed_dense_path4_free_9(rnd: random.Random, max_tries: int = 200,
             seeds.append(tuple(sorted(rnd.sample(range(2, 10), 3))))
         extras = _downset_closure(seeds, 2, 9)
         g = new(3, 9, list(star.edges) + sorted(extras))
-        if contains_linear_path(g, 4) is not None:
+        if contains(g, path4) is not None:
             continue
         if not is_left_compressed(g):
             continue

@@ -1,7 +1,8 @@
-"""Subgraph containment by a bitmask matcher compiled once per pattern,
-linear-path detectors (grown outward from a new edge inside searches),
-the dense-and-left-compressed rewriting loop, and the symmetrize-and-clean
-iteration."""
+"""Subgraph containment by a bitmask matcher compiled once per pattern
+(whole-graph linear-path tests are ``contains(g, linear_path(t))``), the
+incremental linear-path test that grows a path outward from a new edge
+inside searches, the dense-and-left-compressed rewriting loop, and the
+symmetrize-and-clean iteration."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from .hypergraph import (
     compress,
     covers_pairs,
     induced,
+    linear_path,
     link_diff,
     named,
     relabel,
@@ -256,74 +258,7 @@ def is_free(g: Hypergraph, pattern: Hypergraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# linear paths, specialized
-
-
-def _find_path_sequence(masks: list[int], t: int):
-    """Indices of t edges forming a linear path: consecutive edges share
-    exactly one vertex, the rest are pairwise disjoint."""
-    nedges = len(masks)
-    if nedges < t:
-        return None
-
-    def extend(seq: list[int], used_before: int):
-        if len(seq) == t:
-            return list(seq)
-        cur = masks[seq[-1]]
-        for j in range(nedges):
-            if j in seq:
-                continue
-            mj = masks[j]
-            if (mj & used_before) == 0 and (mj & cur).bit_count() == 1:
-                seq.append(j)
-                found = extend(seq, used_before | cur)
-                seq.pop()
-                if found:
-                    return found
-        return None
-
-    for i in range(nedges):
-        found = extend([i], 0)
-        if found:
-            return found
-    return None
-
-
-def contains_linear_path(g: Hypergraph, t: int):
-    """Witness embedding of the 3-uniform linear path with t edges, by a
-    DFS over edge sequences with the path's intersection pattern; agrees
-    with contains(g, linear_path(t)) but is much faster inside inner
-    loops."""
-    if g.r != 3:
-        raise ValueError(f"needs a 3-uniform graph, got r={g.r}")
-    if g.n < 2 * t + 1:
-        return None
-    masks = [sum(1 << v for v in e) for e in g.edges]
-    seq = _find_path_sequence(masks, t)
-    if seq is None:
-        return None
-    return _path_embedding(g, seq, t)
-
-
-def _path_embedding(g: Hypergraph, seq: list[int], t: int) -> EmbeddingMap:
-    # pattern edge i is {2i-1, 2i, 2i+1}; shared host vertices sit at the
-    # odd joints, leftover vertices fill the free slots in increasing order
-    edges = [set(g.edges[j]) for j in seq]
-    assign: dict[int, int] = {}
-    for i in range(t - 1):
-        (shared,) = edges[i] & edges[i + 1]
-        assign[2 * i + 3] = shared
-    first_free = sorted(edges[0] - {assign.get(3, -1)})
-    assign[1], assign[2] = first_free[0], first_free[1]
-    if t == 1:
-        assign[3] = first_free[2]
-    for i in range(2, t + 1):
-        e = edges[i - 1]
-        rest = sorted(e - {assign.get(2 * i - 1, -1), assign.get(2 * i + 1, -1)})
-        assign[2 * i] = rest[0]
-        if 2 * i + 1 not in assign and len(rest) > 1:
-            assign[2 * i + 1] = rest[1]
-    return EmbeddingMap(tuple(sorted(assign.items())))
+# linear paths, grown from a new edge
 
 
 def creates_linear_path(edge_masks: list[int], new_mask: int, t: int) -> bool:
@@ -403,7 +338,8 @@ def left_compress_loop(g: Hypergraph, t: int, lambda_floor: float | None = None,
         raise ValueError(f"needs a 3-uniform graph, got r={g.r}")
     if t not in (3, 4):
         raise ValueError(f"loop supports path lengths 3 and 4, got {t}")
-    if contains_linear_path(g, t) is not None:
+    path = linear_path(t)
+    if contains(g, path) is not None:
         raise ValueError(f"input contains a linear path of length {t}")
     if t == 4:
         if lambda_floor is None:
@@ -434,7 +370,7 @@ def left_compress_loop(g: Hypergraph, t: int, lambda_floor: float | None = None,
         if moved is None:
             return cur
         cur = compress(cur, *moved)
-        if contains_linear_path(cur, t) is not None:
+        if contains(cur, path) is not None:
             raise RuntimeError(
                 f"compression {moved} created a length-{t} path; loop preconditions violated")
 
@@ -577,7 +513,7 @@ def check_structures(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG) ->
     vertices.
     """
     checks: list[StructureCheck] = []
-    if g.r == 3 and g.n >= 9 and contains_linear_path(g, 4) is None:
+    if g.r == 3 and g.n >= 9 and contains(g, linear_path(4)) is None:
         # the freeness guarantees only bind covering-pairs graphs; scans on
         # other inputs still report witnesses (detector sanity) but are not
         # violations

@@ -565,11 +565,9 @@ def _creates_pattern(name: str, n: int):
     pattern has, it never can."""
     if n < _pattern_graph(name).n:
         return lambda masks, new_mask: False
-    if name in ("P3", "P4"):
+    if name in ("P2", "P3", "P4"):
         t = int(name[1])
         return lambda masks, new_mask: creates_linear_path(masks, new_mask, t)
-    if name == "P2":
-        return lambda masks, new_mask: any((m & new_mask).bit_count() == 1 for m in masks)
     if name == "T2":
         return lambda masks, new_mask: any((m & new_mask).bit_count() == 2 for m in masks)
     raise ValueError(name)

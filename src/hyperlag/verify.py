@@ -3,7 +3,8 @@
 Each check recomputes a published quantity or a structural claim from
 scratch and compares at a pinned tolerance.  The suite is the single
 implementation behind both the ``hyperlag verify`` command and the
-acceptance test module; checks are deterministic given the seed.
+acceptance test module, which runs each of ``GROUPS`` as one case;
+checks are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import comb
 import numpy as np
 
 from . import corpora
-from .freeness import contains, contains_core, contains_linear_path, is_free
+from .freeness import contains, contains_core, is_free
 from .hypergraph import (
     Hypergraph,
     complete,
@@ -187,6 +188,7 @@ def check_compress_preserve(config: OptimizerConfig) -> list[CheckResult]:
     checked = 0
     bad_path = 0
     bad_clique = 0
+    p3 = linear_path(3)
     for edges in survivors:
         g = Hypergraph(3, 6, edges)
         if not covers_pairs(g):
@@ -198,7 +200,7 @@ def check_compress_preserve(config: OptimizerConfig) -> list[CheckResult]:
                     continue
                 pg = compress(g, i, j)
                 checked += 1
-                if contains_linear_path(pg, 3) is not None:
+                if contains(pg, p3) is not None:
                     bad_path += 1
                 if g_k6_free and not is_free(pg, k6):
                     bad_clique += 1
@@ -261,7 +263,7 @@ def check_path4_evidence(config: OptimizerConfig, count: int = 1000) -> list[Che
     out = []
     k8 = complete(8, 3)
     res8 = maximize(k8, config)
-    lower_ok = contains_linear_path(k8, 4) is None and abs(6 * res8.value - 21.0 / 32.0) <= 1e-9
+    lower_ok = contains(k8, linear_path(4)) is None and abs(6 * res8.value - 21.0 / 32.0) <= 1e-9
     out.append(CheckResult("path4-evidence", "lower-bound-8", lower_ok,
                            {"six_lambda": 6 * res8.value, "expected": 21.0 / 32.0}))
 
@@ -277,8 +279,12 @@ def check_path4_evidence(config: OptimizerConfig, count: int = 1000) -> list[Che
     for _ in range(count):
         g = corpora.left_compressed_dense_path4_free_9(rnd, density_cache=density_cache)
         if g.edges not in value_cache:
-            value_cache[g.edges] = (maximize(g, config).value,
-                                    contains(g, k8) is not None)
+            # a K_8^3 sits on one of the nine 8-subsets: test each directly,
+            # so the check does not rest on the matcher it also exercises
+            es = g.edge_set()
+            has_k8 = any(all(e in es for e in itertools.combinations(vs, 3))
+                         for vs in itertools.combinations(range(1, g.n + 1), 8))
+            value_cache[g.edges] = (maximize(g, config).value, has_k8)
         lam, has_k8 = value_cache[g.edges]
         worst = max(worst, lam)
         if lam > cap_all:

@@ -1,214 +1,32 @@
-"""Acceptance suite: every criterion at its pinned tolerance, one printed
-pass/fail line each.
+"""Acceptance suite: every group of ``hyperlag.verify`` as one case, at
+the default configuration (seed 0), printing one pass/fail line per
+check.  The criteria and their tolerances live in ``verify`` alone.
 
-The clique-free separation half of the length-3 path criterion pins the
-largest Lagrangian among the length-3-path-free graphs on seven vertices
-that avoid the complete graph on six vertices.  That family contains the
-near-complete six-vertex graph K_6^- (six vertices, so no length-3 path,
-which spans seven), so the maximum is its closed form (4*sqrt(6)-9)/9 and
-the separation from 5/54 is about 0.0039305.
+Checkpoint-resume determinism is the one criterion tested here itself: a
+length-3 path density run on seven vertices stopped after 600 nodes,
+saved and resumed must give the uninterrupted report.
 """
 
-import itertools
-import math
-import random
-import time
-from math import comb
+import json
+import tempfile
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from hyperlag import corpora
-from hyperlag.freeness import contains, contains_core, contains_linear_path, is_free
-from hyperlag.hypergraph import (
-    Hypergraph,
-    complete,
-    complete_minus,
-    compress,
-    covers_pairs,
-    extension,
-    linear_path,
-    named,
-    new,
-    turan_blowup,
-    turan_count,
-)
-from hyperlag.lagrangian import closed_form, evaluate, gradient, maximize, motzkin_straus
-from hyperlag.search import (
-    DensityRun,
-    canonical_form,
-    checkpoint_resume,
-    checkpoint_save,
-    density_evidence,
-    enumerate_all,
-    enumerate_left_compressed,
-    turan_number,
-)
-from hyperlag.verify import apex_fan_clique
+from hyperlag.search import DensityRun, checkpoint_resume, checkpoint_save, density_evidence
+from hyperlag.verify import GROUPS, run_suite
 
 
-def _report(criterion: str, passed: bool, detail: str = "") -> None:
-    mark = "PASS" if passed else "FAIL"
-    print(f"ACCEPTANCE {criterion}: {mark} {detail}")
+@pytest.mark.parametrize("group", GROUPS)
+def test_acceptance(group):
+    results = run_suite(only=[group]).results
+    for r in results:
+        mark = "PASS" if r.passed else "FAIL"
+        print(f"ACCEPTANCE {r.group}/{r.name}: {mark} {json.dumps(r.detail, default=str)}")
+    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
 
-@pytest.fixture(scope="module")
-def path3_report():
-    return density_evidence("P3", 7, "left_compressed")
-
-
-def test_c01_complete_family_closed_forms():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for t in range(3, 10):
-        res = maximize(complete(t, 3))
-        worst = max(worst, abs(res.value - comb(t, 3) / t**3))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and elapsed < 1.0
-    _report("01 complete-family", ok, f"worst diff {worst:.2e}, {elapsed:.3f}s")
-    assert worst <= 1e-9
-    assert elapsed < 1.0
-
-
-def test_c02_near_complete_four():
-    res = maximize(complete_minus(4, 3))
-    diff = abs(res.value - 4.0 / 81.0)
-    _report("02 near-complete-4", diff <= 1e-9, f"diff {diff:.2e}")
-    assert diff <= 1e-9
-
-
-def test_c03_near_complete_six_and_eight():
-    r6 = maximize(complete_minus(6, 3))
-    r8 = maximize(complete_minus(8, 3))
-    d6 = abs(r6.value - closed_form("K6_minus").value)
-    d8 = abs(r8.value - closed_form("K8_minus").value)
-    ok = d6 <= 1e-7 and r6.value < 0.0887 and d8 <= 1e-7 and r8.value < 0.1077
-    _report("03 near-complete-6-and-8", ok,
-            f"diffs {d6:.2e}/{d8:.2e}, values {r6.value:.6f}/{r8.value:.6f}")
-    assert d6 <= 1e-7 and r6.value < 0.0887
-    assert d8 <= 1e-7 and r8.value < 0.1077
-
-
-def test_c04_quadratic_clique_oracle():
-    rng = np.random.default_rng(101)
-    t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(500):
-        n = int(rng.integers(3, 11))
-        p = float(rng.uniform(0.15, 0.85))
-        edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
-        g = new(2, n, edges)
-        lam, _ = motzkin_straus(g)
-        worst = max(worst, abs(maximize(g).value - lam))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-7 and elapsed < 30.0
-    _report("04 quadratic-clique-oracle", ok, f"worst {worst:.2e}, {elapsed:.1f}s")
-    assert worst <= 1e-7
-    assert elapsed < 30.0
-
-
-def test_c05_kkt_certificates():
-    worst = 0.0
-    for g in (complete(3, 3), complete(4, 3), complete(5, 3), complete(6, 3),
-              complete(7, 3), complete(8, 3), complete(9, 3),
-              complete_minus(4, 3), complete_minus(6, 3), complete_minus(8, 3)):
-        res = maximize(g)
-        grads = gradient(g, res.weighting.as_floats())
-        for v in res.support:
-            worst = max(worst, abs(grads[v - 1] - 3 * res.value))
-    _report("05 kkt-certificates", worst <= 1e-6, f"worst residual {worst:.2e}")
-    assert worst <= 1e-6
-
-
-def test_c06_compression_monotonicity_bulk():
-    rnd = random.Random(202)
-    violations = 0
-    for _ in range(10_000):
-        n = rnd.randint(4, 8)
-        g = corpora.random_hypergraph(rnd, n)
-        x = corpora.random_simplex_point(rnd, n)
-        i = rnd.randint(1, n - 1)
-        j = rnd.randint(i + 1, n)
-        if x[i - 1] < x[j - 1]:
-            x[i - 1], x[j - 1] = x[j - 1], x[i - 1]
-        if evaluate(compress(g, i, j), x) < evaluate(g, x) - 1e-12:
-            violations += 1
-    _report("06 compression-monotonicity", violations == 0, f"{violations} violations in 10000")
-    assert violations == 0
-
-
-def test_c07_compress_preserves_freeness_exhaustive_n6():
-    t0 = time.perf_counter()
-    k6 = complete(6, 3)
-    survivors = []
-    enumerate_left_compressed(6, 3, visit=lambda e: survivors.append(e))
-    bad = 0
-    checked = 0
-    for edges in survivors:
-        g = Hypergraph(3, 6, edges)
-        if not covers_pairs(g):
-            continue
-        free_k6 = is_free(g, k6)
-        for i, j in itertools.permutations(range(1, 7), 2):
-            pg = compress(g, i, j)
-            checked += 1
-            if contains_linear_path(pg, 3) is not None:
-                bad += 1
-            if free_k6 and not is_free(pg, k6):
-                bad += 1
-    elapsed = time.perf_counter() - t0
-    ok = bad == 0 and elapsed < 300.0
-    _report("07 compress-preserve-exhaustive-n6", ok,
-            f"{checked} compressions, {bad} violations, {elapsed:.1f}s")
-    assert bad == 0
-    assert elapsed < 300.0
-
-
-def test_c08a_path3_density_extremal(path3_report):
-    rep = path3_report
-    lam6 = 5.0 / 54.0
-    diff = abs(rep.max_lambda - lam6)
-    k6_plus_iso = Hypergraph(3, 7, complete(6, 3).edges)
-    argmax_ok = canonical_form(rep.argmax_graph) == canonical_form(k6_plus_iso)
-    ok = diff <= 1e-7 and argmax_ok and rep.status == "exact"
-    _report("08a path3-density-max", ok,
-            f"max {rep.max_lambda:.9f} vs 5/54, argmax-is-complete-6 {argmax_ok}")
-    assert diff <= 1e-7
-    assert argmax_ok
-    assert rep.status == "exact"
-
-
-def test_c08b_path3_density_clique_free_separation(path3_report):
-    # K_6^- (the complete graph on six vertices minus one edge) has six
-    # vertices while the length-3 path spans seven, so it is path-free,
-    # clique-free, covers its pairs and is left-compressed: the clique-free
-    # maximum is exactly its closed form (4*sqrt(6)-9)/9 = 0.0886621..., and
-    # the separation from 5/54 is 5/54 - (4*sqrt(6)-9)/9 = 0.0039305...
-    rep = path3_report
-    expected = closed_form("K6_minus").value
-    eps_expected = 5.0 / 54.0 - expected
-    diff = abs(rep.max_lambda_complete_free - expected)
-    k6_minus_plus_iso = Hypergraph(3, 7, complete_minus(6, 3).edges)
-    argmax_ok = (rep.argmax_complete_free is not None
-                 and canonical_form(rep.argmax_complete_free) == canonical_form(k6_minus_plus_iso))
-    eps = rep.separations["epsilon_observed"]
-    eps_ok = eps is not None and abs(eps - eps_expected) <= 1e-7 and eps > 0
-    ok = diff <= 1e-7 and argmax_ok and eps_ok
-    _report("08b path3-density-clique-free-separation", ok,
-            f"clique-free max {rep.max_lambda_complete_free:.9f} vs lambda(K6-) {expected:.9f}, "
-            f"argmax-is-K6- {argmax_ok}, epsilon {eps} vs {eps_expected:.7f}")
-    assert diff <= 1e-7
-    assert argmax_ok
-    assert eps is not None
-    assert abs(eps - eps_expected) <= 1e-7
-    assert eps > 0
-
-
-def test_c08_checkpoint_resume_matches_uninterrupted(path3_report):
-    import json
-    import tempfile
-    from pathlib import Path
-
+def test_c08_checkpoint_resume_matches_uninterrupted():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p3.ckpt.json"
         run = DensityRun("P3", 7, "left_compressed")
@@ -216,101 +34,7 @@ def test_c08_checkpoint_resume_matches_uninterrupted(path3_report):
         checkpoint_save(run, path)
         resumed = checkpoint_resume(path, expect_space={"pattern": "P3", "n": 7})
         rep = resumed.execute()
-    same = rep.to_json() == path3_report.to_json()
-    _report("08c path3-checkpoint-determinism", same,
-            f"resumed max {rep.max_lambda:.9f}")
+    same = rep.to_json() == density_evidence("P3", 7, "left_compressed").to_json()
+    print(f"ACCEPTANCE 08c path3-checkpoint-determinism: {'PASS' if same else 'FAIL'} "
+          f"resumed max {rep.max_lambda:.9f}")
     assert same
-
-
-def test_c09a_path4_lower_bound():
-    k8 = complete(8, 3)
-    free = contains_linear_path(k8, 4) is None
-    val = 6 * maximize(k8).value
-    ok = free and abs(val - 21.0 / 32.0) <= 1e-9
-    _report("09a path4-lower-bound", ok, f"6*lambda = {val} vs 21/32")
-    assert free
-    assert abs(val - 21.0 / 32.0) <= 1e-9
-
-
-def test_c09b_path4_nine_vertex_samples():
-    rnd = random.Random(303)
-    cap_all = 7.0 / 64.0 + 1e-9
-    cap_free = max(2.0 / 27.0, 1250.0 / 11907.0) + 1e-7
-    density_cache = {}
-    values = {}
-    bad_all = bad_free = 0
-    for _ in range(1000):
-        g = corpora.left_compressed_dense_path4_free_9(rnd, density_cache=density_cache)
-        if g.edges not in values:
-            has_k8 = any(
-                all(t in g.edge_set() for t in itertools.combinations(vs, 3))
-                for vs in itertools.combinations(range(1, 10), 8))
-            values[g.edges] = (maximize(g).value, has_k8)
-        lam, has_k8 = values[g.edges]
-        if lam > cap_all:
-            bad_all += 1
-        if not has_k8 and lam > cap_free:
-            bad_free += 1
-    ok = bad_all == 0 and bad_free == 0
-    _report("09b path4-nine-vertex-samples", ok,
-            f"{bad_all}+{bad_free} violations, {len(values)} distinct graphs in 1000 draws")
-    assert bad_all == 0
-    assert bad_free == 0
-
-
-def test_c10_clique_with_pendant_fan():
-    g = apex_fan_clique()
-    res = maximize(g)
-    diff = abs(res.value - 2.0 / 25.0)
-    _report("10 clique-with-pendant-fan", diff <= 1e-8,
-            f"lambda {res.value:.10f} vs 2/25 on {len(g.edges)} edges")
-    assert diff <= 1e-8
-
-
-def test_c11_turan_machinery():
-    ext_ok = canonical_form(extension(named("T2"))) == canonical_form(named("F5"))
-
-    bnb = turan_number(5, [named("F5")])
-    best = -1
-    wit = set()
-
-    def visit(edges):
-        nonlocal best, wit
-        g = Hypergraph(3, 5, edges)
-        if is_free(g, named("F5")):
-            c = len(edges)
-            if c > best:
-                best, wit = c, set()
-            if c == best:
-                wit.add(canonical_form(g).edges)
-
-    enumerate_all(5, 3, visit=visit)
-    dual_ok = (bnb.status == "exact" and bnb.max_edges == best == 6
-               and wit == {w.edges for w in bnb.witnesses})
-
-    counts_ok = all(turan_count(m, 3, n) == len(turan_blowup(m, 3, n).edges)
-                    for m in range(3, 7) for n in range(m, 16))
-
-    core_ok = all(not contains_core(turan_blowup(6, 3, n), linear_path(3), 7)
-                  for n in range(7, 15))
-
-    ok = ext_ok and dual_ok and counts_ok and core_ok
-    _report("11 turan-machinery", ok,
-            f"extension {ext_ok}, dual {dual_ok} (value {bnb.max_edges}), "
-            f"counts {counts_ok}, cores {core_ok}")
-    assert ext_ok
-    assert dual_ok
-    assert counts_ok
-    assert core_ok
-
-
-def test_c12_forbidden_configuration_run():
-    rnd = random.Random(404)
-    f1, f2 = named("F1"), named("F2")
-    hits = 0
-    for i in range(200):
-        g = corpora.covers_pairs_path_free(rnd, 9 + (i % 2), 4)
-        if contains(g, f1) is not None or contains(g, f2) is not None:
-            hits += 1
-    _report("12 forbidden-configurations", hits == 0, f"{hits} embeddings in 200 samples")
-    assert hits == 0

@@ -8,8 +8,8 @@ from hyperlag.corpora import (
     random_hypergraph,
     random_simplex_point,
 )
-from hyperlag.freeness import contains_linear_path, creates_linear_path
-from hyperlag.hypergraph import covers_pairs, is_left_compressed, new
+from hyperlag.freeness import contains, creates_linear_path
+from hyperlag.hypergraph import covers_pairs, is_left_compressed, linear_path
 from hyperlag.search import _ColexDFS
 
 
@@ -36,7 +36,7 @@ def test_covers_pairs_path_free_contract():
             n = 7
         g = covers_pairs_path_free(rnd, n, t)
         assert covers_pairs(g)
-        assert contains_linear_path(g, t) is None
+        assert contains(g, linear_path(t)) is None
 
 
 def test_covers_pairs_path_free_deterministic():
@@ -48,7 +48,7 @@ def test_covers_pairs_path_free_deterministic():
 def test_full_star_covers_pairs():
     s = full_star(9)
     assert covers_pairs(s) and len(s.edges) == 28
-    assert contains_linear_path(s, 3) is None
+    assert contains(s, linear_path(3)) is None
 
 
 def test_dense_lc_path4_free_sample_contract():
@@ -59,7 +59,7 @@ def test_dense_lc_path4_free_sample_contract():
         assert g.n == 9
         assert covers_pairs(g)
         assert is_left_compressed(g)
-        assert contains_linear_path(g, 4) is None
+        assert contains(g, linear_path(4)) is None
         assert set(full_star(9).edges) <= set(g.edges)
 
 

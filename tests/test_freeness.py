@@ -15,7 +15,6 @@ from hyperlag.freeness import (
     check_structures,
     contains,
     contains_core,
-    contains_linear_path,
     creates_linear_path,
     is_free,
     left_compress_loop,
@@ -50,15 +49,23 @@ FAST_OPT = OptimizerConfig(restarts=16, exact_support_n=6, iterations=250)
 def test_contains_path_in_complete():
     w = contains(complete(7, 3), linear_path(3))
     assert w is not None and w.verify(linear_path(3), complete(7, 3))
+    # the path of length one is any edge
+    one_edge = new(3, 5, [(2, 3, 5)])
+    w = contains(one_edge, linear_path(1))
+    assert w is not None and w.verify(linear_path(1), one_edge)
+    assert contains(Hypergraph(3, 5, ()), linear_path(1)) is None
 
 
 def test_contains_needs_enough_vertices():
+    # the path of length t spans 2t+1 vertices
     assert contains(complete(6, 3), linear_path(3)) is None
+    assert contains(complete(8, 3), linear_path(4)) is None
 
 
 def test_contains_identity_witness():
     w = contains(named("F5"), named("T2"))
     assert w is not None and w.as_dict() == {1: 1, 2: 2, 3: 3, 4: 4}
+    assert contains(linear_path(4), linear_path(4)).as_dict() == {i: i for i in range(1, 10)}
 
 
 def test_contains_uniformity_mismatch():
@@ -221,36 +228,7 @@ def test_embedding_map_rejects_collisions():
 
 
 # ---------------------------------------------------------------------------
-# specialized path search
-
-
-def test_path_agreement_bulk():
-    rnd = random.Random(99)
-    for trial in range(10_000):
-        n = rnd.randint(5, 9)
-        p = rnd.uniform(0.03, 0.45)
-        edges = [e for e in itertools.combinations(range(1, n + 1), 3) if rnd.random() < p]
-        g = new(3, n, edges)
-        t = rnd.choice((2, 3, 4))
-        fast = contains_linear_path(g, t)
-        assert (fast is None) == (contains(g, linear_path(t)) is None)
-        if fast is not None:
-            assert fast.verify(linear_path(t), g)
-
-
-def test_path_too_few_vertices():
-    assert contains_linear_path(complete(8, 3), 4) is None
-
-
-def test_path_length_one_is_any_edge():
-    w = contains_linear_path(new(3, 5, [(2, 3, 5)]), 1)
-    assert w is not None and w.verify(linear_path(1), new(3, 5, [(2, 3, 5)]))
-    assert contains_linear_path(Hypergraph(3, 5, ()), 1) is None
-
-
-def test_path_identity():
-    w = contains_linear_path(linear_path(4), 4)
-    assert w.as_dict() == {i: i for i in range(1, 10)}
+# linear paths grown from a new edge
 
 
 def test_creates_linear_path_incremental_matches_full():
@@ -266,10 +244,10 @@ def test_creates_linear_path_incremental_matches_full():
         masks = [sum(1 << v for v in ed) for ed in g.edges]
         em = sum(1 << v for v in e)
         t = rnd.choice((2, 3))
-        if contains_linear_path(g, t) is not None:
+        if contains(g, linear_path(t)) is not None:
             continue
         bigger = new(3, n, list(g.edges) + [e])
-        assert creates_linear_path(masks, em, t) == (contains_linear_path(bigger, t) is not None)
+        assert creates_linear_path(masks, em, t) == (contains(bigger, linear_path(t)) is not None)
 
 
 @st.composite
@@ -281,7 +259,7 @@ def _path_free_base_and_edge(draw):
     offered = draw(st.lists(st.sampled_from(pool), unique=True, max_size=40))
     base: list[tuple[int, ...]] = []
     for e in offered:  # keep the base free of the path, greedily
-        if e != new_edge and contains_linear_path(new(3, n, base + [e]), t) is None:
+        if e != new_edge and contains(new(3, n, base + [e]), linear_path(t)) is None:
             base.append(e)
     return n, t, base, new_edge
 
@@ -299,7 +277,7 @@ def test_creates_linear_path_at_every_position_of_the_new_edge():
 def test_creates_linear_path_agrees_with_full_search_on_superset(case):
     n, t, base, e = case
     masks = [sum(1 << v for v in ed) for ed in base]
-    grown = contains_linear_path(new(3, n, base + [e]), t) is not None
+    grown = contains(new(3, n, base + [e]), linear_path(t)) is not None
     assert creates_linear_path(masks, sum(1 << v for v in e), t) == grown
 
 
@@ -367,7 +345,7 @@ def test_loop_output_contract_on_sampled_inputs():
         g = covers_pairs_path_free(rnd, 7, 3)
         before = maximize(g, FAST_OPT).value
         out = left_compress_loop(g, 3, config=FAST_OPT)
-        assert contains_linear_path(out, 3) is None
+        assert contains(out, linear_path(3)) is None
         assert is_left_compressed(out)
         assert is_dense(out, FAST_OPT)
         assert maximize(out, FAST_OPT).value >= before - 1e-8
@@ -391,7 +369,7 @@ def test_compress_preserves_path3_freeness_exhaustive_n6():
         free_k6 = is_free(g, k6)
         for i, j in itertools.permutations(range(1, 7), 2):
             pg = compress(g, i, j)
-            assert contains_linear_path(pg, 3) is None
+            assert contains(pg, linear_path(3)) is None
             if free_k6:
                 assert is_free(pg, k6)
 
@@ -401,7 +379,7 @@ def test_compress_preserves_path3_freeness_sampled_n7():
     for _ in range(12):
         g = covers_pairs_path_free(rnd, 7, 3)
         for i, j in itertools.permutations(range(1, 8), 2):
-            assert contains_linear_path(compress(g, i, j), 3) is None
+            assert contains(compress(g, i, j), linear_path(3)) is None
 
 
 def test_compress_preserves_path4_freeness_on_matched_samples():
@@ -422,7 +400,7 @@ def test_compress_preserves_path4_freeness_on_matched_samples():
         free_k8 = is_free(g, k8)
         for i, j in itertools.permutations(range(1, 10), 2):
             pg = compress(g, i, j)
-            assert contains_linear_path(pg, 4) is None
+            assert contains(pg, linear_path(4)) is None
             if free_k8:
                 assert is_free(pg, k8)
     assert qualifying >= 5
