@@ -3,8 +3,8 @@
 Each check recomputes a published quantity or a structural claim from
 scratch and compares at a pinned tolerance.  The suite is the single
 implementation behind both the ``hyperlag verify`` command and the
-acceptance test module, which runs each of ``GROUPS`` as one case;
-checks are deterministic given the seed.
+acceptance test module, whose tests each assert the checks of one
+criterion; checks are deterministic given the seed.
 """
 
 from __future__ import annotations

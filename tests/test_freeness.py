@@ -49,23 +49,15 @@ FAST_OPT = OptimizerConfig(restarts=16, exact_support_n=6, iterations=250)
 def test_contains_path_in_complete():
     w = contains(complete(7, 3), linear_path(3))
     assert w is not None and w.verify(linear_path(3), complete(7, 3))
-    # the path of length one is any edge
-    one_edge = new(3, 5, [(2, 3, 5)])
-    w = contains(one_edge, linear_path(1))
-    assert w is not None and w.verify(linear_path(1), one_edge)
-    assert contains(Hypergraph(3, 5, ()), linear_path(1)) is None
 
 
 def test_contains_needs_enough_vertices():
-    # the path of length t spans 2t+1 vertices
     assert contains(complete(6, 3), linear_path(3)) is None
-    assert contains(complete(8, 3), linear_path(4)) is None
 
 
 def test_contains_identity_witness():
     w = contains(named("F5"), named("T2"))
     assert w is not None and w.as_dict() == {1: 1, 2: 2, 3: 3, 4: 4}
-    assert contains(linear_path(4), linear_path(4)).as_dict() == {i: i for i in range(1, 10)}
 
 
 def test_contains_uniformity_mismatch():
@@ -225,6 +217,27 @@ def test_plan_constraints_match_brute_force_on_random_patterns(data):
 def test_embedding_map_rejects_collisions():
     with pytest.raises(ValueError):
         EmbeddingMap(((1, 3), (2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# linear paths
+
+
+def test_path_too_few_vertices():
+    # the path of length t spans 2t+1 vertices
+    assert contains(complete(8, 3), linear_path(4)) is None
+
+
+def test_path_length_one_is_any_edge():
+    one_edge = new(3, 5, [(2, 3, 5)])
+    w = contains(one_edge, linear_path(1))
+    assert w is not None and w.verify(linear_path(1), one_edge)
+    assert contains(Hypergraph(3, 5, ()), linear_path(1)) is None
+
+
+def test_path_identity():
+    w = contains(linear_path(4), linear_path(4))
+    assert w.as_dict() == {i: i for i in range(1, 10)}
 
 
 # ---------------------------------------------------------------------------
