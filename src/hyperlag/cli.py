@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .freeness import contains, left_compress_loop
@@ -38,19 +37,6 @@ EXIT_UNCERTIFIED = 2
 EXIT_CAPPED = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    restarts: int = 64
-    kkt_tol: float = 1e-8
-    max_nodes: int | None = None
-    max_seconds: float | None = None
-    fmt: str = "human"  # human | json
-
-    def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(restarts=self.restarts, seed=self.seed, kkt_tol=self.kkt_tol)
-
-
 def _env(name: str, cast, default):
     raw = os.environ.get(f"HYPERLAG_{name}")
     if raw is None:
@@ -71,10 +57,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="write the result graph to this file")
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(seed=args.seed, restarts=args.restarts, kkt_tol=args.kkt_tol,
-                     max_nodes=args.max_nodes, max_seconds=args.max_seconds,
-                     fmt="json" if args.json else "human")
+def _optimizer(args) -> OptimizerConfig:
+    return OptimizerConfig(restarts=args.restarts, seed=args.seed, kkt_tol=args.kkt_tol)
 
 
 def pattern_by_name(name: str) -> Hypergraph:
@@ -120,13 +104,12 @@ def _fmt_value(value: float, exact: Fraction | None) -> str:
 
 
 def cmd_lambda(args) -> int:
-    cfg = _config(args)
     g = load(args.input)
-    res = maximize(g, cfg.optimizer())
-    if cfg.fmt == "json" or args.json:
+    res = maximize(g, _optimizer(args))
+    if args.json:
         print(json.dumps(res.to_json()))
     else:
-        print(f"seed: {cfg.seed}")
+        print(f"seed: {args.seed}")
         print(f"value: {_fmt_value(res.value, res.exact_value)}")
         print(f"support: {list(res.support)}")
         print(f"weights: {[round(w, 12) for w in res.weighting.as_floats()]}")
@@ -155,12 +138,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    cfg = _config(args)
+    config = _optimizer(args)
     g = load(args.input)
-    before = maximize(g, cfg.optimizer())
+    before = maximize(g, config)
     if args.loop is not None:
         try:
-            out = left_compress_loop(g, args.loop, config=cfg.optimizer())
+            out = left_compress_loop(g, args.loop, config=config)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
@@ -169,8 +152,8 @@ def cmd_compress(args) -> int:
             print("error: single compression needs --i and --j", file=sys.stderr)
             return EXIT_INPUT
         out = compress(g, args.i, args.j)
-    after = maximize(out, cfg.optimizer())
-    print(f"seed: {cfg.seed}")
+    after = maximize(out, config)
+    print(f"seed: {args.seed}")
     print(f"lambda before: {before.value!r}  after: {after.value!r}")
     _print_graph(out, args)
     return EXIT_OK
@@ -211,10 +194,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_turan(args) -> int:
-    cfg = _config(args)
     forbidden = [pattern_by_name(s) for s in args.forbid]
-    res = turan_number(args.n, forbidden, max_nodes=cfg.max_nodes,
-                       max_seconds=cfg.max_seconds, shards=args.shards)
+    res = turan_number(args.n, forbidden, max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     payload = res.to_json()
     if args.compare_m is not None:
         # the balanced-blowup count is the conjectured extremal value only
@@ -233,13 +214,12 @@ def cmd_turan(args) -> int:
 
 
 def cmd_density(args) -> int:
-    cfg = _config(args)
-    rep = density_evidence(args.pattern.upper(), args.n, args.mode, cfg.optimizer(),
-                           max_nodes=cfg.max_nodes, max_seconds=cfg.max_seconds)
+    rep = density_evidence(args.pattern.upper(), args.n, args.mode, _optimizer(args),
+                           max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     if args.json:
         print(json.dumps(rep.to_json()))
     else:
-        print(f"seed: {cfg.seed}")
+        print(f"seed: {args.seed}")
         print(f"space: {rep.space}")
         print(f"max_lambda: {rep.max_lambda!r}")
         print(f"argmax: {rep.argmax_graph}")
@@ -250,13 +230,12 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     only = args.only or None
-    rep = run_suite(cfg.optimizer(), only=only)
+    rep = run_suite(_optimizer(args), only=only)
     if args.json:
         print(json.dumps(rep.to_json()))
     else:
-        print(f"seed: {cfg.seed}")
+        print(f"seed: {args.seed}")
         for r in rep.results:
             mark = "PASS" if r.passed else "FAIL"
             print(f"{mark} {r.group}/{r.name}: {r.detail}")
@@ -303,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("turan", help="exact maximum edge count avoiding given patterns")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forbid", nargs="+", required=True)
-    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--compare-m", type=int, default=None,
                    help="also print the balanced blowup count with this many classes")
     _add_common(p)

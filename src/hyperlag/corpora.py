@@ -8,6 +8,7 @@ the tested surface.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -104,20 +105,27 @@ def full_star(n: int) -> Hypergraph:
     return new(3, n, [(1, a, b) for a, b in itertools.combinations(range(2, n + 1), 2)])
 
 
-def left_compressed_dense_path4_free_9(rnd: random.Random, max_tries: int = 200,
-                                       density_cache: dict | None = None) -> Hypergraph:
+@functools.lru_cache(maxsize=4096)
+def _path4_sample_accepted(edges: tuple) -> bool:
+    """The verdict of :func:`left_compressed_dense_path4_free_9` on a
+    candidate on [9]: free of the linear path of 4 edges, left-compressed
+    and dense.  It depends only on the edge set and draws no randomness,
+    and the candidate space is small, so draws repeat and hit the cache."""
+    g = Hypergraph(3, 9, edges)
+    return (contains(g, linear_path(4)) is None and is_left_compressed(g)
+            and is_dense(g, _GEN_OPT))
+
+
+def left_compressed_dense_path4_free_9(rnd: random.Random, max_tries: int = 200) -> Hypergraph:
     """A dense, left-compressed 3-graph on exactly 9 vertices with no
     linear path of 4 edges.
 
     Any covering-pairs left-compressed graph on [9] contains the full star
     at vertex 1, so candidates are the star plus a dominance-closed family
     of low triples avoiding vertex 1; candidates failing path-freeness,
-    left-compression, or strict density are rejected.  ``density_cache``
-    memoizes the density verdict per edge set across calls (the sample
-    space is small, so draws repeat).
+    left-compression, or strict density are rejected.
     """
     star = full_star(9)
-    path4 = linear_path(4)
     for _try in range(max_tries):
         # Low triples through vertex 2 close downward into triples through
         # vertex 2 again, and those absorb into the two-apex family, which
@@ -133,17 +141,6 @@ def left_compressed_dense_path4_free_9(rnd: random.Random, max_tries: int = 200,
             seeds.append(tuple(sorted(rnd.sample(range(2, 10), 3))))
         extras = _downset_closure(seeds, 2, 9)
         g = new(3, 9, list(star.edges) + sorted(extras))
-        if contains(g, path4) is not None:
-            continue
-        if not is_left_compressed(g):
-            continue
-        if density_cache is not None and g.edges in density_cache:
-            dense = density_cache[g.edges]
-        else:
-            dense = is_dense(g, _GEN_OPT)
-            if density_cache is not None:
-                density_cache[g.edges] = dense
-        if not dense:
-            continue
-        return g
+        if _path4_sample_accepted(g.edges):
+            return g
     raise RuntimeError("could not build a dense left-compressed path-free sample")

@@ -73,8 +73,9 @@ class SearchStats:
 
 class _ColexDFS:
     """Binary DFS over a colex-ordered ground set with optional down-set
-    constraint.  Subclasses override the hooks; the decision token list is
-    the resumable state."""
+    constraint.  Subclasses override the hooks and add their accumulators
+    to the state through ``super()``; the decision token list and the
+    stats are the resumable state of the engine itself."""
 
     def __init__(self, n: int, r: int, downset: bool):
         self.n = n
@@ -94,7 +95,7 @@ class _ColexDFS:
         self.included: list[int] = []           # ground indices, ascending
         self.included_set: set[int] = set()
         self.stats = SearchStats()
-        self.floor = 0
+        self.finished = False
 
     # hooks -----------------------------------------------------------
     def include_accept(self, k: int) -> bool:
@@ -121,9 +122,9 @@ class _ColexDFS:
         self.included_set.discard(k)
 
     def _backtrack(self) -> bool:
-        while len(self.decisions) > self.floor and self.decisions[-1] == 0:
+        while self.decisions and self.decisions[-1] == 0:
             self.decisions.pop()
-        if len(self.decisions) <= self.floor:
+        if not self.decisions:
             return False
         d = len(self.decisions) - 1
         self._undo_include(d)
@@ -169,6 +170,20 @@ class _ColexDFS:
                 self.stats.pruned += 1
             self.decisions.append(0)
 
+    def execute(self, max_nodes=None, max_seconds=None):
+        """Run until done or a budget stops it, then return the subclass's
+        ``result()``, which reads ``finished``."""
+        self.finished = self.run(max_nodes, max_seconds)
+        return self.result()
+
+    # state -------------------------------------------------------------
+    def to_state(self) -> dict:
+        return {"decisions": list(self.decisions), "stats": self.stats.to_json()}
+
+    def load_state(self, state: dict) -> None:
+        self.replay([int(t) for t in state["decisions"]])
+        self.stats = SearchStats(**state["stats"])
+
     # conveniences for subclasses --------------------------------------
     def included_edges(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.ground[i] for i in self.included))
@@ -197,11 +212,10 @@ class _CallbackDFS(_ColexDFS):
             self._visit(self.included_edges())
 
 
-def enumerate_left_compressed(n: int, r: int, prune=None, visit=None,
-                              max_nodes: int | None = None,
-                              max_seconds: float | None = None) -> SearchStats:
+def enumerate_left_compressed(n: int, r: int, prune=None, visit=None) -> SearchStats:
     """Visit every down-set of the dominance order on r-subsets of [n]
-    exactly once (these are exactly the left-compressed graphs).
+    exactly once (these are exactly the left-compressed graphs), and
+    return the search counts.  The enumeration always runs to the end.
 
     ``prune(edges, candidate)`` may return True to cut the subtree rooted
     at including ``candidate``; sound whenever the rejected property is
@@ -211,7 +225,7 @@ def enumerate_left_compressed(n: int, r: int, prune=None, visit=None,
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
     dfs = _CallbackDFS(n, r, True, prune, visit)
-    dfs.run(max_nodes, max_seconds)
+    dfs.run()
     return dfs.stats
 
 
@@ -416,7 +430,6 @@ class TuranRun(_ColexDFS):
         self.forbidden = forbidden
         self.best = -1
         self.witness_edges: set[tuple] = set()
-        self.finished = False
 
     def space_descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n, "r": self.r,
@@ -431,13 +444,6 @@ class TuranRun(_ColexDFS):
             if _contains_edges(self.n, edges, f) is not None:
                 return False
         return True
-
-    def prefix_valid(self) -> bool:
-        """Replayed include decisions bypass the incremental freeness check;
-        a shard rooted at an already-forbidden prefix covers only subtrees
-        the plain search prunes, and must be skipped whole."""
-        edges = [self.ground[i] for i in self.included]
-        return all(_contains_edges(self.n, edges, f) is None for f in self.forbidden)
 
     def bound_cut(self, depth: int) -> bool:
         return len(self.included) + (self.M - depth) < self.best
@@ -457,17 +463,11 @@ class TuranRun(_ColexDFS):
 
     # state -------------------------------------------------------------
     def to_state(self) -> dict:
-        return {
-            "decisions": list(self.decisions),
-            "stats": self.stats.to_json(),
-            "best": self.best,
-            "witnesses": sorted([list(map(list, w)) for w in self.witness_edges]),
-        }
+        return {**super().to_state(), "best": self.best,
+                "witnesses": sorted([list(map(list, w)) for w in self.witness_edges])}
 
     def load_state(self, state: dict) -> None:
-        self.replay([int(t) for t in state["decisions"]])
-        s = state["stats"]
-        self.stats = SearchStats(s["nodes"], s["leaves"], s["pruned"], s["bound_cuts"])
+        super().load_state(state)
         self.best = state["best"]
         self.witness_edges = {tuple(tuple(e) for e in w) for w in state["witnesses"]}
 
@@ -476,75 +476,13 @@ class TuranRun(_ColexDFS):
         status = "exact" if self.finished else "lower_bound"
         return TuranResult(self.n, self.forbidden, max(self.best, 0), witnesses, status, self.stats)
 
-    def execute(self, max_nodes=None, max_seconds=None) -> TuranResult:
-        self.finished = self.run(max_nodes, max_seconds)
-        return self.result()
-
-
-def _shard_prefixes(n: int, r: int, depth: int) -> list[list[int]]:
-    """All structurally valid decision prefixes of the given depth (no
-    pruning, so shards cover the whole space)."""
-    base = _ColexDFS(n, r, False)
-    depth = min(depth, base.M)
-    prefixes: list[list[int]] = []
-
-    def rec(d: int, toks: list[int]):
-        if d == depth:
-            prefixes.append(list(toks))
-            return
-        for tok in (1, 0):
-            toks.append(tok)
-            rec(d + 1, toks)
-            toks.pop()
-
-    rec(0, [])
-    return prefixes
-
 
 def turan_number(n: int, forbidden, max_nodes: int | None = None,
-                 max_seconds: float | None = None, shards: int = 1) -> TuranResult:
+                 max_seconds: float | None = None) -> TuranResult:
     """Exact maximum edge count of a graph on [n] avoiding every forbidden
     graph, with all extremal witnesses (canonical when n <= 7).  Budgets
-    degrade the status to lower_bound, never silently truncate.
-
-    ``shards > 1`` splits the space at a fixed depth into independent
-    subtrees whose accumulators merge associatively, so sharded runs give
-    results identical to a single run.
-    """
-    forbidden = tuple(forbidden)
-    if shards <= 1:
-        return TuranRun(n, forbidden).execute(max_nodes, max_seconds)
-    depth = max(1, min((shards - 1).bit_length(), comb(n, forbidden[0].r)))
-    prefixes = _shard_prefixes(n, forbidden[0].r, depth)
-
-    def run_prefix(prefix):
-        run = TuranRun(n, forbidden)
-        run.replay(prefix)
-        run.floor = len(prefix)
-        if not run.prefix_valid():
-            return True, run
-        finished = run.run(max_nodes, max_seconds)
-        return finished, run
-
-    outcomes = [run_prefix(p) for p in prefixes]
-    best = -1
-    witnesses: set[tuple] = set()
-    stats = SearchStats()
-    all_finished = True
-    for finished, run in outcomes:
-        all_finished = all_finished and finished
-        stats.nodes += run.stats.nodes
-        stats.leaves += run.stats.leaves
-        stats.pruned += run.stats.pruned
-        stats.bound_cuts += run.stats.bound_cuts
-        if run.best > best:
-            best = run.best
-            witnesses = set()
-        if run.best == best:
-            witnesses |= run.witness_edges
-    out = tuple(Hypergraph(forbidden[0].r, n, w) for w in sorted(witnesses))
-    status = "exact" if all_finished else "lower_bound"
-    return TuranResult(n, forbidden, max(best, 0), out, status, stats)
+    degrade the status to lower_bound, never silently truncate."""
+    return TuranRun(n, forbidden).execute(max_nodes, max_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +572,6 @@ class DensityRun(_ColexDFS):
         self.cand_plain: list[tuple[float, tuple]] = []
         self.cand_cfree: list[tuple[float, tuple]] = []
         self.evaluated = 0
-        self.finished = False
 
     def space_descriptor(self) -> dict:
         return {"kind": self.kind, "pattern": self.pattern, "n": self.n,
@@ -696,18 +633,12 @@ class DensityRun(_ColexDFS):
 
     # state ---------------------------------------------------------------
     def to_state(self) -> dict:
-        return {
-            "decisions": list(self.decisions),
-            "stats": self.stats.to_json(),
-            "evaluated": self.evaluated,
-            "cand_plain": [[v, list(map(list, e))] for v, e in self.cand_plain],
-            "cand_cfree": [[v, list(map(list, e))] for v, e in self.cand_cfree],
-        }
+        return {**super().to_state(), "evaluated": self.evaluated,
+                "cand_plain": [[v, list(map(list, e))] for v, e in self.cand_plain],
+                "cand_cfree": [[v, list(map(list, e))] for v, e in self.cand_cfree]}
 
     def load_state(self, state: dict) -> None:
-        self.replay([int(t) for t in state["decisions"]])
-        s = state["stats"]
-        self.stats = SearchStats(s["nodes"], s["leaves"], s["pruned"], s["bound_cuts"])
+        super().load_state(state)
         self.evaluated = state["evaluated"]
         self.cand_plain = [(v, tuple(tuple(x) for x in e)) for v, e in state["cand_plain"]]
         self.cand_cfree = [(v, tuple(tuple(x) for x in e)) for v, e in state["cand_cfree"]]
@@ -745,10 +676,6 @@ class DensityRun(_ColexDFS):
             },
             status="exact" if self.finished else "partial",
         )
-
-    def execute(self, max_nodes=None, max_seconds=None) -> DensityReport:
-        self.finished = self.run(max_nodes, max_seconds)
-        return self.result()
 
 
 def density_evidence(pattern: str, n: int, mode: str = "left_compressed",

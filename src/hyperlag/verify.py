@@ -270,14 +270,13 @@ def check_path4_evidence(config: OptimizerConfig, count: int = 1000) -> list[Che
     rnd = random.Random(config.seed + 303)
     cap_all = 7.0 / 64.0 + 1e-9
     cap_free = max(2.0 / 27.0, 1250.0 / 11907.0) + 1e-7
-    density_cache: dict = {}
     value_cache: dict = {}
     bad_all = 0
     bad_free = 0
     worst = 0.0
     t0 = time.perf_counter()
     for _ in range(count):
-        g = corpora.left_compressed_dense_path4_free_9(rnd, density_cache=density_cache)
+        g = corpora.left_compressed_dense_path4_free_9(rnd)
         if g.edges not in value_cache:
             # a K_8^3 sits on one of the nine 8-subsets: test each directly,
             # so the check does not rest on the matcher it also exercises

@@ -157,6 +157,11 @@ def test_threads_flag_is_gone():
         main(["turan", "--n", "5", "--forbid", "F5", "--threads", "2"])
 
 
+def test_shards_flag_is_gone():
+    with pytest.raises(SystemExit):
+        main(["turan", "--n", "5", "--forbid", "F5", "--shards", "2"])
+
+
 def test_checkpoints_validate(tmp_path):
     path = tmp_path / "c.json"
     for run in (DensityRun("P3", 7, config=OptimizerConfig(seed=3, restarts=8), top=4),

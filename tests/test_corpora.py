@@ -53,9 +53,8 @@ def test_full_star_covers_pairs():
 
 def test_dense_lc_path4_free_sample_contract():
     rnd = random.Random(2)
-    cache = {}
     for _ in range(8):
-        g = left_compressed_dense_path4_free_9(rnd, density_cache=cache)
+        g = left_compressed_dense_path4_free_9(rnd)
         assert g.n == 9
         assert covers_pairs(g)
         assert is_left_compressed(g)
@@ -91,10 +90,9 @@ def test_dense_lc_path4_free_sampler_reaches_the_whole_family():
     assert len(family) == 9  # exhaustively small space
 
     rnd = random.Random(3)
-    cache = {}
     seen = set()
     for _ in range(60):
-        g = left_compressed_dense_path4_free_9(rnd, density_cache=cache)
+        g = left_compressed_dense_path4_free_9(rnd)
         extras = frozenset(e for e in g.edges if 1 not in e)
         assert extras in family
         seen.add(extras)

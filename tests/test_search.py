@@ -334,26 +334,7 @@ def test_turan_budget_degrades_to_lower_bound():
     res = turan_number(5, [named("F5")], max_nodes=10)
     assert res.status == "lower_bound"
     assert res.max_edges <= 6
-
-
-def test_turan_shard_determinism():
-    base = turan_number(5, [named("F5")])
-    for shards in (2, 4, 8):
-        sharded = turan_number(5, [named("F5")], shards=shards)
-        assert sharded.max_edges == base.max_edges
-        assert tuple(w.edges for w in sharded.witnesses) == tuple(w.edges for w in base.witnesses)
-        assert sharded.status == "exact"
-
-
-def test_turan_shard_determinism_with_forbidden_prefixes():
-    # deep sharding makes some prefixes contain the pattern already; those
-    # shards cover only pruned subtrees and must contribute nothing
-    for pattern in (named("T2"), linear_path(2)):
-        base = turan_number(5, [pattern])
-        sharded = turan_number(5, [pattern], shards=256)
-        assert sharded.max_edges == base.max_edges
-        assert tuple(w.edges for w in sharded.witnesses) == tuple(w.edges for w in base.witnesses)
-        assert sharded.status == "exact"
+    assert res.stats.nodes <= 10
 
 
 def test_turan_six_f5_pinned_report():
