@@ -13,8 +13,11 @@ The maximizer runs three strategies and keeps the best result:
   as an exactness backstop.
 
 All of them, and the certification starts below, run as one ascent batch
-per call.  A row leaves the batch when it stalls, or at once when its
-line search finds no ascent in 22 halvings.
+per call.  Each row runs its own line search: a pass makes one trial step
+for every row left, so a row that has found its step size moves on while
+another is still halving.  A row leaves the batch after ``iterations``
+accepted steps, when it stalls, or when its line search finds no ascent
+in 22 halvings.
 
 The best point is polished by a guarded Newton iteration on the active
 support, which drops its lightest variable when the optimum is not
@@ -190,6 +193,7 @@ class _BlockProblem:
         U = len(lowered)
         self._gmono = np.array(list(lowered), dtype=np.int64).reshape(U, max(self.degree - 1, 0))
         self._gcoef = np.array(list(lowered.values())).reshape(U, self.m)
+        self._hterms = None
 
     @classmethod
     def from_graph(cls, g: Hypergraph):
@@ -228,10 +232,10 @@ class _BlockProblem:
     def grad(self, Y: np.ndarray) -> np.ndarray:
         return Y[..., self._gmono].prod(axis=-1) @ self._gcoef
 
-    def hessian(self, y: np.ndarray) -> np.ndarray:
-        H = np.zeros((self.m, self.m))
-        if not len(self.coeffs):
-            return H
+    def _hessian_terms(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+        """(k, l, coefficients, exponents) of each nonzero second partial,
+        built on the first ``hessian`` call and kept."""
+        terms = []
         expo = self.expo
         for k in range(self.m):
             ak = expo[:, k]
@@ -248,8 +252,15 @@ class _BlockProblem:
                     continue
                 ex2 = exk[sel].copy()
                 ex2[:, l] -= 1
-                P = np.prod(y[None, :] ** ex2, axis=-1)
-                H[k, l] = np.dot(cfk[sel] * al[sel], P)
+                terms.append((k, l, cfk[sel] * al[sel], ex2))
+        return terms
+
+    def hessian(self, y: np.ndarray) -> np.ndarray:
+        H = np.zeros((self.m, self.m))
+        if self._hterms is None:
+            self._hterms = self._hessian_terms()
+        for k, l, cf, ex2 in self._hterms:
+            H[k, l] = np.dot(cf, np.prod(y[None, :] ** ex2, axis=-1))
         return H
 
     def expand(self, y: np.ndarray) -> np.ndarray:
@@ -276,11 +287,18 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
 
 
 def _pga(problem: _BlockProblem, Y0: np.ndarray, masks: np.ndarray | None, iters: int, tol: float):
-    """Batched projected gradient ascent with backtracking line search.
-    Rows with a support mask keep the masked-out coordinates at zero.
-    Rows are retired from the batch as they stall, and at once when their
-    line search finds no ascent in 22 halvings (stationary at float
-    precision)."""
+    """Batched projected gradient ascent with a per-row backtracking line
+    search.  Rows with a 0/1 support mask keep the masked-out coordinates
+    at zero.
+
+    Each pass makes one trial step for every row still in the batch: a
+    row whose trial does not lose value takes it, grows its step size by
+    1.25 (capped at 1e3) and gets a fresh gradient; any other row halves
+    its step size and tries again on the next pass.  A row leaves the batch
+    after ``iters`` accepted steps, once five accepted steps in a row gain
+    less than ``tol``, or when 22 halvings in a row find no ascent
+    (stationary at float precision).  Rows never wait for each other, so a
+    pass costs one projection and one evaluation of the rows left."""
     outY = Y0.astype(float).copy()
     if masks is not None:
         outY = outY * masks
@@ -288,47 +306,47 @@ def _pga(problem: _BlockProblem, Y0: np.ndarray, masks: np.ndarray | None, iters
         s[s == 0] = 1.0
         outY /= s
     outF = problem.value(outY)
+    if iters <= 0:
+        return outY, outF
     idx = np.arange(len(outY))
     Y = outY.copy()
     F = outF.copy()
-    M = masks.copy() if masks is not None else None
+    M = masks > 0 if masks is not None else None
+    G = np.empty_like(Y)
     eta = np.full(len(Y), 0.25)
     stall = np.zeros(len(Y), dtype=int)
-    for _ in range(iters):
-        G = problem.grad(Y)
+    halved = np.zeros(len(Y), dtype=int)
+    steps = np.zeros(len(Y), dtype=int)
+    ok = np.ones(len(Y), dtype=bool)
+    while True:
+        moved = np.nonzero(ok)[0]
+        if len(moved):
+            Gm = problem.grad(Y[moved])
+            G[moved] = Gm * M[moved] if M is not None else Gm
+        step = Y + eta[:, None] * G
         if M is not None:
-            G = G * M
-        cand = Y
-        fc = F
-        for _half in range(22):
-            step = Y + eta[:, None] * G
-            if M is not None:
-                step = np.where(M > 0, step, -1e30)
-            cand = _project_rows(step)
-            fc = problem.value(cand)
-            bad = fc < F
-            if not bad.any():
-                break
-            eta = np.where(bad, eta * 0.5, eta)
-        accept = fc >= F
-        gain = np.where(accept, fc - F, 0.0)
-        Y = np.where(accept[:, None], cand, Y)
-        F = np.where(accept, fc, F)
-        eta = np.where(accept, np.minimum(eta * 1.25, 1e3), eta)
-        stall = np.where(gain < tol, stall + 1, 0)
-        done = (stall >= 5) | ~accept
+            step = np.where(M, step, -1e30)
+        cand = _project_rows(step)
+        fc = problem.value(cand)
+        ok = fc >= F
+        stall = np.where(ok & (fc - F >= tol), 0, stall + ok)
+        Y = np.where(ok[:, None], cand, Y)
+        F = np.where(ok, fc, F)
+        eta = np.where(ok, np.minimum(eta * 1.25, 1e3), eta * 0.5)
+        halved = np.where(ok, 0, halved + 1)
+        steps += ok
+        done = (halved >= 22) | (stall >= 5) | (steps >= iters)
         if done.any():
             outY[idx[done]] = Y[done]
             outF[idx[done]] = F[done]
             keep = ~done
-            idx, Y, F, eta, stall = idx[keep], Y[keep], F[keep], eta[keep], stall[keep]
+            if not keep.any():
+                break
+            idx, Y, F, G, eta, stall, halved, steps, ok = (
+                idx[keep], Y[keep], F[keep], G[keep], eta[keep], stall[keep], halved[keep],
+                steps[keep], ok[keep])
             if M is not None:
                 M = M[keep]
-            if not len(idx):
-                break
-    if len(idx):
-        outY[idx] = Y
-        outF[idx] = F
     return outY, outF
 
 

@@ -239,6 +239,227 @@ def test_block_gradient_matches_vertex_gradient(r, n, seed, blow):
             assert got[k] == pytest.approx(want[v - 1], abs=1e-13)
 
 
+def test_hessian_matches_central_differences():
+    g = random_hypergraph(random.Random(11), 8)
+    problem = _BlockProblem.from_graph(g)
+    y = np.array(random_simplex_point(random.Random(12), problem.m))
+    H = problem.hessian(y)
+    h = 1e-6
+    for k in range(problem.m):
+        e = np.zeros(problem.m)
+        e[k] = h
+        fd = (problem.grad((y + e)[None, :])[0] - problem.grad((y - e)[None, :])[0]) / (2 * h)
+        assert H[:, k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# projected gradient ascent
+
+
+def _lockstep_pga(problem, Y0, masks, iters, tol):
+    """The lockstep line search that _pga replaced, kept as its oracle.
+    Every outer iteration re-steps, re-projects and re-evaluates all rows
+    until no row is still halving, so a row that already passed repeats
+    its trial with the same step size."""
+    outY = Y0.astype(float).copy()
+    if masks is not None:
+        outY = outY * masks
+        s = outY.sum(axis=1, keepdims=True)
+        s[s == 0] = 1.0
+        outY /= s
+    outF = problem.value(outY)
+    idx = np.arange(len(outY))
+    Y = outY.copy()
+    F = outF.copy()
+    M = masks.copy() if masks is not None else None
+    eta = np.full(len(Y), 0.25)
+    stall = np.zeros(len(Y), dtype=int)
+    for _ in range(iters):
+        G = problem.grad(Y)
+        if M is not None:
+            G = G * M
+        cand = Y
+        fc = F
+        for _half in range(22):
+            step = Y + eta[:, None] * G
+            if M is not None:
+                step = np.where(M > 0, step, -1e30)
+            cand = lagrangian._project_rows(step)
+            fc = problem.value(cand)
+            bad = fc < F
+            if not bad.any():
+                break
+            eta = np.where(bad, eta * 0.5, eta)
+        accept = fc >= F
+        gain = np.where(accept, fc - F, 0.0)
+        Y = np.where(accept[:, None], cand, Y)
+        F = np.where(accept, fc, F)
+        eta = np.where(accept, np.minimum(eta * 1.25, 1e3), eta)
+        stall = np.where(gain < tol, stall + 1, 0)
+        done = (stall >= 5) | ~accept
+        if done.any():
+            outY[idx[done]] = Y[done]
+            outF[idx[done]] = F[done]
+            keep = ~done
+            idx, Y, F, eta, stall = idx[keep], Y[keep], F[keep], eta[keep], stall[keep]
+            if M is not None:
+                M = M[keep]
+            if not len(idx):
+                break
+    if len(idx):
+        outY[idx] = Y
+        outF[idx] = F
+    return outY, outF
+
+
+# The sums are running sums, which add the terms strictly in order: numpy's
+# sum adds pairwise along a contiguous axis but in order along a strided
+# one, and the layout of the gathered products changes with the number of
+# rows, so a plain sum too can round a row by the batch it is in.
+
+
+def _rowwise_value(problem, Y):
+    return np.cumsum(Y[..., problem._cols].prod(axis=-1) * problem.coeffs, axis=-1)[..., -1]
+
+
+def _rowwise_grad(problem, Y):
+    P = Y[..., problem._gmono].prod(axis=-1)
+    return np.cumsum(P[..., None, :] * problem._gcoef.T, axis=-1)[..., -1]
+
+
+class _RowwiseProblem:
+    """A graph's block problem with value and gradient reduced row by row,
+    so that no row's numbers depend on the rest of the batch (the matrix
+    products of _BlockProblem may round by the batch's layout).  Rows whose
+    first weight exceeds ``descend_above`` get the negated gradient: each
+    of their trial steps loses value, so they use up their 22 halvings
+    unmoved.  Evaluations are capped, so a line search that never gives
+    up fails instead of hanging."""
+
+    def __init__(self, g, descend_above=None, max_values=20_000):
+        self.block = _BlockProblem.from_graph(g)
+        self.m = self.block.m
+        self.descend_above = descend_above
+        self.values_left = max_values
+
+    def value(self, Y):
+        self.values_left -= 1
+        assert self.values_left >= 0, "the line search did not terminate"
+        return _rowwise_value(self.block, Y)
+
+    def grad(self, Y):
+        G = _rowwise_grad(self.block, Y)
+        if self.descend_above is not None:
+            G = np.where(Y[..., :1] > self.descend_above, -G, G)
+        return G
+
+
+def _count_projections(monkeypatch, cap=50_000):
+    """Count _project_rows calls; more than ``cap`` of them between resets
+    fail instead of hanging on a line search that never gives up."""
+    calls = [0]
+    project = lagrangian._project_rows
+
+    def counting(V):
+        calls[0] += 1
+        assert calls[0] <= cap, "the line search did not terminate"
+        return project(V)
+
+    monkeypatch.setattr(lagrangian, "_project_rows", counting)
+    return calls
+
+
+@given(st.sampled_from([2, 3]), st.integers(3, 8), st.integers(0, 10**6),
+       st.sampled_from([0, 1, 3, 400]), st.sampled_from([1e-14, 1e-6]),
+       st.sampled_from(["none", "random", "supports"]), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_pga_matches_lockstep_oracle(r, n, seed, iters, tol, masking, descend):
+    rnd = random.Random(seed)
+    g = random_hypergraph(rnd, max(n, r), r=r)
+    if not g.edges:
+        return
+    problem = _RowwiseProblem(g, descend_above=0.5 if descend else None)
+    m = problem.m
+    rng = np.random.default_rng(seed)
+    Y0 = np.vstack([np.full((1, m), 1.0 / m), np.eye(m), lagrangian._dirichlet(rng, 24, m)])
+    if masking == "none":
+        masks = None
+    elif masking == "random":
+        masks = (rng.random(Y0.shape) < 0.7).astype(float)
+        masks[np.arange(len(Y0)), rng.integers(0, m, len(Y0))] = 1.0
+    else:
+        # every support paired with its own uniform start, as maximize does
+        masks = np.array([[(bits >> k) & 1 for k in range(m)]
+                          for bits in range(1, 2 ** min(m, 6))], dtype=float)
+        Y0 = masks / masks.sum(axis=1, keepdims=True)
+    Y, F = lagrangian._pga(problem, Y0, masks, iters, tol)
+    Yo, Fo = _lockstep_pga(problem, Y0, masks, iters, tol)
+    assert Y.tobytes() == Yo.tobytes()
+    assert F.tobytes() == Fo.tobytes()
+
+
+def test_pga_retires_a_row_after_22_failed_halvings(monkeypatch):
+    g = random_hypergraph(random.Random(4), 8)
+    problem = _RowwiseProblem(g, descend_above=0.5)
+    m = problem.m
+    rng = np.random.default_rng(4)
+    Y0 = lagrangian._dirichlet(rng, 12, m)
+    Y0[:6] = 0.6 * np.eye(m)[0] + 0.4 * Y0[:6]        # descending rows
+    Y0[6:, 0] = 0.0
+    Y0[6:] /= Y0[6:].sum(axis=1, keepdims=True)     # ascending rows
+    calls = _count_projections(monkeypatch)
+    Y, F = lagrangian._pga(problem, Y0[:6], None, 400, 1e-14)
+    assert calls[0] == 22                           # one trial per halving
+    assert Y.tobytes() == Y0[:6].tobytes()          # retired unmoved
+    assert F.tobytes() == problem.value(Y0[:6]).tobytes()
+    Y, F = lagrangian._pga(problem, Y0, None, 400, 1e-14)
+    Yo, Fo = _lockstep_pga(problem, Y0, None, 400, 1e-14)
+    assert Y.tobytes() == Yo.tobytes() and F.tobytes() == Fo.tobytes()
+    assert Y[:6].tobytes() == Y0[:6].tobytes()
+    assert (F[6:] > problem.value(Y0[6:])).all()
+
+
+def test_pga_stall_counts_only_consecutive_small_gains():
+    # with a coarse tolerance the rows alternate small and large gains, so
+    # a stall count that is not reset by a real gain retires them early
+    rnd = random.Random(21)
+    for _ in range(6):
+        g = random_hypergraph(rnd, 9)
+        problem = _RowwiseProblem(g)
+        Y0 = lagrangian._dirichlet(np.random.default_rng(21), 32, problem.m)
+        for tol in (1e-4, 1e-6, 1e-8):
+            Y, F = lagrangian._pga(problem, Y0, None, 400, tol)
+            Yo, Fo = _lockstep_pga(problem, Y0, None, 400, tol)
+            assert Y.tobytes() == Yo.tobytes() and F.tobytes() == Fo.tobytes()
+
+
+def test_pga_passes_never_exceed_the_lockstep_oracle(monkeypatch):
+    # maximize with row-by-row kernels runs the same rows through either
+    # line search, so results must agree bit for bit; the per-row search
+    # makes one pass per step of its longest row, the lockstep search one
+    # per trial of the batch's slowest halving in every iteration
+    monkeypatch.setattr(_BlockProblem, "value", _rowwise_value)
+    monkeypatch.setattr(_BlockProblem, "grad", _rowwise_grad)
+    calls = _count_projections(monkeypatch)
+    rnd = random.Random(961)
+    graphs = [random_hypergraph(rnd, 6 + i % 5) for i in range(10)]
+    graphs += [random_hypergraph(rnd, 5 + i, r=2) for i in range(4)]
+    pga = lagrangian._pga
+    totals = {"per-row": 0, "lockstep": 0}
+    for g in graphs:
+        passes = {}
+        results = {}
+        for name, impl in (("per-row", pga), ("lockstep", _lockstep_pga)):
+            monkeypatch.setattr(lagrangian, "_pga", impl)
+            calls[0] = 0
+            results[name] = maximize(g)
+            passes[name] = calls[0]
+            totals[name] += calls[0]
+        assert results["per-row"] == results["lockstep"]
+        assert passes["per-row"] <= passes["lockstep"], g
+    assert totals["lockstep"] >= 1.5 * totals["per-row"], totals
+
+
 def test_closed_forms():
     assert closed_form("K", t=6).value == pytest.approx(5 / 54, abs=1e-15)
     k6m = closed_form("K6_minus").value
