@@ -4,9 +4,34 @@ The workhorse is a resumable binary DFS over r-subsets of [n] in colex
 order.  In down-set mode an element may be included only when all of its
 lower covers under componentwise dominance are already included, which
 enumerates exactly the left-compressed graphs; in full mode every subset
-is reachable.  Subtrees are cut by monotone prunes (a configuration, once
-present, stays present in every superset) and, for the Turan search, by
-the counting bound.
+is reachable.  Subtrees are cut by three rules, each counted apart in
+:class:`SearchStats`:
+
+- ``pruned``: monotone prunes.  A forbidden configuration, once present,
+  stays present in every superset, so an include that creates one cuts
+  only graphs that contain it.
+- ``bound_cuts``: for the Turan search, the counting bound.  A node whose
+  included edges plus all undecided ones fall short of the best count so
+  far has no leaf that reaches it.
+- ``symmetry_cuts``: in full mode only, the lex-leader cut (Crawford,
+  Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
+  problems", KR 1996; see :class:`_ColexDFS`).  An include is refused
+  when the decided prefix with it is lex-smaller than its image under an
+  adjacent transposition of vertices.  The lex-largest labelled copy of
+  each graph is at least its image under every relabelling, so no prefix
+  of it is ever cut.
+
+Together the rules keep every isomorphism class.  Take a graph G that
+the search without the symmetry cut reaches as a leaf and reports (an
+extremal Turan witness, a maximal density survivor), and its lex-largest
+labelled copy x*.  The edges every prefix of x* includes form a subgraph
+of x*, a copy of G, so they hold no configuration G avoids and no
+monotone prune fires; its included and undecided edges number at least
+e(G), which is at least the best count, so the bound does not fire; and
+the symmetry cut spares it.  So x* is reached as a leaf.  The leaf tests
+(freeness, maximality, the Lagrangian) do not depend on the labelling, so
+a finished run has the values, statuses and canonical witness classes of
+the uncut search; only the counts differ.
 
 The DFS decision list is the whole search state: include is always tried
 before exclude, so a token list reconstructs the frontier exactly.  That
@@ -37,7 +62,7 @@ from .hypergraph import (
 )
 from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, maximize
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -46,6 +71,26 @@ class CheckpointError(ValueError):
 
 def colex_ground(n: int, r: int) -> list[tuple[int, ...]]:
     return sorted(itertools.combinations(range(1, n + 1), r), key=lambda e: tuple(reversed(e)))
+
+
+def adjacent_swaps(n: int, ground: list[tuple[int, ...]]) -> list[tuple[tuple[int, int], ...]]:
+    """For each adjacent transposition (i i+1) of [n], i = 1..n-1, the
+    permutation it induces on the indices of ``ground``, given by its
+    2-cycles (a, b), a < b, in ascending order of a.  The permutation is an
+    involution, and its fixed points (r-sets holding both of i, i+1 or
+    neither) always match their image, so these pairs are all that a lex
+    comparison with the image needs."""
+    index = {e: k for k, e in enumerate(ground)}
+    out = []
+    for i in range(1, n):
+        swap = {i: i + 1, i + 1: i}
+        pairs = []
+        for a, e in enumerate(ground):
+            b = index[tuple(sorted(swap.get(v, v) for v in e))]
+            if a < b:
+                pairs.append((a, b))
+        out.append(tuple(pairs))
+    return out
 
 
 def lower_covers(e: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -65,17 +110,51 @@ class SearchStats:
     leaves: int = 0
     pruned: int = 0
     bound_cuts: int = 0
+    symmetry_cuts: int = 0
 
     def to_json(self) -> dict:
         return {"nodes": self.nodes, "leaves": self.leaves,
-                "pruned": self.pruned, "bound_cuts": self.bound_cuts}
+                "pruned": self.pruned, "bound_cuts": self.bound_cuts,
+                "symmetry_cuts": self.symmetry_cuts}
 
 
 class _ColexDFS:
     """Binary DFS over a colex-ordered ground set with optional down-set
     constraint.  Subclasses override the hooks and add their accumulators
     to the state through ``super()``; the decision token list and the
-    stats are the resumable state of the engine itself."""
+    stats are the resumable state of the engine itself.
+
+    In full mode the include at depth d is tried only when the decision
+    vector x[0..d] with x[d] = 1 is not lex-smaller than its image under
+    any adjacent transposition (i i+1) of the vertices (see
+    :meth:`_lex_smaller`).  Soundness:
+
+    - Relabelling a graph by a vertex permutation s permutes its indicator
+      vector: the image of x is x o p, where p is the permutation s
+      induces on ground indices.  The lex-largest labelled copy x* of a
+      graph satisfies x* >= x* o p for every s.  For an involution p the
+      first position where x and x o p differ is the smaller end a of a
+      2-cycle (a, b), so comparing the pairs in ascending order of a finds
+      it.  A prefix of x* scans an initial run of those pairs, so it either
+      finds no difference or the first one, where x*[a] > x*[b].  No
+      prefix of x* is cut.  The other cuts keep x* as well (see the module
+      docstring).
+    - Only includes are tested.  An adjacent transposition maps an r-set
+      holding i but not i+1 to the one with i+1 in its place, and this map
+      keeps the colex order of the r-sets it applies to, so the pairs
+      (a, b) of :func:`adjacent_swaps` have b increasing in a.  Take a
+      prefix P of length d that is not cut.  For each transposition, the
+      comparison of P with its image either ended on a win, which every
+      extension keeps, or stopped undecided at a pair (a, b) with b >= d.
+      If b > d, appending x[d] changes nothing.  If b = d, appending
+      x[d] = 0 compares x[a] with 0, a win or a tie, and the next pair has
+      b > d.  So an exclude never makes a prefix lex-smaller, and every
+      prefix the search reaches passes the test.
+
+    In down-set mode the test is not made at all: a transposition need not
+    keep a graph left-compressed, so its lex-largest copy may lie outside
+    the space.
+    """
 
     def __init__(self, n: int, r: int, downset: bool):
         self.n = n
@@ -91,6 +170,7 @@ class _ColexDFS:
             for v in e:
                 m |= 1 << v
             self.masks.append(m)
+        self.swaps = [] if downset else adjacent_swaps(n, self.ground)
         self.decisions: list[int] = []
         self.included: list[int] = []           # ground indices, ascending
         self.included_set: set[int] = set()
@@ -112,6 +192,33 @@ class _ColexDFS:
         if not self.downset:
             return True
         return all(c in self.included_set for c in self.cover_idx[k])
+
+    def _lex_smaller(self, x: list[int]) -> bool:
+        """Is the decided prefix ``x`` lex-smaller than its image under some
+        adjacent transposition?  For each transposition the pairs (a, b) are
+        scanned in order; the scan stops undecided at the first pair that
+        reaches past the prefix, and decided at the first pair where x and
+        its image differ."""
+        d = len(x)
+        for pairs in self.swaps:
+            for a, b in pairs:
+                if b >= d:
+                    break
+                if x[a] != x[b]:
+                    if x[a] < x[b]:
+                        return True
+                    break
+        return False
+
+    def _lex_allowed(self, k: int) -> bool:
+        """Full-mode include test at depth k: the lex-leader cut."""
+        x = self.decisions
+        x.append(1)
+        smaller = self._lex_smaller(x)
+        x.pop()
+        if smaller:
+            self.stats.symmetry_cuts += 1
+        return not smaller
 
     def _apply_include(self, k: int) -> None:
         self.included.append(k)
@@ -144,6 +251,8 @@ class _ColexDFS:
         """Drive the DFS to completion; False means a budget stopped it."""
         deadline = time.monotonic() + max_seconds if max_seconds else None
         budget = max_nodes
+        # chosen once, so down-set runs make no per-node lex test
+        allowed = self._include_allowed if self.downset else self._lex_allowed
         while True:
             if budget is not None and self.stats.nodes >= budget:
                 return False
@@ -162,7 +271,7 @@ class _ColexDFS:
                     return True
                 continue
             self.stats.nodes += 1
-            if self._include_allowed(d):
+            if allowed(d):
                 if self.include_accept(d):
                     self.decisions.append(1)
                     self._apply_include(d)
@@ -412,7 +521,8 @@ class TuranRun(_ColexDFS):
     """Branch and bound for the maximum edge count avoiding every
     forbidden graph, over edges in colex order.  The bound is the current
     count plus all undecided edges; ties with the best are explored so all
-    extremal witnesses are collected (canonical forms when n <= 7)."""
+    extremal witnesses are collected, one canonical form per isomorphism
+    class."""
 
     kind = "turan"
 
@@ -454,11 +564,7 @@ class TuranRun(_ColexDFS):
             self.best = cnt
             self.witness_edges = set()
         if cnt == self.best:
-            g = Hypergraph(self.r, self.n, self.included_edges())
-            # canonical_form has no size cap; canonicalizing from n = 8 on
-            # would change the witnesses those reports list
-            if self.n <= 7:
-                g = canonical_form(g)
+            g = canonical_form(Hypergraph(self.r, self.n, self.included_edges()))
             self.witness_edges.add(g.edges)
 
     # state -------------------------------------------------------------
@@ -480,8 +586,8 @@ class TuranRun(_ColexDFS):
 def turan_number(n: int, forbidden, max_nodes: int | None = None,
                  max_seconds: float | None = None) -> TuranResult:
     """Exact maximum edge count of a graph on [n] avoiding every forbidden
-    graph, with all extremal witnesses (canonical when n <= 7).  Budgets
-    degrade the status to lower_bound, never silently truncate."""
+    graph, with one canonical witness per extremal isomorphism class.
+    Budgets degrade the status to lower_bound, never silently truncate."""
     return TuranRun(n, forbidden).execute(max_nodes, max_seconds)
 
 
@@ -538,8 +644,9 @@ class DensityReport:
 
 class DensityRun(_ColexDFS):
     """Enumerate the pattern-free graphs on [n] (left-compressed space or
-    the full one), track the largest Lagrangian and the largest over
-    graphs avoiding the reference clique.
+    the full one, where the lex-leader cut of :class:`_ColexDFS` still
+    visits the lex-largest labelled copy of each), track the largest
+    Lagrangian and the largest over graphs avoiding the reference clique.
 
     Subgraph monotonicity makes the maximum over a subset-closed family
     equal to the maximum over its maximal members, so by default only
@@ -652,7 +759,8 @@ class DensityRun(_ColexDFS):
             if res.value > best_val:
                 best_val = res.value
                 best_graph = g
-        # as in TuranRun.on_leaf, argmax graphs from n = 8 on stay as found
+        # canonical_form has no size cap; canonicalizing from n = 8 on
+        # would change the argmax graphs those reports list
         if best_graph is not None and best_graph.n <= 7:
             best_graph = canonical_form(best_graph)
         return best_val, best_graph

@@ -14,6 +14,7 @@ from hyperlag.hypergraph import (
     complete_minus,
     is_left_compressed,
     linear_path,
+    matching,
     named,
     new,
     relabel,
@@ -21,9 +22,11 @@ from hyperlag.hypergraph import (
 )
 from hyperlag.lagrangian import OptimizerConfig
 from hyperlag.search import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     DensityRun,
     TuranRun,
+    adjacent_swaps,
     canonical_form,
     checkpoint_resume,
     checkpoint_save,
@@ -294,24 +297,27 @@ def test_turan_five_f5_exact_value_and_witness():
     assert res.witnesses[0] == star
 
 
-def test_turan_whole_space_oracle_agreement():
-    res = turan_number(5, [named("F5")])
-    best = -1
-    wit = set()
+def _whole_space_extremal(n, f):
+    """The maximum edge count of an f-free graph on [n] and the canonical
+    forms of the extremal graphs, from all 2^C(n,3) edge sets."""
+    best, wit = -1, set()
 
     def visit(edges):
         nonlocal best, wit
-        g = Hypergraph(3, 5, edges)
-        if is_free(g, named("F5")):
-            c = len(edges)
-            if c > best:
-                best, wit = c, set()
-            if c == best:
+        g = Hypergraph(3, n, edges)
+        if is_free(g, f):
+            if len(edges) > best:
+                best, wit = len(edges), set()
+            if len(edges) == best:
                 wit.add(canonical_form(g).edges)
 
-    enumerate_all(5, 3, visit=visit)
-    assert best == res.max_edges
-    assert wit == {w.edges for w in res.witnesses}
+    enumerate_all(n, 3, visit=visit)
+    return best, wit
+
+
+def test_turan_whole_space_oracle_agreement():
+    res = turan_number(5, [named("F5")])
+    assert (res.max_edges, {w.edges for w in res.witnesses}) == _whole_space_extremal(5, named("F5"))
 
 
 def test_turan_single_edge_pattern():
@@ -337,22 +343,172 @@ def test_turan_budget_degrades_to_lower_bound():
     assert res.stats.nodes <= 10
 
 
+def _full_star(n):
+    return tuple((1, a, b) for a, b in itertools.combinations(range(2, n + 1), 2))
+
+
 def test_turan_six_f5_pinned_report():
-    # frozen from the vertex-backtracking matcher the bitmask one replaced
+    # the witness is frozen from the vertex-backtracking matcher the
+    # bitmask one replaced; the counts are those of the lex-leader tree
     res = turan_number(6, [named("F5")])
     assert res.max_edges == 10 and res.status == "exact"
-    assert res.stats.to_json() == {"nodes": 6294, "leaves": 44, "pruned": 3965, "bound_cuts": 2286}
-    star = tuple((1, a, b) for a, b in itertools.combinations(range(2, 7), 2))
-    assert tuple(w.edges for w in res.witnesses) == (star,)
+    assert res.stats.to_json() == {"nodes": 208, "leaves": 4, "pruned": 45, "bound_cuts": 35,
+                                   "symmetry_cuts": 125}
+    assert tuple(w.edges for w in res.witnesses) == (_full_star(6),)
+
+
+K4_MINUS_SIX_WITNESS = ((1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+                        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6))
 
 
 def test_turan_six_k4_minus_pinned_report():
     res = turan_number(6, [complete_minus(4)])
     assert res.max_edges == 10 and res.status == "exact"
-    assert res.stats.to_json() == {"nodes": 13173, "leaves": 203, "pruned": 6925, "bound_cuts": 6046}
-    assert tuple(w.edges for w in res.witnesses) == ((
-        (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)),)
+    assert res.stats.to_json() == {"nodes": 435, "leaves": 48, "pruned": 136, "bound_cuts": 128,
+                                   "symmetry_cuts": 124}
+    assert tuple(w.edges for w in res.witnesses) == (K4_MINUS_SIX_WITNESS,)
+
+
+def test_turan_seven_f5_is_the_full_star():
+    res = turan_number(7, [named("F5")])
+    assert res.max_edges == 15 and res.status == "exact"
+    assert tuple(w.edges for w in res.witnesses) == (_full_star(7),)
+
+
+def test_turan_eight_f5_is_the_full_star():
+    # out of reach without the lex-leader cut; one witness per class now
+    # that every n is canonicalized
+    res = turan_number(8, [named("F5")])
+    assert res.max_edges == 21 and res.status == "exact"
+    assert tuple(w.edges for w in res.witnesses) == (_full_star(8),)
+
+
+# ---------------------------------------------------------------------------
+# the lex-leader cut
+
+
+class _Uncut:
+    """The full-space tree with the lex-leader cut switched off: the
+    oracle the cut is checked against."""
+
+    def _lex_smaller(self, x):
+        return False
+
+
+class UncutTuranRun(_Uncut, TuranRun):
+    pass
+
+
+class UncutDensityRun(_Uncut, DensityRun):
+    pass
+
+
+def test_uncut_oracle_keeps_the_old_counts():
+    f5 = UncutTuranRun(6, [named("F5")]).execute()
+    assert f5.stats.to_json() == {"nodes": 6294, "leaves": 44, "pruned": 3965, "bound_cuts": 2286,
+                                  "symmetry_cuts": 0}
+    assert tuple(w.edges for w in f5.witnesses) == (_full_star(6),)
+    k4m = UncutTuranRun(6, [complete_minus(4)]).execute()
+    assert k4m.stats.to_json() == {"nodes": 13173, "leaves": 203, "pruned": 6925, "bound_cuts": 6046,
+                                   "symmetry_cuts": 0}
+    assert tuple(w.edges for w in k4m.witnesses) == (K4_MINUS_SIX_WITNESS,)
+
+
+LINEAR_STAR_3 = new(3, 7, [(1, 2, 3), (1, 4, 5), (1, 6, 7)])
+CUT_PATTERNS = {"F5": named("F5"), "K4-": complete_minus(4), "T2": named("T2"), "P2": linear_path(2),
+                "M2": matching(2), "S3": LINEAR_STAR_3, "K4": complete(4, 3)}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("name", list(CUT_PATTERNS))
+def test_lex_leader_cut_matches_uncut_oracle(name, n):
+    cut = turan_number(n, [CUT_PATTERNS[name]])
+    uncut = UncutTuranRun(n, [CUT_PATTERNS[name]]).execute()
+    assert (cut.max_edges, cut.status) == (uncut.max_edges, uncut.status)
+    assert cut.witnesses == uncut.witnesses
+    assert cut.stats.nodes <= uncut.stats.nodes
+
+
+@pytest.mark.parametrize("name", list(CUT_PATTERNS))
+def test_lex_leader_cut_matches_whole_space_at_five(name):
+    res = turan_number(5, [CUT_PATTERNS[name]])
+    assert (res.max_edges, {w.edges for w in res.witnesses}) == _whole_space_extremal(5, CUT_PATTERNS[name])
+
+
+@st.composite
+def _small_pattern(draw):
+    n = draw(st.integers(3, 5))
+    slots = list(itertools.combinations(range(1, n + 1), 3))
+    keep = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)).filter(any))
+    return new(3, n, [e for e, k in zip(slots, keep) if k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_pattern(), st.integers(4, 5))
+def test_lex_leader_cut_matches_uncut_oracle_on_random_patterns(f, n):
+    cut = turan_number(n, [f])
+    uncut = UncutTuranRun(n, [f]).execute()
+    assert (cut.max_edges, cut.witnesses) == (uncut.max_edges, uncut.witnesses)
+
+
+def _indicator(ground, edges):
+    edges = set(edges)
+    return [int(e in edges) for e in ground]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graph_and_relabelling(3, 6).filter(lambda pair: pair[0].r == 3))
+def test_lex_largest_copy_is_never_cut(pair):
+    g, _ = pair
+    dfs = TuranRun(g.n, [named("T2")])
+    ids = list(range(1, g.n + 1))
+    best = max(_indicator(dfs.ground, relabel(g, dict(zip(ids, perm))).edges)
+               for perm in itertools.permutations(ids))
+    for d in range(dfs.M + 1):
+        assert not dfs._lex_smaller(best[:d])
+
+
+def test_swap_pairs_keep_colex_order():
+    # b increasing in a is what lets an exclude never lose (see _ColexDFS)
+    for n, r in itertools.product(range(3, 10), (2, 3)):
+        for pairs in adjacent_swaps(n, colex_ground(n, r)):
+            assert all(a < b for a, b in pairs)
+            assert [b for _, b in pairs] == sorted(b for _, b in pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 1), min_size=0, max_size=len(colex_ground(n, 3)) - 1))))
+def test_an_exclude_never_creates_a_lex_smaller_prefix(case):
+    n, x = case
+    dfs = TuranRun(n, [named("T2")])
+    if not dfs._lex_smaller(x):
+        assert not dfs._lex_smaller(x + [0])
+
+
+@pytest.mark.parametrize("pattern,n", [("P2", 5), ("P2", 6), ("T2", 4)])
+def test_all_mode_density_matches_uncut_oracle(pattern, n):
+    cut = density_evidence(pattern, n, "all")
+    uncut = UncutDensityRun(pattern, n, "all").execute()
+    assert cut.max_lambda == uncut.max_lambda
+    assert cut.max_lambda_complete_free == uncut.max_lambda_complete_free
+    assert cut.status == uncut.status == "exact"
+    for a, b in ((cut.argmax_graph, uncut.argmax_graph),
+                 (cut.argmax_complete_free, uncut.argmax_complete_free)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert canonical_form(a) == canonical_form(b)
+    assert cut.counts["nodes"] < uncut.counts["nodes"]
+
+
+def test_left_compressed_runs_make_no_lex_test(monkeypatch):
+    def never(*args):
+        raise AssertionError("lex test ran in a down-set search")
+
+    monkeypatch.setattr(TuranRun, "_lex_smaller", never)
+    monkeypatch.setattr(DensityRun, "_lex_smaller", never)
+    assert TuranRun(5, (named("F5"),), downset=True).execute().stats.symmetry_cuts == 0
+    assert density_evidence("P3", 7).status == "exact"
 
 
 def test_turan_input_validation():
@@ -457,13 +613,15 @@ def test_checkpoint_midrun_resume_equals_full(tmp_path):
 
 def test_checkpoint_midrun_turan(tmp_path):
     path = tmp_path / "t.json"
-    run = TuranRun(5, (named("F5"),))
-    assert not run.run(max_nodes=30)
-    checkpoint_save(run, path)
-    resumed = checkpoint_resume(path)
-    res = resumed.execute()
-    base = turan_number(5, [named("F5")])
-    assert res.to_json() == base.to_json()
+    for n, pause in ((5, 30), (6, 50)):
+        run = TuranRun(n, (named("F5"),))
+        assert not run.run(max_nodes=pause)
+        checkpoint_save(run, path)
+        resumed = checkpoint_resume(path)
+        res = resumed.execute()
+        base = turan_number(n, [named("F5")])
+        assert res.to_json() == base.to_json()
+        assert res.stats.symmetry_cuts > 0
 
 
 def test_checkpoint_keeps_every_setting(tmp_path):
@@ -502,6 +660,12 @@ def test_checkpoint_version_mismatch(tmp_path):
     checkpoint_save(DensityRun("P2", 5), path)
     payload = json.loads(path.read_text())
     payload["version"] = 99
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="version"):
+        checkpoint_resume(path)
+    # a version 2 decision list belongs to the tree without the lex-leader cut
+    assert CHECKPOINT_VERSION == 3
+    payload["version"] = 2
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="version"):
         checkpoint_resume(path)
