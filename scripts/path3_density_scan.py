@@ -2,8 +2,12 @@
 the extremal Lagrangians, with optional checkpointing.
 
 Usage:
-    python scripts/path3_density_scan.py [--n 7] [--pattern P3]
+    python scripts/path3_density_scan.py [--n 7] [--pattern P3] [--mode left_compressed]
         [--checkpoint state.json] [--resume] [--max-nodes N]
+
+A run that hits --max-nodes with --checkpoint set saves its state and
+exits 3; --resume with the same pattern, n and mode continues it and
+prints the report the uninterrupted run would have printed.
 """
 
 import argparse
@@ -17,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from hyperlag.search import DensityRun, checkpoint_resume, checkpoint_save
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--pattern", default="P3", choices=["P2", "T2", "P3", "P4"])
     ap.add_argument("--n", type=int, default=7)
@@ -25,25 +29,24 @@ def main() -> int:
     ap.add_argument("--checkpoint", default=None)
     ap.add_argument("--resume", action="store_true")
     ap.add_argument("--max-nodes", type=int, default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     if args.resume:
         if not args.checkpoint:
             ap.error("--resume needs --checkpoint")
         run = checkpoint_resume(args.checkpoint,
-                                expect_space={"pattern": args.pattern, "n": args.n})
+                                expect_space={"pattern": args.pattern, "n": args.n,
+                                              "mode": args.mode})
         print(f"resumed at {run.stats.nodes} nodes, {run.stats.leaves} survivors")
     else:
         run = DensityRun(args.pattern, args.n, args.mode)
 
     t0 = time.time()
-    finished = run.run(max_nodes=args.max_nodes)
-    if not finished and args.checkpoint:
+    report = run.execute(max_nodes=args.max_nodes)
+    if not run.finished and args.checkpoint:
         checkpoint_save(run, args.checkpoint)
         print(f"budget hit after {run.stats.nodes} nodes; checkpoint written to {args.checkpoint}")
         return 3
-    run.finished = finished
-    report = run.result()
     print(json.dumps(report.to_json(), indent=1))
     print(f"# wall time {time.time() - t0:.1f}s", file=sys.stderr)
     return 0 if report.status == "exact" else 3

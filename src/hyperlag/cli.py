@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_turan)
 
-    p = sub.add_parser("density", help="enumerate pattern-free graphs and report the top Lagrangian")
+    p = sub.add_parser("density", help="enumerate pattern-free graphs and report the largest Lagrangian")
     p.add_argument("--pattern", required=True, choices=["P2", "T2", "P3", "P4", "p2", "t2", "p3", "p4"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", default="left_compressed", choices=["left_compressed", "all"])

@@ -12,11 +12,14 @@ import functools
 import itertools
 import random
 
-from .hypergraph import Hypergraph, is_left_compressed, linear_path, new
+from .hypergraph import Hypergraph, is_left_compressed, linear_path, lower_covers, new
 from .freeness import contains, creates_linear_path
 from .lagrangian import OptimizerConfig, is_dense
 
 _GEN_OPT = OptimizerConfig(restarts=12, exact_support_n=6, iterations=250)
+# attempts before a generator gives up on its seed stream
+_COVERING_TRIES = 400
+_PATH4_SAMPLE_TRIES = 200
 
 
 def random_simplex_point(rnd: random.Random, n: int) -> list[float]:
@@ -31,13 +34,13 @@ def random_hypergraph(rnd: random.Random, n: int, r: int = 3, p: float | None = 
     return new(r, n, edges)
 
 
-def covers_pairs_path_free(rnd: random.Random, n: int, t: int, max_tries: int = 400) -> Hypergraph:
+def covers_pairs_path_free(rnd: random.Random, n: int, t: int) -> Hypergraph:
     """A covering-pairs 3-graph on [n] with no linear path of t edges,
     grown greedily: cover uncovered pairs in random order, choosing third
     vertices that keep the graph path-free, then sprinkle extra safe edges.
     Every pair is covered in the first loop and every edge passed
     ``creates_linear_path``, so the result needs no final check."""
-    for _try in range(max_tries):
+    for _try in range(_COVERING_TRIES):
         edges: list[tuple[int, int, int]] = []
         masks: list[int] = []
         covered: set[tuple[int, int]] = set()
@@ -83,20 +86,16 @@ def covers_pairs_path_free(rnd: random.Random, n: int, t: int, max_tries: int = 
     raise RuntimeError(f"could not build a covering-pairs length-{t}-path-free graph on {n} vertices")
 
 
-def _downset_closure(seeds, lo: int, hi: int) -> set[tuple[int, int, int]]:
-    """Dominance closure of seed triples within the window [lo, hi]."""
+def _downset_closure(seeds, lo: int) -> set[tuple[int, int, int]]:
+    """Dominance closure of seed triples among the triples whose least
+    vertex is at least ``lo``."""
     out: set[tuple[int, int, int]] = set()
     stack = [tuple(sorted(s)) for s in seeds]
     while stack:
         e = stack.pop()
-        if e in out:
-            continue
-        out.add(e)
-        for k in range(3):
-            c = e[k] - 1
-            if c >= lo and (k == 0 or c > e[k - 1]):
-                f = tuple(sorted(e[:k] + (c,) + e[k + 1:]))
-                stack.append(f)
+        if e not in out:
+            out.add(e)
+            stack.extend(c for c in lower_covers(e) if c[0] >= lo)
     return out
 
 
@@ -116,7 +115,7 @@ def _path4_sample_accepted(edges: tuple) -> bool:
             and is_dense(g, _GEN_OPT))
 
 
-def left_compressed_dense_path4_free_9(rnd: random.Random, max_tries: int = 200) -> Hypergraph:
+def left_compressed_dense_path4_free_9(rnd: random.Random) -> Hypergraph:
     """A dense, left-compressed 3-graph on exactly 9 vertices with no
     linear path of 4 edges.
 
@@ -126,7 +125,7 @@ def left_compressed_dense_path4_free_9(rnd: random.Random, max_tries: int = 200)
     left-compression, or strict density are rejected.
     """
     star = full_star(9)
-    for _try in range(max_tries):
+    for _try in range(_PATH4_SAMPLE_TRIES):
         # Low triples through vertex 2 close downward into triples through
         # vertex 2 again, and those absorb into the two-apex family, which
         # stays path-free; spread-out seeds almost always get rejected, so
@@ -139,7 +138,7 @@ def left_compressed_dense_path4_free_9(rnd: random.Random, max_tries: int = 200)
             seeds.append((3, 4, 5))
         if rnd.random() < 0.10:
             seeds.append(tuple(sorted(rnd.sample(range(2, 10), 3))))
-        extras = _downset_closure(seeds, 2, 9)
+        extras = _downset_closure(seeds, 2)
         g = new(3, 9, list(star.edges) + sorted(extras))
         if _path4_sample_accepted(g.edges):
             return g

@@ -316,9 +316,8 @@ def contains_core(g: Hypergraph, pattern: Hypergraph, p: int) -> bool:
 _K8_FLOOR = comb(8, 3) / 8**3 - 0.005
 
 
-def left_compress_loop(g: Hypergraph, t: int, lambda_floor: float | None = None,
-                       config: OptimizerConfig = DEFAULT_CONFIG,
-                       max_rounds: int | None = None) -> Hypergraph:
+def left_compress_loop(g: Hypergraph, t: int,
+                       config: OptimizerConfig = DEFAULT_CONFIG) -> Hypergraph:
     """Rewrite a path-free 3-graph into a dense, left-compressed, path-free
     one of no smaller Lagrangian.
 
@@ -326,7 +325,7 @@ def left_compress_loop(g: Hypergraph, t: int, lambda_floor: float | None = None,
     descending optimum weight (ties broken by current id), and applies one
     compression toward a smaller index; compression preserves path-freeness
     on the inputs this loop accepts.  For t=4 the input must have optimum
-    at least ``lambda_floor`` (default the near-complete threshold), the
+    at least the near-complete threshold ``_K8_FLOOR``, the
     precondition under which compressions cannot create the length-4 path.
 
     Termination: after the weight-ordered relabeling, a compression moves
@@ -341,15 +340,12 @@ def left_compress_loop(g: Hypergraph, t: int, lambda_floor: float | None = None,
     path = linear_path(t)
     if contains(g, path) is not None:
         raise ValueError(f"input contains a linear path of length {t}")
-    if t == 4:
-        if lambda_floor is None:
-            lambda_floor = _K8_FLOOR
-        if maximize(g, config).value < lambda_floor - 1e-9:
-            raise ValueError(
-                f"optimum below the required floor {lambda_floor:.6f} for t=4 rewriting")
+    if t == 4 and maximize(g, config).value < _K8_FLOOR - 1e-9:
+        raise ValueError(
+            f"optimum below the required floor {_K8_FLOOR:.6f} for t=4 rewriting")
     cur = g
     rounds = 0
-    cap = max_rounds if max_rounds is not None else 60 + 12 * comb(max(g.n, 3), 3)
+    cap = 60 + 12 * comb(max(g.n, 3), 3)
     while True:
         rounds += 1
         if rounds > cap:
@@ -390,7 +386,7 @@ def _alpha_dense(edges: set, alive: list[int], r: int, alpha: float) -> bool:
     return min(deg.values()) >= need
 
 
-def symmetrize_clean(g: Hypergraph, alpha: float, max_rounds: int | None = None) -> Hypergraph:
+def symmetrize_clean(g: Hypergraph, alpha: float) -> Hypergraph:
     """Iterate: pick two nonadjacent vertices with different links, the
     higher degree first (ties by smallest ids); give every vertex of the
     lower one's link-equality class a copy of the higher one's link; then
@@ -408,8 +404,7 @@ def symmetrize_clean(g: Hypergraph, alpha: float, max_rounds: int | None = None)
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     alive = list(range(1, g.n + 1))
     edges = set(g.edges)
-    cap = max_rounds if max_rounds is not None else 4 * g.n * g.n + 64
-    for _round in range(cap):
+    for _round in range(4 * g.n * g.n + 64):
         if not alive or not edges:
             break
         deg = {v: 0 for v in alive}

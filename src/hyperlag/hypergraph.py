@@ -221,15 +221,27 @@ def compress(g: Hypergraph, i: int, j: int) -> Hypergraph:
     return Hypergraph(g.r, g.n, tuple(sorted(edges)))
 
 
+def lower_covers(e: Edge) -> list[Edge]:
+    """Immediate predecessors under componentwise dominance of sorted
+    edges: lower one coordinate by one where the result stays strictly
+    increasing and positive.  Their transitive closure is the whole
+    dominance order."""
+    out = []
+    for k in range(len(e)):
+        c = e[k] - 1
+        if c >= 1 and (k == 0 or c > e[k - 1]):
+            out.append(e[:k] + (c,) + e[k + 1:])
+    return out
+
+
 def is_left_compressed(g: Hypergraph) -> bool:
-    """True iff no compression toward a smaller index can move an edge;
-    equivalently the edge set is a down-set under componentwise dominance
-    of sorted edges."""
-    for j in range(2, g.n + 1):
-        for i in range(1, j):
-            if link_diff(g, j, i):
-                return False
-    return True
+    """True iff the edge set is a down-set under componentwise dominance
+    of sorted edges: every lower cover of every edge is an edge.
+    Equivalently no compression toward a smaller index can move an edge,
+    since replacing a vertex of an edge by a smaller one outside it gives
+    a dominated r-set, and a lower cover is such a replacement."""
+    es = g.edge_set()
+    return all(c in es for e in g.edges for c in lower_covers(e))
 
 
 def induced(g: Hypergraph, vertices) -> Hypergraph:

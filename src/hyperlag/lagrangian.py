@@ -350,7 +350,10 @@ def _pga(problem: _BlockProblem, Y0: np.ndarray, masks: np.ndarray | None, iters
     return outY, outF
 
 
-def _newton_polish(problem: _BlockProblem, y_in: np.ndarray, max_rounds: int = 8):
+_NEWTON_ROUNDS = 8
+
+
+def _newton_polish(problem: _BlockProblem, y_in: np.ndarray):
     """Sharpen a stationary point: Newton on the equal-partial system over
     the active support (with an explicit multiplier variable), then grow
     the support while any inactive variable has a partial above the common
@@ -366,7 +369,7 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray, max_rounds: int = 8
     if y.sum() <= 0:
         return y_in
     y /= y.sum()
-    for _round in range(max_rounds):
+    for _round in range(_NEWTON_ROUNDS):
         support = {k for k in support if y[k] > 1e-12} or {int(np.argmax(y))}
         S = sorted(support)
         s = len(S)
@@ -434,16 +437,15 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray, max_rounds: int = 8
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """The maximizer's settings.  There is one profile for every caller:
+    a density search optimizes each maximal survivor once with the
+    configuration it was given."""
+
     restarts: int = 64
     seed: int = 0
     exact_support_n: int = 8
     kkt_tol: float = 1e-8
     iterations: int = 400
-
-    def cheap(self) -> "OptimizerConfig":
-        """Profile for bulk evaluation inside enumerations."""
-        return OptimizerConfig(restarts=8, seed=self.seed, exact_support_n=0,
-                               kkt_tol=self.kkt_tol, iterations=160)
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -656,7 +658,11 @@ def motzkin_straus(g2: Hypergraph) -> tuple[float, int]:
 # density
 
 
-def is_dense(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG, strictness_tol: float = 1e-9) -> bool:
+# a vertex deletion counts as strict only when it lowers the optimum by more
+_STRICTNESS_TOL = 1e-9
+
+
+def is_dense(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG) -> bool:
     """True iff deleting any single vertex strictly lowers the optimum.
     (Monotonicity under induced subgraphs makes single-vertex deletions
     sufficient.)  The empty graph is not dense by convention."""
@@ -665,12 +671,12 @@ def is_dense(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG, strictness
     base = maximize(g, config).value
     for v in range(1, g.n + 1):
         sub = induced(g, [u for u in range(1, g.n + 1) if u != v])
-        if maximize(sub, config).value >= base - strictness_tol:
+        if maximize(sub, config).value >= base - _STRICTNESS_TOL:
             return False
     return True
 
 
-def densify(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG, strictness_tol: float = 1e-9):
+def densify(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG):
     """A dense subgraph with the same optimum value (within tolerance),
     found by repeatedly restricting to the support of a maximizer and
     dropping vertices whose deletion is not strict.  Returns the subgraph
@@ -686,7 +692,7 @@ def densify(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG, strictness_
         weak = None
         for v in range(1, cur.n + 1):
             sub = induced(cur, [u for u in range(1, cur.n + 1) if u != v])
-            if maximize(sub, config).value >= res.value - strictness_tol:
+            if maximize(sub, config).value >= res.value - _STRICTNESS_TOL:
                 weak = v
                 break
         if weak is None:

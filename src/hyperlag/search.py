@@ -53,16 +53,17 @@ from .hgio import to_json_obj
 from .hypergraph import (
     Hypergraph,
     complete,
-    covers_pairs,
     equivalence_classes,
-    induced,
     linear_path,
+    lower_covers,
     named,
     new,
 )
 from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, maximize
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+# enumerate_all walks 2^C(n, r) edge sets; past this many r-sets it refuses
+_ENUMERATE_ALL_MAX_BITS = 24
 
 
 class CheckpointError(ValueError):
@@ -90,17 +91,6 @@ def adjacent_swaps(n: int, ground: list[tuple[int, ...]]) -> list[tuple[tuple[in
             if a < b:
                 pairs.append((a, b))
         out.append(tuple(pairs))
-    return out
-
-
-def lower_covers(e: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Immediate predecessors under componentwise dominance: lower one
-    coordinate by one where the result stays strictly increasing."""
-    out = []
-    for k in range(len(e)):
-        c = e[k] - 1
-        if c >= 1 and (k == 0 or c > e[k - 1]):
-            out.append(e[:k] + (c,) + e[k + 1:])
     return out
 
 
@@ -338,14 +328,12 @@ def enumerate_left_compressed(n: int, r: int, prune=None, visit=None) -> SearchS
     return dfs.stats
 
 
-def enumerate_all(n: int, r: int, filter=None, visit=None, up_to_iso: bool = False,
-                  max_bits: int = 24) -> SearchStats:
-    """Iterate all 2^C(n,r) edge subsets (capped), optionally restricted
-    to a filter and reduced modulo isomorphism by the minimum-image
-    canonical form."""
+def enumerate_all(n: int, r: int, visit=None, up_to_iso: bool = False) -> SearchStats:
+    """Iterate all 2^C(n,r) edge subsets, for C(n,r) up to 24, optionally
+    reduced modulo isomorphism by the minimum-image canonical form."""
     M = comb(n, r)
-    if M > max_bits:
-        raise ValueError(f"ground set of {M} edges exceeds the cap of {max_bits} bits")
+    if M > _ENUMERATE_ALL_MAX_BITS:
+        raise ValueError(f"ground set of {M} edges exceeds the cap of {_ENUMERATE_ALL_MAX_BITS} bits")
     ground = colex_ground(n, r)
     stats = SearchStats()
     for bits in range(1 << M):
@@ -357,8 +345,6 @@ def enumerate_all(n: int, r: int, filter=None, visit=None, up_to_iso: bool = Fal
             edges.append(ground[low.bit_length() - 1])
             b ^= low
         edges = tuple(sorted(edges))
-        if filter is not None and not filter(edges):
-            continue
         stats.nodes += 1
         if up_to_iso:
             g = Hypergraph(r, n, edges)
@@ -383,7 +369,8 @@ def canonical_form(g: Hypergraph) -> Hypergraph:
       differ: the list that holds that r-set is the smaller one.  So the
       canonical form is the labelling whose indicator vector over r-sets
       of labels, taken in lex order, is lex-largest.  Read as an integer
-      with the first r-set as the top bit, it is the largest integer.
+      with the first r-set as the most significant bit, it is the largest
+      integer.
     - What this allows at each step.  Labels are given out as 1, 2, ...,
       k.  An r-set's value is fixed once all its labels are given out.
       Every r-set lex-before the first one not yet fixed, which is
@@ -519,14 +506,14 @@ class TuranResult:
 
 class TuranRun(_ColexDFS):
     """Branch and bound for the maximum edge count avoiding every
-    forbidden graph, over edges in colex order.  The bound is the current
-    count plus all undecided edges; ties with the best are explored so all
-    extremal witnesses are collected, one canonical form per isomorphism
-    class."""
+    forbidden graph, over every edge set on [n] in colex order.  The bound
+    is the current count plus all undecided edges; ties with the best are
+    explored so all extremal witnesses are collected, one canonical form
+    per isomorphism class."""
 
     kind = "turan"
 
-    def __init__(self, n: int, forbidden, downset: bool = False):
+    def __init__(self, n: int, forbidden):
         forbidden = tuple(forbidden)
         if not forbidden:
             raise ValueError("need at least one forbidden graph")
@@ -536,15 +523,14 @@ class TuranRun(_ColexDFS):
                 raise ValueError("forbidden graphs must share the uniformity")
             if not f.edges:
                 raise ValueError("forbidden graphs must have at least one edge")
-        super().__init__(n, r, downset)
+        super().__init__(n, r, False)
         self.forbidden = forbidden
         self.best = -1
         self.witness_edges: set[tuple] = set()
 
     def space_descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n, "r": self.r,
-                "forbidden": [to_json_obj(f) for f in self.forbidden],
-                "downset": self.downset}
+                "forbidden": [to_json_obj(f) for f in self.forbidden]}
 
     def include_accept(self, k: int) -> bool:
         # the matcher's answer does not depend on edge order: no sort here
@@ -649,20 +635,18 @@ class DensityRun(_ColexDFS):
     Lagrangian and the largest over graphs avoiding the reference clique.
 
     Subgraph monotonicity makes the maximum over a subset-closed family
-    equal to the maximum over its maximal members, so by default only
-    maximal survivors (within the family, and within its clique-free
-    subfamily) are optimized; ``evaluate_every_survivor`` forces the
-    exhaustive behaviour.  Survivors are optimized with a reduced-effort
-    profile and the leading candidates are re-optimized at full strength.
+    equal to the maximum over its maximal members, so only maximal
+    survivors (within the family, and within its clique-free subfamily)
+    are optimized, each once with ``config``.  A running best, value and
+    edges, is kept for the family and for its clique-free part; on a tie
+    the survivor found first stays.  The reported argmax graphs are their
+    canonical forms.
     """
 
     kind = "density"
 
     def __init__(self, pattern: str, n: int, mode: str = "left_compressed",
-                 config: OptimizerConfig = DEFAULT_CONFIG,
-                 evaluate_every_survivor: bool = False,
-                 require_covered_pairs: bool = True,
-                 top: int = 32):
+                 config: OptimizerConfig = DEFAULT_CONFIG):
         if mode not in ("left_compressed", "all"):
             raise ValueError(f"mode must be left_compressed or all, got {mode!r}")
         pat = _pattern_graph(pattern)
@@ -670,49 +654,35 @@ class DensityRun(_ColexDFS):
         self.pattern = pattern
         self.mode = mode
         self.config = config
-        self.evaluate_every_survivor = evaluate_every_survivor
-        self.require_covered_pairs = require_covered_pairs
-        self.top = top
         self.clique_order = pat.n - 1
         self.clique = complete(self.clique_order, 3)
         self._creates = _creates_pattern(pattern, n)
-        self.cand_plain: list[tuple[float, tuple]] = []
-        self.cand_cfree: list[tuple[float, tuple]] = []
+        # (value, edges); edges is None until a survivor is optimized
+        self.best_plain: tuple[float, tuple | None] = (-1.0, None)
+        self.best_cfree: tuple[float, tuple | None] = (-1.0, None)
         self.evaluated = 0
 
     def space_descriptor(self) -> dict:
         return {"kind": self.kind, "pattern": self.pattern, "n": self.n,
-                "mode": self.mode, "evaluate_every_survivor": self.evaluate_every_survivor,
-                "require_covered_pairs": self.require_covered_pairs, "top": self.top,
-                "config": asdict(self.config)}
+                "mode": self.mode, "config": asdict(self.config)}
 
     def include_accept(self, k: int) -> bool:
         return not self._creates(self.included_masks(), self.masks[k])
 
-    def _push(self, heap: list, value: float, edges: tuple) -> None:
-        heap.append((value, edges))
-        heap.sort(key=lambda t: (-t[0], t[1]))
-        del heap[self.top:]
-
-    def _cheap_value(self, edges: tuple) -> float:
+    def _optimize(self, edges: tuple, plain: bool, cfree: bool) -> None:
+        """Maximize one survivor and offer its value to the running bests
+        it belongs to."""
         self.evaluated += 1
-        res = maximize(Hypergraph(3, self.n, edges), self.config.cheap())
-        if self.require_covered_pairs:
-            support_graph = induced(Hypergraph(3, self.n, edges), res.support)
-            if support_graph.n and not covers_pairs(support_graph):
-                return -1.0
-        return res.value
+        value = maximize(Hypergraph(3, self.n, edges), self.config).value
+        if plain and value > self.best_plain[0]:
+            self.best_plain = (value, edges)
+        if cfree and value > self.best_cfree[0]:
+            self.best_cfree = (value, edges)
 
     def on_leaf(self) -> None:
         edges = self.included_edges()
         masks = self.included_masks()
         has_clique = _contains_edges(self.n, edges, self.clique) is not None
-        if self.evaluate_every_survivor:
-            v = self._cheap_value(edges)
-            self._push(self.cand_plain, v, edges)
-            if not has_clique:
-                self._push(self.cand_cfree, v, edges)
-            return
         ext_plain = False
         ext_cfree = False
         for k in range(self.M):
@@ -729,54 +699,43 @@ class DensityRun(_ColexDFS):
             if _contains_edges(self.n, edges + (self.ground[k],), self.clique) is None:
                 ext_cfree = True
                 break
-        value = None
-        if not ext_plain:
-            value = self._cheap_value(edges)
-            self._push(self.cand_plain, value, edges)
-        if not has_clique and not ext_cfree:
-            if value is None:
-                value = self._cheap_value(edges)
-            self._push(self.cand_cfree, value, edges)
+        cfree = not has_clique and not ext_cfree
+        if not ext_plain or cfree:
+            self._optimize(edges, not ext_plain, cfree)
 
     # state ---------------------------------------------------------------
     def to_state(self) -> dict:
+        def best(b):
+            return [b[0], None if b[1] is None else list(map(list, b[1]))]
+
         return {**super().to_state(), "evaluated": self.evaluated,
-                "cand_plain": [[v, list(map(list, e))] for v, e in self.cand_plain],
-                "cand_cfree": [[v, list(map(list, e))] for v, e in self.cand_cfree]}
+                "best_plain": best(self.best_plain), "best_cfree": best(self.best_cfree)}
 
     def load_state(self, state: dict) -> None:
+        def best(b):
+            return (b[0], None if b[1] is None else tuple(tuple(e) for e in b[1]))
+
         super().load_state(state)
         self.evaluated = state["evaluated"]
-        self.cand_plain = [(v, tuple(tuple(x) for x in e)) for v, e in state["cand_plain"]]
-        self.cand_cfree = [(v, tuple(tuple(x) for x in e)) for v, e in state["cand_cfree"]]
+        self.best_plain = best(state["best_plain"])
+        self.best_cfree = best(state["best_cfree"])
 
-    def _recertify(self, heap):
-        best_val = -1.0
-        best_graph = None
-        for _, edges in heap:
-            g = Hypergraph(3, self.n, edges)
-            res = maximize(g, self.config)
-            if res.value > best_val:
-                best_val = res.value
-                best_graph = g
-        # canonical_form has no size cap; canonicalizing from n = 8 on
-        # would change the argmax graphs those reports list
-        if best_graph is not None and best_graph.n <= 7:
-            best_graph = canonical_form(best_graph)
-        return best_val, best_graph
+    def _argmax(self, best) -> Hypergraph | None:
+        return None if best[1] is None else canonical_form(Hypergraph(3, self.n, best[1]))
 
     def result(self) -> DensityReport:
-        val, argmax = self._recertify(self.cand_plain)
-        cval, cargmax = self._recertify(self.cand_cfree)
+        val = self.best_plain[0]
+        cval = self.best_cfree[0]
         lam_complete = comb(self.clique_order, 3) / self.clique_order**3
         return DensityReport(
             space=self.space_descriptor(),
             counts={"nodes": self.stats.nodes, "survivors": self.stats.leaves,
-                    "pruned": self.stats.pruned, "optimized": self.evaluated},
+                    "pruned": self.stats.pruned, "symmetry_cuts": self.stats.symmetry_cuts,
+                    "optimized": self.evaluated},
             max_lambda=val,
-            argmax_graph=argmax,
+            argmax_graph=self._argmax(self.best_plain),
             max_lambda_complete_free=cval,
-            argmax_complete_free=cargmax,
+            argmax_complete_free=self._argmax(self.best_cfree),
             separations={
                 "clique_order": self.clique_order,
                 "lambda_complete": lam_complete,
@@ -788,14 +747,12 @@ class DensityRun(_ColexDFS):
 
 def density_evidence(pattern: str, n: int, mode: str = "left_compressed",
                      config: OptimizerConfig = DEFAULT_CONFIG,
-                     max_nodes: int | None = None, max_seconds: float | None = None,
-                     evaluate_every_survivor: bool = False) -> DensityReport:
+                     max_nodes: int | None = None, max_seconds: float | None = None) -> DensityReport:
     """Enumerate pattern-free graphs on [n], report the maximum Lagrangian
     found, its witness, and the separation of clique-free survivors from
     the complete reference value.  Budget overruns flag the report as
     partial instead of truncating silently."""
-    run = DensityRun(pattern, n, mode, config, evaluate_every_survivor)
-    return run.execute(max_nodes, max_seconds)
+    return DensityRun(pattern, n, mode, config).execute(max_nodes, max_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -832,12 +789,10 @@ def checkpoint_resume(path, expect_space: dict | None = None):
     if space["kind"] == "turan":
         forbidden = [new(f["r"], f["n"], [tuple(e) for e in f["edges"]])
                      for f in space["forbidden"]]
-        run = TuranRun(space["n"], forbidden, space["downset"])
+        run = TuranRun(space["n"], forbidden)
     elif space["kind"] == "density":
         run = DensityRun(space["pattern"], space["n"], space["mode"],
-                         OptimizerConfig(**space["config"]),
-                         space["evaluate_every_survivor"], space["require_covered_pairs"],
-                         space["top"])
+                         OptimizerConfig(**space["config"]))
     else:
         raise CheckpointError(f"unknown checkpoint kind {space.get('kind')!r}")
     run.load_state(payload["state"])

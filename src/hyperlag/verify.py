@@ -135,7 +135,8 @@ def check_closed_forms(config: OptimizerConfig) -> list[CheckResult]:
     return out
 
 
-def check_clique_oracle(config: OptimizerConfig, count: int = 500) -> list[CheckResult]:
+def check_clique_oracle(config: OptimizerConfig) -> list[CheckResult]:
+    count = 500
     rng = np.random.default_rng(config.seed + 101)
     t0 = time.perf_counter()
     worst = 0.0
@@ -158,7 +159,8 @@ def check_clique_oracle(config: OptimizerConfig, count: int = 500) -> list[Check
                          "elapsed_s": elapsed, "budget_s": 30.0})]
 
 
-def check_compression_monotone(config: OptimizerConfig, count: int = 10_000) -> list[CheckResult]:
+def check_compression_monotone(config: OptimizerConfig) -> list[CheckResult]:
+    count = 10_000
     rnd = random.Random(config.seed + 202)
     violations = 0
     worst = 0.0
@@ -259,7 +261,8 @@ def check_path3_density(config: OptimizerConfig) -> list[CheckResult]:
     return out
 
 
-def check_path4_evidence(config: OptimizerConfig, count: int = 1000) -> list[CheckResult]:
+def check_path4_evidence(config: OptimizerConfig) -> list[CheckResult]:
+    count = 1000
     out = []
     k8 = complete(8, 3)
     res8 = maximize(k8, config)
@@ -362,7 +365,8 @@ def check_turan_machinery(config: OptimizerConfig) -> list[CheckResult]:
     return out
 
 
-def check_forbidden_configs(config: OptimizerConfig, count: int = 200) -> list[CheckResult]:
+def check_forbidden_configs(config: OptimizerConfig) -> list[CheckResult]:
+    count = 200
     rnd = random.Random(config.seed + 404)
     f1 = named("F1")
     f2 = named("F2")

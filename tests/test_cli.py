@@ -164,8 +164,8 @@ def test_shards_flag_is_gone():
 
 def test_checkpoints_validate(tmp_path):
     path = tmp_path / "c.json"
-    for run in (DensityRun("P3", 7, config=OptimizerConfig(seed=3, restarts=8), top=4),
-                TuranRun(5, (named("F5"),), downset=True)):
+    for run in (DensityRun("P3", 7, config=OptimizerConfig(seed=3, restarts=8)),
+                DensityRun("P2", 6, "all"), TuranRun(5, (named("F5"),))):
         run.run(max_nodes=50)
         checkpoint_save(run, path)
         _validate(json.loads(path.read_text()), "checkpoint.schema.json")

@@ -21,6 +21,7 @@ from hyperlag.hypergraph import (
     link,
     link_diff,
     link_equal_classes,
+    lower_covers,
     matching,
     named,
     new,
@@ -29,6 +30,7 @@ from hyperlag.hypergraph import (
     turan_blowup,
     turan_count,
 )
+from hyperlag.search import enumerate_left_compressed
 
 
 @st.composite
@@ -150,6 +152,50 @@ def test_left_compressed_iff_dominance_downset(g):
     es = g.edge_set()
     downset = all(f in es for e in g.edges for f in _dominated_down(e, g.n))
     assert is_left_compressed(g) == downset
+
+
+def _no_compression_moves(g):
+    """The link_diff scan is_left_compressed once was, kept as its oracle:
+    no compression toward a smaller index moves an edge."""
+    return not any(link_diff(g, j, i) for j in range(2, g.n + 1) for i in range(1, j))
+
+
+@st.composite
+def _near_downsets(draw):
+    """A down-set closed from a few seeds, with maybe one edge dropped and
+    one added, so both verdicts come up often."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, 7))
+    pool = list(itertools.combinations(range(1, n + 1), r))
+    closure = set()
+    stack = list(draw(st.sets(st.sampled_from(pool), max_size=4)))
+    while stack:
+        e = stack.pop()
+        if e not in closure:
+            closure.add(e)
+            stack.extend(lower_covers(e))
+    drop = draw(st.sets(st.sampled_from(sorted(closure)), max_size=1)) if closure else set()
+    add = draw(st.sets(st.sampled_from(pool), max_size=1))
+    return Hypergraph(r, n, tuple(sorted((closure - drop) | add)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(2, 4).flatmap(lambda r: hypergraphs(max_n=7, r=r)), _near_downsets()))
+def test_left_compressed_matches_compression_scan(g):
+    assert is_left_compressed(g) == _no_compression_moves(g)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_every_downset_passes_both_definitions(n):
+    downsets = []
+    enumerate_left_compressed(n, 3, visit=downsets.append)
+    for edges in downsets:
+        g = Hypergraph(3, n, edges)
+        assert is_left_compressed(g) and _no_compression_moves(g)
+        for e in edges:
+            # one edge fewer is a down-set exactly when no edge covers it
+            h = Hypergraph(3, n, tuple(f for f in edges if f != e))
+            assert is_left_compressed(h) == _no_compression_moves(h)
 
 
 def test_induced():

@@ -216,7 +216,7 @@ def test_one_ascent_batch_per_maximize(monkeypatch):
 
     monkeypatch.setattr(lagrangian, "_pga", counting)
     g = random_hypergraph(random.Random(3), 7)
-    for config in (OptimizerConfig(), OptimizerConfig().cheap()):
+    for config in (OptimizerConfig(), OptimizerConfig(restarts=8, exact_support_n=0, iterations=160)):
         calls.clear()
         maximize(g, config)
         assert len(calls) == 1

@@ -1,18 +1,48 @@
 """Each script under ``scripts/`` loads (only its imports run, since its
 entry point is guarded by ``__name__``) and defines ``main``, so removing
-a name from the package cannot break a script unnoticed."""
+a name from the package cannot break a script unnoticed.  The density
+scan's checkpoint round trip is run end to end."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+from hyperlag.search import CheckpointError
+
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(f"scripts_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_loads_and_defines_main(path):
-    spec = importlib.util.spec_from_file_location(f"scripts_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert callable(_load(path).main)
+
+
+def _report(out: str) -> dict:
+    return json.loads(out[out.index("{"):])
+
+
+def test_path3_scan_resume_matches_uninterrupted(tmp_path, capsys):
+    scan = _load(next(p for p in SCRIPTS if p.name == "path3_density_scan.py")).main
+    assert scan([]) == 0
+    full = _report(capsys.readouterr().out)
+
+    state = str(tmp_path / "state.json")
+    assert scan(["--checkpoint", state, "--max-nodes", "200"]) == 3
+    assert "checkpoint written" in capsys.readouterr().out
+    # the checkpoint's mode is part of its space: another --mode is refused
+    with pytest.raises(CheckpointError, match="mode"):
+        scan(["--checkpoint", state, "--resume", "--mode", "all"])
+    assert scan(["--checkpoint", state, "--resume"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("resumed at 200 nodes")
+    assert _report(out) == full
+    assert full["status"] == "exact" and full["counts"]["optimized"] == 7

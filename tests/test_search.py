@@ -14,6 +14,7 @@ from hyperlag.hypergraph import (
     complete_minus,
     is_left_compressed,
     linear_path,
+    lower_covers,
     matching,
     named,
     new,
@@ -35,7 +36,6 @@ from hyperlag.search import (
     enumerate_all,
     enumerate_left_compressed,
     isomorphic,
-    lower_covers,
     turan_number,
 )
 
@@ -505,10 +505,10 @@ def test_left_compressed_runs_make_no_lex_test(monkeypatch):
     def never(*args):
         raise AssertionError("lex test ran in a down-set search")
 
-    monkeypatch.setattr(TuranRun, "_lex_smaller", never)
-    monkeypatch.setattr(DensityRun, "_lex_smaller", never)
-    assert TuranRun(5, (named("F5"),), downset=True).execute().stats.symmetry_cuts == 0
-    assert density_evidence("P3", 7).status == "exact"
+    monkeypatch.setattr(search_mod._ColexDFS, "_lex_smaller", never)
+    assert enumerate_left_compressed(5, 3, prune=p3_prune).symmetry_cuts == 0
+    rep = density_evidence("P3", 7)
+    assert rep.status == "exact" and rep.counts["symmetry_cuts"] == 0
 
 
 def test_turan_input_validation():
@@ -539,17 +539,52 @@ def test_density_t2_reference_clique_is_single_edge():
     assert rep.max_lambda_complete_free == 0.0
 
 
-def test_density_every_survivor_mode_agrees():
-    fast = density_evidence("P2", 5, "all")
-    slow = density_evidence("P2", 5, "all", evaluate_every_survivor=True)
-    assert fast.max_lambda == pytest.approx(1 / 16, abs=1e-9)
-    assert fast.max_lambda == pytest.approx(slow.max_lambda, abs=1e-10)
-    assert fast.max_lambda_complete_free == pytest.approx(slow.max_lambda_complete_free, abs=1e-10)
+class EverySurvivorDensityRun(DensityRun):
+    """Optimizes every survivor at full strength, maximal or not: the
+    oracle for optimizing only the maximal ones."""
+
+    def on_leaf(self):
+        edges = self.included_edges()
+        has_clique = search_mod._contains_edges(self.n, edges, self.clique) is not None
+        self._optimize(edges, True, not has_clique)
+
+
+@pytest.mark.parametrize("pattern,n,mode", [("P2", 5, "all"), ("P2", 6, "all"), ("T2", 4, "all"),
+                                            ("P3", 7, "left_compressed")])
+def test_maximal_survivors_match_every_survivor_oracle(pattern, n, mode):
+    fast = density_evidence(pattern, n, mode)
+    oracle = EverySurvivorDensityRun(pattern, n, mode).execute()
+    assert fast.status == oracle.status == "exact"
+    assert fast.max_lambda == oracle.max_lambda
+    assert fast.max_lambda_complete_free == oracle.max_lambda_complete_free
+    for a, b in ((fast.argmax_graph, oracle.argmax_graph),
+                 (fast.argmax_complete_free, oracle.argmax_complete_free)):
+        assert a == b                   # both canonical forms, or both None
+    assert oracle.counts["optimized"] == oracle.counts["survivors"]
+    assert fast.counts["optimized"] <= oracle.counts["optimized"]
+
+
+def test_one_maximize_call_per_optimized_survivor(monkeypatch):
+    calls = []
+    maximize = search_mod.maximize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return maximize(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "maximize", counting)
+    rep = density_evidence("P3", 7)
+    assert rep.counts["optimized"] == 7
+    assert len(calls) == 7
+    calls.clear()
+    rep = density_evidence("P2", 6, "all")
+    assert len(calls) == rep.counts["optimized"]
 
 
 def test_density_p3_eleven_pinned_report():
     rep = density_evidence("P3", 11)
-    assert rep.counts == {"nodes": 63356, "survivors": 787, "pruned": 29, "optimized": 7}
+    assert rep.counts == {"nodes": 63356, "survivors": 787, "pruned": 29, "symmetry_cuts": 0,
+                          "optimized": 7}
     assert rep.max_lambda == pytest.approx(5 / 54, abs=1e-12)
     assert rep.argmax_graph == new(3, 11, complete(6, 3).edges)
     assert rep.max_lambda_complete_free == pytest.approx(0.08866210790363471, abs=1e-12)
@@ -565,7 +600,8 @@ def test_density_p4_on_eight_vertices_skips_the_path_test(monkeypatch):
 
     monkeypatch.setattr(search_mod, "creates_linear_path", never)
     rep = density_evidence("P4", 8)
-    assert rep.counts == {"nodes": 40682, "survivors": 2431, "pruned": 0, "optimized": 2}
+    assert rep.counts == {"nodes": 40682, "survivors": 2431, "pruned": 0, "symmetry_cuts": 0,
+                          "optimized": 2}
     assert rep.max_lambda == pytest.approx(7 / 64, abs=1e-12)
     assert rep.argmax_graph == complete(8, 3)
     assert rep.max_lambda_complete_free == pytest.approx(0.10767488654714333, abs=1e-12)
@@ -625,25 +661,36 @@ def test_checkpoint_midrun_turan(tmp_path):
 
 
 def test_checkpoint_keeps_every_setting(tmp_path):
-    config = OptimizerConfig(seed=3, restarts=8)
+    config = OptimizerConfig(seed=3, restarts=8, iterations=200)
 
     def fresh():
-        return DensityRun("P3", 7, config=config, top=4, require_covered_pairs=False)
+        return DensityRun("P2", 6, "all", config)
 
     path = tmp_path / "c.json"
     partial = fresh()
-    assert not partial.run(max_nodes=400)
+    assert not partial.run(max_nodes=60)
+    assert partial.evaluated > 0
     checkpoint_save(partial, path)
+    payload = json.loads(path.read_text())
+    # the space holds exactly the constructor arguments
+    assert payload["space"] == {"kind": "density", "pattern": "P2", "n": 6, "mode": "all",
+                                "config": {"restarts": 8, "seed": 3, "exact_support_n": 8,
+                                           "kkt_tol": 1e-8, "iterations": 200}}
     resumed = checkpoint_resume(path)
-    assert (resumed.config, resumed.top, resumed.require_covered_pairs) == (config, 4, False)
+    assert (resumed.config, resumed.mode) == (config, "all")
+    assert (resumed.best_plain, resumed.best_cfree) == (partial.best_plain, partial.best_cfree)
     assert resumed.execute().to_json() == fresh().execute().to_json()
 
-    run = TuranRun(5, (named("F5"),), downset=True)
+    run = TuranRun(5, (named("F5"),))
     assert not run.run(max_nodes=10)
     checkpoint_save(run, path)
-    resumed = checkpoint_resume(path)
-    assert resumed.downset
-    assert resumed.execute().to_json() == TuranRun(5, (named("F5"),), downset=True).execute().to_json()
+    assert set(json.loads(path.read_text())["space"]) == {"kind", "n", "r", "forbidden"}
+
+    # a version 3 file carries the heaps and knobs this version no longer has
+    payload["version"] = 3
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="version"):
+        checkpoint_resume(path)
 
 
 def test_checkpoint_space_mismatch(tmp_path):
@@ -664,7 +711,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     with pytest.raises(CheckpointError, match="version"):
         checkpoint_resume(path)
     # a version 2 decision list belongs to the tree without the lex-leader cut
-    assert CHECKPOINT_VERSION == 3
+    assert CHECKPOINT_VERSION == 4
     payload["version"] = 2
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="version"):
