@@ -16,7 +16,7 @@ from .hypergraph import Hypergraph, is_left_compressed, linear_path, lower_cover
 from .freeness import contains, creates_linear_path
 from .lagrangian import OptimizerConfig, is_dense
 
-_GEN_OPT = OptimizerConfig(restarts=12, exact_support_n=6, iterations=250)
+_GEN_OPT = OptimizerConfig(restarts=12, iterations=250)
 # attempts before a generator gives up on its seed stream
 _COVERING_TRIES = 400
 _PATH4_SAMPLE_TRIES = 200

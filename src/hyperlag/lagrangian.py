@@ -2,22 +2,20 @@
 the probability simplex, certify optima through first-order conditions,
 and extract dense subgraphs.
 
-The maximizer runs three strategies and keeps the best result:
+The maximizer runs two strategies:
 
 * symmetry reduction — weight-exchangeable vertex classes collapse to
   single block variables with multiplicities, which solves complete and
   near-complete graphs essentially in closed form;
 * projected gradient ascent with backtracking line search on the simplex,
-  run batched over random restarts plus the uniform start;
-* support enumeration on the reduced problem when it is small enough,
-  as an exactness backstop.
+  run batched over the uniform start and random restarts.
 
-All of them, and the certification starts below, run as one ascent batch
-per call.  Each row runs its own line search: a pass makes one trial step
-for every row left, so a row that has found its step size moves on while
-another is still halving.  A row leaves the batch after ``iterations``
-accepted steps, when it stalls, or when its line search finds no ascent
-in 22 halvings.
+These starts and the certification starts below run as one ascent batch
+per call, every row on the whole simplex.  Each row runs its own line
+search: a pass makes one trial step for every row left, so a row that has
+found its step size moves on while another is still halving.  A row
+leaves the batch after ``iterations`` accepted steps, when it stalls, or
+when its line search finds no ascent in 22 halvings.
 
 The best point is polished by a guarded Newton iteration on the active
 support, which drops its lightest variable when the optimum is not
@@ -286,10 +284,9 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
     return np.maximum(V - tau[:, None], 0.0)
 
 
-def _pga(problem: _BlockProblem, Y0: np.ndarray, masks: np.ndarray | None, iters: int, tol: float):
+def _pga(problem: _BlockProblem, Y0: np.ndarray, iters: int, tol: float):
     """Batched projected gradient ascent with a per-row backtracking line
-    search.  Rows with a 0/1 support mask keep the masked-out coordinates
-    at zero.
+    search.
 
     Each pass makes one trial step for every row still in the batch: a
     row whose trial does not lose value takes it, grows its step size by
@@ -300,18 +297,12 @@ def _pga(problem: _BlockProblem, Y0: np.ndarray, masks: np.ndarray | None, iters
     (stationary at float precision).  Rows never wait for each other, so a
     pass costs one projection and one evaluation of the rows left."""
     outY = Y0.astype(float).copy()
-    if masks is not None:
-        outY = outY * masks
-        s = outY.sum(axis=1, keepdims=True)
-        s[s == 0] = 1.0
-        outY /= s
     outF = problem.value(outY)
     if iters <= 0:
         return outY, outF
     idx = np.arange(len(outY))
     Y = outY.copy()
     F = outF.copy()
-    M = masks > 0 if masks is not None else None
     G = np.empty_like(Y)
     eta = np.full(len(Y), 0.25)
     stall = np.zeros(len(Y), dtype=int)
@@ -321,12 +312,8 @@ def _pga(problem: _BlockProblem, Y0: np.ndarray, masks: np.ndarray | None, iters
     while True:
         moved = np.nonzero(ok)[0]
         if len(moved):
-            Gm = problem.grad(Y[moved])
-            G[moved] = Gm * M[moved] if M is not None else Gm
-        step = Y + eta[:, None] * G
-        if M is not None:
-            step = np.where(M, step, -1e30)
-        cand = _project_rows(step)
+            G[moved] = problem.grad(Y[moved])
+        cand = _project_rows(Y + eta[:, None] * G)
         fc = problem.value(cand)
         ok = fc >= F
         stall = np.where(ok & (fc - F >= tol), 0, stall + ok)
@@ -345,12 +332,16 @@ def _pga(problem: _BlockProblem, Y0: np.ndarray, masks: np.ndarray | None, iters
             idx, Y, F, G, eta, stall, halved, steps, ok = (
                 idx[keep], Y[keep], F[keep], G[keep], eta[keep], stall[keep], halved[keep],
                 steps[keep], ok[keep])
-            if M is not None:
-                M = M[keep]
     return outY, outF
 
 
 _NEWTON_ROUNDS = 8
+
+
+def _kkt_matrix(H: np.ndarray, S: list[int]) -> np.ndarray:
+    """Jacobian of the equal-partial system on support S, with its multiplier."""
+    ones = np.ones((len(S), 1))
+    return np.block([[H[np.ix_(S, S)], -ones], [ones.T, np.zeros((1, 1))]])
 
 
 def _newton_polish(problem: _BlockProblem, y_in: np.ndarray):
@@ -361,7 +352,11 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray):
     unproductive Newton system with the residual still at least 1e-13
     means the optimum is not isolated on the support (a face of
     maximizers): the lightest support variable is dropped and the round
-    redone.  Never returns a point worse than the input (up to rounding)."""
+    redone.  The same drop happens at a converged point with nothing to
+    grow whose system is singular: the ascent stopped inside a face of
+    maximizers, and a vertex of the face is where the rational snap can
+    prove the value.  The face point is kept in case the drop loses value.
+    Never returns a point worse than the input (up to rounding)."""
     m = problem.m
     y = y_in.copy()
     support = set(np.nonzero(y > 1e-9)[0].tolist()) or {int(np.argmax(y))}
@@ -369,6 +364,7 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray):
     if y.sum() <= 0:
         return y_in
     y /= y.sum()
+    kept = None
     for _round in range(_NEWTON_ROUNDS):
         support = {k for k in support if y[k] > 1e-12} or {int(np.argmax(y))}
         S = sorted(support)
@@ -381,13 +377,8 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray):
             base_res = float(np.max(np.abs(F)))
             if base_res < 1e-14:
                 break
-            H = problem.hessian(y)
-            J = np.zeros((s + 1, s + 1))
-            J[:s, :s] = H[np.ix_(S, S)]
-            J[:s, s] = -1.0
-            J[s, :s] = 1.0
             try:
-                delta = np.linalg.solve(J, -F)
+                delta = np.linalg.solve(_kkt_matrix(problem.hessian(y), S), -F)
             except np.linalg.LinAlgError:
                 stuck = True
                 break
@@ -409,25 +400,32 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray):
             if not moved:
                 stuck = base_res >= 1e-13
                 break
-        if stuck and s > 1:
-            k = min(S, key=lambda k: y[k])
-            support.discard(k)
-            y[k] = 0.0
-            y /= y.sum()
-            continue
-        g = problem.grad(y[None, :])[0]
-        val = float(problem.value(y[None, :])[0])
-        grow = [k for k in range(m) if k not in support and g[k] > problem.degree * val + 1e-12]
-        if not grow:
-            break
-        k = max(grow, key=lambda k: g[k])
-        support.add(k)
-        y[k] = max(y[k], 1e-4)
-        y = y / y.sum()
-    # the polished point may evaluate a few ulps below the input; 1e-13 is
-    # above that rounding and far below any real loss
-    if float(problem.value(y[None, :])[0]) < float(problem.value(y_in[None, :])[0]) - 1e-13:
-        return y_in
+        if not (stuck and s > 1):
+            g = problem.grad(y[None, :])[0]
+            val = float(problem.value(y[None, :])[0])
+            grow = [k for k in range(m) if k not in support and g[k] > problem.degree * val + 1e-12]
+            if grow:
+                k = max(grow, key=lambda k: g[k])
+                support.add(k)
+                y[k] = max(y[k], 1e-4)
+                y = y / y.sum()
+                continue
+            # the system at an isolated optimum is well conditioned (below
+            # 1e8 on lambda-corpus); on a face of maximizers it is singular
+            if s == 1 or np.linalg.cond(_kkt_matrix(problem.hessian(y), S), np.inf) < 1e12:
+                break
+            kept = y.copy()
+        k = min(S, key=lambda k: y[k])
+        support.discard(k)
+        y[k] = 0.0
+        y /= y.sum()
+    # the polished point may evaluate a few ulps below the face point it
+    # left or the input; 1e-13 is above that rounding and far below any
+    # real loss
+    for fallback in (kept, y_in):
+        if fallback is not None and (float(problem.value(y[None, :])[0])
+                                     < float(problem.value(fallback[None, :])[0]) - 1e-13):
+            y = fallback
     return y
 
 
@@ -437,13 +435,12 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """The maximizer's settings.  There is one profile for every caller:
-    a density search optimizes each maximal survivor once with the
-    configuration it was given."""
+    """The maximizer's settings, one profile for every caller: a density
+    search optimizes each maximal survivor once with the configuration it
+    was given.  ``iterations`` caps the accepted ascent steps of a row."""
 
     restarts: int = 64
     seed: int = 0
-    exact_support_n: int = 8
     kkt_tol: float = 1e-8
     iterations: int = 400
 
@@ -491,11 +488,13 @@ def _dirichlet(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
 
 def _try_rational_snap(g: Hypergraph, x: np.ndarray, value: float, support):
     """Snap weights to small rationals and verify stationarity exactly.
-    Returns (exact_value, exact_weights) or None."""
+    Returns (exact_value, exact_weights) or None.  The 1e-6 gate only
+    proposes a candidate (a point left inside a face of maximizers sits a
+    few 1e-8 off its vertex); the checks after it are exact."""
     snapped = []
     for w in x:
         fr = Fraction(float(w)).limit_denominator(3150)
-        if abs(float(fr) - float(w)) > 1e-9:
+        if abs(float(fr) - float(w)) > 1e-6:
             return None
         snapped.append(fr)
     if sum(snapped, Fraction(0)) != 1:
@@ -525,25 +524,11 @@ def maximize(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG) -> Optimum
 
     problem = _BlockProblem.from_graph(g)
     m = problem.m
-    rng = np.random.default_rng(config.seed)
-
-    starts = [np.full((1, m), 1.0 / m)]
-    masks = [np.ones((1, m))]
-    if config.restarts > 0:
-        starts.append(_dirichlet(rng, config.restarts, m))
-        masks.append(np.ones((config.restarts, m)))
-    if 0 < m <= config.exact_support_n and m > 1:
-        sup_rows = []
-        for bits in range(1, 2 ** m):
-            row = np.array([(bits >> k) & 1 for k in range(m)], dtype=float)
-            sup_rows.append(row)
-        sup = np.array(sup_rows)
-        starts.append(sup / sup.sum(axis=1, keepdims=True))
-        masks.append(sup)
-    # the certification starts share the batch but never supply the optimum
-    starts.append(_dirichlet(np.random.default_rng(config.seed + 0x9E3779B9), _CERT_STARTS, m))
-    masks.append(np.ones((_CERT_STARTS, m)))
-    Y, f = _pga(problem, np.vstack(starts), np.vstack(masks), config.iterations, 1e-14)
+    starts = [np.full((1, m), 1.0 / m),
+              _dirichlet(np.random.default_rng(config.seed), config.restarts, m),
+              # the certification starts share the batch but never supply the optimum
+              _dirichlet(np.random.default_rng(config.seed + 0x9E3779B9), _CERT_STARTS, m)]
+    Y, f = _pga(problem, np.vstack(starts), config.iterations, 1e-14)
     best = int(np.argmax(f[:-_CERT_STARTS]))
     y = _newton_polish(problem, Y[best])
 

@@ -45,7 +45,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from math import comb
 
 from .freeness import _contains_edges, creates_linear_path
@@ -61,7 +61,7 @@ from .hypergraph import (
 )
 from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, maximize
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # enumerate_all walks 2^C(n, r) edge sets; past this many r-sets it refuses
 _ENUMERATE_ALL_MAX_BITS = 24
 
@@ -769,12 +769,14 @@ def checkpoint_save(run, path) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         json.dump(payload, fh)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
 def checkpoint_resume(path, expect_space: dict | None = None):
     """Rebuild a paused run from a checkpoint file.  Raises
-    CheckpointError on version or search-space mismatch."""
+    CheckpointError on version, search-space or optimizer-settings mismatch."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("version") != CHECKPOINT_VERSION:
@@ -791,8 +793,11 @@ def checkpoint_resume(path, expect_space: dict | None = None):
                      for f in space["forbidden"]]
         run = TuranRun(space["n"], forbidden)
     elif space["kind"] == "density":
-        run = DensityRun(space["pattern"], space["n"], space["mode"],
-                         OptimizerConfig(**space["config"]))
+        config = space["config"]
+        want = sorted(f.name for f in fields(OptimizerConfig))
+        if sorted(config) != want:
+            raise CheckpointError(f"checkpoint config has settings {sorted(config)}, not {want}")
+        run = DensityRun(space["pattern"], space["n"], space["mode"], OptimizerConfig(**config))
     else:
         raise CheckpointError(f"unknown checkpoint kind {space.get('kind')!r}")
     run.load_state(payload["state"])

@@ -169,6 +169,13 @@ def test_checkpoints_validate(tmp_path):
         run.run(max_nodes=50)
         checkpoint_save(run, path)
         _validate(json.loads(path.read_text()), "checkpoint.schema.json")
+    if jsonschema is not None:
+        # the schema, like checkpoint_resume, refuses an unknown setting
+        checkpoint_save(DensityRun("P2", 5), path)
+        payload = json.loads(path.read_text())
+        payload["space"]["config"]["support_rows"] = 8
+        with pytest.raises(jsonschema.ValidationError):
+            _validate(payload, "checkpoint.schema.json")
 
 
 def test_construct_variants(tmp_path, capsys):

@@ -193,12 +193,38 @@ def test_polish_leaves_a_face_of_maximizers():
     assert maximize(g).value == pytest.approx(motzkin_straus(g)[0], abs=1e-15)
 
 
+def test_polish_moves_to_a_vertex_of_a_face_of_maximizers():
+    # the ascent stops far inside a face of maximizers, at a converged
+    # point whose block weights are not small rationals (in the first
+    # graph vertices 2 and 3 share 1/3 as about 0.251 and 0.082); the
+    # polish must drop to a vertex of the face for the snap to prove it
+    for g, exact in ((new(3, 7, [(1, 2, 4), (1, 3, 4), (1, 6, 7), (3, 4, 5)]), Fraction(1, 27)),
+                     (new(3, 7, [(1, 2, 3), (1, 3, 4), (1, 3, 6), (1, 4, 5), (1, 4, 6), (1, 5, 6),
+                                 (1, 5, 7), (2, 3, 5), (2, 4, 6), (2, 5, 7), (4, 6, 7)]),
+                      Fraction(4, 81))):
+        res = maximize(g)
+        assert res.mode == "rational-certified", g
+        assert res.exact_value == exact
+
+
+def test_rational_snap_inside_a_face_of_maximizers():
+    # the ascent stops inside a face of maximizers, one block weight at
+    # 6.6e-8 and the others a few 1e-8 off 1/4; the snap must still reach
+    # the vertex (1/4, 0, 0, 1/4, 0, 1/4, 1/4) and prove it exactly
+    g = new(3, 7, [(1, 2, 3), (1, 2, 5), (1, 3, 7), (1, 4, 6), (1, 4, 7), (1, 5, 7), (1, 6, 7),
+                   (2, 3, 5), (2, 3, 7), (2, 5, 6), (2, 6, 7), (3, 4, 5), (3, 5, 6), (3, 6, 7),
+                   (4, 5, 7), (4, 6, 7), (5, 6, 7)])
+    res = maximize(g)
+    assert res.mode == "rational-certified"
+    assert res.exact_value == Fraction(1, 16)
+
+
 def test_certification_starts_never_supply_the_optimum():
     # two disjoint K4^3: the uniform start stalls at the saddle 1/64 and
     # only the random starts reach 1/16
     k4 = complete(4, 3)
     g = new(3, 8, list(k4.edges) + [tuple(v + 4 for v in e) for e in k4.edges])
-    res = maximize(g, OptimizerConfig(restarts=0, exact_support_n=0))
+    res = maximize(g, OptimizerConfig(restarts=0))
     assert res.value == pytest.approx(1 / 64, abs=1e-15)
     assert res.certified is False
     res = maximize(g)
@@ -216,7 +242,7 @@ def test_one_ascent_batch_per_maximize(monkeypatch):
 
     monkeypatch.setattr(lagrangian, "_pga", counting)
     g = random_hypergraph(random.Random(3), 7)
-    for config in (OptimizerConfig(), OptimizerConfig(restarts=8, exact_support_n=0, iterations=160)):
+    for config in (OptimizerConfig(), OptimizerConfig(restarts=8, iterations=160)):
         calls.clear()
         maximize(g, config)
         assert len(calls) == 1
@@ -256,11 +282,13 @@ def test_hessian_matches_central_differences():
 # projected gradient ascent
 
 
-def _lockstep_pga(problem, Y0, masks, iters, tol):
+def _lockstep_pga(problem, Y0, iters, tol, masks=None):
     """The lockstep line search that _pga replaced, kept as its oracle.
     Every outer iteration re-steps, re-projects and re-evaluates all rows
     until no row is still halving, so a row that already passed repeats
-    its trial with the same step size."""
+    its trial with the same step size.  Rows with a 0/1 support ``masks``
+    row keep the masked-out coordinates at zero: the support enumeration
+    that maximize once ran, kept as an oracle for its values."""
     outY = Y0.astype(float).copy()
     if masks is not None:
         outY = outY * masks
@@ -370,10 +398,9 @@ def _count_projections(monkeypatch, cap=50_000):
 
 
 @given(st.sampled_from([2, 3]), st.integers(3, 8), st.integers(0, 10**6),
-       st.sampled_from([0, 1, 3, 400]), st.sampled_from([1e-14, 1e-6]),
-       st.sampled_from(["none", "random", "supports"]), st.booleans())
+       st.sampled_from([0, 1, 3, 400]), st.sampled_from([1e-14, 1e-6]), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_pga_matches_lockstep_oracle(r, n, seed, iters, tol, masking, descend):
+def test_pga_matches_lockstep_oracle(r, n, seed, iters, tol, descend):
     rnd = random.Random(seed)
     g = random_hypergraph(rnd, max(n, r), r=r)
     if not g.edges:
@@ -382,18 +409,8 @@ def test_pga_matches_lockstep_oracle(r, n, seed, iters, tol, masking, descend):
     m = problem.m
     rng = np.random.default_rng(seed)
     Y0 = np.vstack([np.full((1, m), 1.0 / m), np.eye(m), lagrangian._dirichlet(rng, 24, m)])
-    if masking == "none":
-        masks = None
-    elif masking == "random":
-        masks = (rng.random(Y0.shape) < 0.7).astype(float)
-        masks[np.arange(len(Y0)), rng.integers(0, m, len(Y0))] = 1.0
-    else:
-        # every support paired with its own uniform start, as maximize does
-        masks = np.array([[(bits >> k) & 1 for k in range(m)]
-                          for bits in range(1, 2 ** min(m, 6))], dtype=float)
-        Y0 = masks / masks.sum(axis=1, keepdims=True)
-    Y, F = lagrangian._pga(problem, Y0, masks, iters, tol)
-    Yo, Fo = _lockstep_pga(problem, Y0, masks, iters, tol)
+    Y, F = lagrangian._pga(problem, Y0, iters, tol)
+    Yo, Fo = _lockstep_pga(problem, Y0, iters, tol)
     assert Y.tobytes() == Yo.tobytes()
     assert F.tobytes() == Fo.tobytes()
 
@@ -408,12 +425,12 @@ def test_pga_retires_a_row_after_22_failed_halvings(monkeypatch):
     Y0[6:, 0] = 0.0
     Y0[6:] /= Y0[6:].sum(axis=1, keepdims=True)     # ascending rows
     calls = _count_projections(monkeypatch)
-    Y, F = lagrangian._pga(problem, Y0[:6], None, 400, 1e-14)
+    Y, F = lagrangian._pga(problem, Y0[:6], 400, 1e-14)
     assert calls[0] == 22                           # one trial per halving
     assert Y.tobytes() == Y0[:6].tobytes()          # retired unmoved
     assert F.tobytes() == problem.value(Y0[:6]).tobytes()
-    Y, F = lagrangian._pga(problem, Y0, None, 400, 1e-14)
-    Yo, Fo = _lockstep_pga(problem, Y0, None, 400, 1e-14)
+    Y, F = lagrangian._pga(problem, Y0, 400, 1e-14)
+    Yo, Fo = _lockstep_pga(problem, Y0, 400, 1e-14)
     assert Y.tobytes() == Yo.tobytes() and F.tobytes() == Fo.tobytes()
     assert Y[:6].tobytes() == Y0[:6].tobytes()
     assert (F[6:] > problem.value(Y0[6:])).all()
@@ -428,8 +445,8 @@ def test_pga_stall_counts_only_consecutive_small_gains():
         problem = _RowwiseProblem(g)
         Y0 = lagrangian._dirichlet(np.random.default_rng(21), 32, problem.m)
         for tol in (1e-4, 1e-6, 1e-8):
-            Y, F = lagrangian._pga(problem, Y0, None, 400, tol)
-            Yo, Fo = _lockstep_pga(problem, Y0, None, 400, tol)
+            Y, F = lagrangian._pga(problem, Y0, 400, tol)
+            Yo, Fo = _lockstep_pga(problem, Y0, 400, tol)
             assert Y.tobytes() == Yo.tobytes() and F.tobytes() == Fo.tobytes()
 
 
@@ -458,6 +475,29 @@ def test_pga_passes_never_exceed_the_lockstep_oracle(monkeypatch):
         assert results["per-row"] == results["lockstep"]
         assert passes["per-row"] <= passes["lockstep"], g
     assert totals["lockstep"] >= 1.5 * totals["per-row"], totals
+
+
+def test_maximize_matches_the_support_enumeration_oracle():
+    # maximize once also ran the 2^m - 1 support-restricted rows, each from
+    # the uniform point of its support, on reduced problems with m <= 8;
+    # the unmasked batch must reach every value those rows reach
+    rnd = random.Random(14)
+    graphs = []
+    while len(graphs) < 150:
+        r = rnd.choice([2, 3])
+        g = random_hypergraph(rnd, rnd.randint(r + 1, 9), r=r)
+        if g.edges and 2 <= _BlockProblem.from_graph(g).m <= 7:
+            graphs.append(g)
+    worst = -math.inf
+    for g in graphs:
+        problem = _BlockProblem.from_graph(g)
+        m = problem.m
+        masks = np.array([[(bits >> k) & 1 for k in range(m)] for bits in range(1, 2 ** m)],
+                         dtype=float)
+        Y0 = masks / masks.sum(axis=1, keepdims=True)
+        _, F = _lockstep_pga(problem, Y0, OptimizerConfig().iterations, 1e-14, masks)
+        worst = max(worst, float(F.max()) - maximize(g).value)
+    assert worst <= 1e-12, worst
 
 
 def test_closed_forms():

@@ -674,8 +674,8 @@ def test_checkpoint_keeps_every_setting(tmp_path):
     payload = json.loads(path.read_text())
     # the space holds exactly the constructor arguments
     assert payload["space"] == {"kind": "density", "pattern": "P2", "n": 6, "mode": "all",
-                                "config": {"restarts": 8, "seed": 3, "exact_support_n": 8,
-                                           "kkt_tol": 1e-8, "iterations": 200}}
+                                "config": {"restarts": 8, "seed": 3, "kkt_tol": 1e-8,
+                                           "iterations": 200}}
     resumed = checkpoint_resume(path)
     assert (resumed.config, resumed.mode) == (config, "all")
     assert (resumed.best_plain, resumed.best_cfree) == (partial.best_plain, partial.best_cfree)
@@ -686,11 +686,32 @@ def test_checkpoint_keeps_every_setting(tmp_path):
     checkpoint_save(run, path)
     assert set(json.loads(path.read_text())["space"]) == {"kind", "n", "r", "forbidden"}
 
-    # a version 3 file carries the heaps and knobs this version no longer has
-    payload["version"] = 3
+    # a version 3 file carries the heaps and knobs this version no longer
+    # has, a version 4 file the deleted support-enumeration size
+    for version in (3, 4):
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="version"):
+            checkpoint_resume(path)
+
+
+def test_checkpoint_config_must_hold_exactly_the_settings(tmp_path):
+    path = tmp_path / "c.json"
+    checkpoint_save(DensityRun("P2", 5, "all", OptimizerConfig(seed=3)), path)
+    payload = json.loads(path.read_text())
+    config = payload["space"]["config"]
+    # an unknown setting, such as a deleted one, is refused rather than
+    # raising TypeError; a missing one is refused rather than filled in
+    # with its default
+    for bad in ({**config, "support_rows": 8},
+                {k: v for k, v in config.items() if k != "seed"}):
+        payload["space"]["config"] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="settings"):
+            checkpoint_resume(path)
+    payload["space"]["config"] = config
     path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError, match="version"):
-        checkpoint_resume(path)
+    assert checkpoint_resume(path).config == OptimizerConfig(seed=3)
 
 
 def test_checkpoint_space_mismatch(tmp_path):
@@ -711,7 +732,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     with pytest.raises(CheckpointError, match="version"):
         checkpoint_resume(path)
     # a version 2 decision list belongs to the tree without the lex-leader cut
-    assert CHECKPOINT_VERSION == 4
+    assert CHECKPOINT_VERSION == 5
     payload["version"] = 2
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="version"):
