@@ -10,6 +10,13 @@ The maximizer runs two strategies:
 * projected gradient ascent with backtracking line search on the simplex,
   run batched over the uniform start and random restarts.
 
+The reduced polynomial is held as one table per derivative order (value,
+gradient, Hessian): per term, a monomial (a row of column indices) and a
+row of coefficients.  The gradient table is lowered from the value
+table and the Hessian table from the gradient table, all when the
+problem is built, and each order is evaluated by one gather and one
+matrix product.
+
 These starts and the certification starts below run as one ascent batch
 per call, every row on the whole simplex.  Each row runs its own line
 search: a pass makes one trial step for every row left, so a row that has
@@ -81,7 +88,7 @@ class WeightVector:
 
     @property
     def mode(self) -> str:
-        return "rational" if self.weights and all(isinstance(w, Fraction) for w in self.weights) else "float"
+        return "rational" if _rational(self.weights) else "float"
 
     @property
     def n(self) -> int:
@@ -104,55 +111,56 @@ def _coerce_weights(g: Hypergraph, x):
     return ws
 
 
+def _rational(ws) -> bool:
+    return bool(ws) and all(isinstance(w, Fraction) for w in ws)
+
+
 def evaluate(g: Hypergraph, x):
     """Sum over edges of the product of the member weights.  Exact when
     the weights are Fractions, compensated float summation otherwise."""
     ws = _coerce_weights(g, x)
-    if ws and all(isinstance(w, Fraction) for w in ws):
-        total = Fraction(0)
-        for e in g.edges:
-            p = Fraction(1)
-            for v in e:
-                p *= ws[v - 1]
-            total += p
-        return total
-    terms = []
-    for e in g.edges:
-        p = 1.0
-        for v in e:
-            p *= ws[v - 1]
-        terms.append(p)
-    return math.fsum(terms)
+    rational = _rational(ws)
+    one = Fraction(1) if rational else 1.0
+    terms = [math.prod((ws[v - 1] for v in e), start=one) for e in g.edges]
+    return sum(terms, Fraction(0)) if rational else math.fsum(terms)
 
 
 def gradient(g: Hypergraph, x):
     """Partial derivatives: entry i sums, over edges through i, the product
     of the other member weights."""
     ws = _coerce_weights(g, x)
-    rational = bool(ws) and all(isinstance(w, Fraction) for w in ws)
-    if rational:
-        out = [Fraction(0)] * g.n
-        for e in g.edges:
-            for v in e:
-                p = Fraction(1)
-                for u in e:
-                    if u != v:
-                        p *= ws[u - 1]
-                out[v - 1] += p
-        return out
-    acc: list[list[float]] = [[] for _ in range(g.n)]
+    rational = _rational(ws)
+    one = Fraction(1) if rational else 1.0
+    terms: list[list] = [[] for _ in range(g.n)]
     for e in g.edges:
         for v in e:
-            p = 1.0
-            for u in e:
-                if u != v:
-                    p *= ws[u - 1]
-            acc[v - 1].append(p)
-    return [math.fsum(a) for a in acc]
+            terms[v - 1].append(math.prod((ws[u - 1] for u in e if u != v), start=one))
+    return [sum(t, Fraction(0)) if rational else math.fsum(t) for t in terms]
 
 
 # ---------------------------------------------------------------------------
 # reduced block problem
+
+
+def _lower(mono: np.ndarray, coef: np.ndarray, m: int):
+    """Differentiate a table of monomials once.  Row t of ``mono`` is a
+    monomial, a multiset of column indices, and row t of ``coef`` holds its
+    coefficient in each of c outputs.  Returns the distinct monomials with
+    one column removed, in order of terms and then of ascending removed
+    column, and their (U, c*m) coefficients: column j*m + k holds output
+    j's partial in y_k."""
+    d = mono.shape[1]
+    c = coef.shape[1]
+    lowered: dict[tuple[int, ...], np.ndarray] = {}
+    for t in range(len(mono)):
+        row = mono[t].tolist()
+        for k in sorted(set(row)):
+            rest = row.copy()
+            rest.remove(k)
+            lowered.setdefault(tuple(rest), np.zeros((c, m)))[:, k] = coef[t] * row.count(k)
+    U = len(lowered)
+    return (np.array(list(lowered), dtype=np.int64).reshape(U, max(d - 1, 0)),
+            np.array(list(lowered.values())).reshape(U, c * m))
 
 
 class _BlockProblem:
@@ -161,105 +169,62 @@ class _BlockProblem:
     Built from a hypergraph by collapsing each weight-exchangeable class to
     one variable; ``mults[k]`` vertices share weight y_k / mults[k], and the
     coefficients absorb the multiplicities.
+
+    The monomials are homogeneous of the uniformity degree, so each term is
+    stored as a degree-long multiset of columns.  Every derivative order is
+    one such table, a monomial per row and a row of coefficients, evaluated
+    by one gather, a product and a matrix product: the value table
+    (``_cols``, ``coeffs``), the gradient table (``_gmono``, ``_gcoef``)
+    and the Hessian table (``_hmono``, ``_hcoef``), each lowered from the
+    one before by :func:`_lower` when the problem is built.
     """
 
-    def __init__(self, expo: np.ndarray, coeffs: np.ndarray, mults: np.ndarray, classes):
-        self.expo = expo          # (T, m) small nonneg ints
+    def __init__(self, cols: np.ndarray, coeffs: np.ndarray, mults: np.ndarray, classes):
+        self._cols = cols         # (T, degree) column indices, ascending in each row
         self.coeffs = coeffs      # (T,)
         self.mults = mults        # (m,)
         self.classes = classes    # tuple of vertex tuples, aligned with columns
-        self.m = expo.shape[1] if expo.size else len(mults)
-        self.degree = int(expo.sum(axis=1).max()) if len(coeffs) else 0
-        # monomials are homogeneous of the uniformity degree, so each term
-        # is a degree-long multiset of columns; gather+product beats powers
-        T = len(coeffs)
-        self._cols = np.zeros((T, self.degree), dtype=np.int64)
-        for t in range(T):
-            c = []
-            for k in range(self.m):
-                c.extend([k] * int(expo[t, k]))
-            self._cols[t] = c
-        # gradient data: a term touching variable k, with k lowered once, is
-        # a (degree-1)-multiset of columns.  The distinct ones are gathered
-        # once per call and mapped to the partials by a (U, m) matrix.
-        lowered: dict[tuple[int, ...], np.ndarray] = {}
-        for t in range(T):
-            for k in np.nonzero(expo[t])[0]:
-                c = self._cols[t].tolist()
-                c.remove(k)
-                lowered.setdefault(tuple(c), np.zeros(self.m))[k] = coeffs[t] * expo[t, k]
-        U = len(lowered)
-        self._gmono = np.array(list(lowered), dtype=np.int64).reshape(U, max(self.degree - 1, 0))
-        self._gcoef = np.array(list(lowered.values())).reshape(U, self.m)
-        self._hterms = None
+        self.m = len(mults)
+        self.degree = cols.shape[1]
+        self._gmono, self._gcoef = _lower(cols, coeffs[:, None], self.m)
+        self._hmono, self._hcoef = _lower(self._gmono, self._gcoef, self.m)
 
     @classmethod
     def from_graph(cls, g: Hypergraph):
         part = equivalence_classes(g)
         classes = part.classes
-        m = len(classes)
         idx = {}
         for k, c in enumerate(classes):
             for v in c:
                 idx[v] = k
         mults = np.array([len(c) for c in classes], dtype=float)
-        sig_counts: dict[tuple[int, ...], int] = {}
+        counts: dict[tuple[int, ...], int] = {}
         for e in g.edges:
-            sig = [0] * m
-            for v in e:
-                sig[idx[v]] += 1
-            sig_counts[tuple(sig)] = sig_counts.get(tuple(sig), 0) + 1
-        T = len(sig_counts)
-        expo = np.zeros((T, m), dtype=np.int64)
-        coeffs = np.zeros(T)
-        for t, (sig, cnt) in enumerate(sorted(sig_counts.items())):
-            expo[t] = sig
+            mono = tuple(sorted(idx[v] for v in e))
+            counts[mono] = counts.get(mono, 0) + 1
+        # terms in ascending order of their class signatures (the multiplicity
+        # of each column), which for sorted multisets of one size is
+        # descending lex order
+        monos = sorted(counts, reverse=True)
+        coeffs = np.zeros(len(monos))
+        for t, mono in enumerate(monos):
             # vertex weight = y_k / |class k|
             scale = 1.0
-            for k, a in enumerate(sig):
-                scale /= mults[k] ** a
-            coeffs[t] = cnt * scale
-        return cls(expo, coeffs, mults, classes)
+            for k in sorted(set(mono)):
+                scale /= mults[k] ** mono.count(k)
+            coeffs[t] = counts[mono] * scale
+        cols = np.array(monos, dtype=np.int64).reshape(len(monos), g.r)
+        return cls(cols, coeffs, mults, classes)
 
     def value(self, Y: np.ndarray) -> np.ndarray:
-        if not len(self.coeffs):
-            return np.zeros(Y.shape[:-1])
-        P = Y[..., self._cols].prod(axis=-1)
-        return P @ self.coeffs
+        return Y[..., self._cols].prod(axis=-1) @ self.coeffs
 
     def grad(self, Y: np.ndarray) -> np.ndarray:
         return Y[..., self._gmono].prod(axis=-1) @ self._gcoef
 
-    def _hessian_terms(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-        """(k, l, coefficients, exponents) of each nonzero second partial,
-        built on the first ``hessian`` call and kept."""
-        terms = []
-        expo = self.expo
-        for k in range(self.m):
-            ak = expo[:, k]
-            rows = np.nonzero(ak)[0]
-            if not len(rows):
-                continue
-            exk = expo[rows].copy()
-            exk[:, k] -= 1
-            cfk = self.coeffs[rows] * ak[rows]
-            for l in range(self.m):
-                al = exk[:, l]
-                sel = np.nonzero(al)[0]
-                if not len(sel):
-                    continue
-                ex2 = exk[sel].copy()
-                ex2[:, l] -= 1
-                terms.append((k, l, cfk[sel] * al[sel], ex2))
-        return terms
-
     def hessian(self, y: np.ndarray) -> np.ndarray:
-        H = np.zeros((self.m, self.m))
-        if self._hterms is None:
-            self._hterms = self._hessian_terms()
-        for k, l, cf, ex2 in self._hterms:
-            H[k, l] = np.dot(cf, np.prod(y[None, :] ** ex2, axis=-1))
-        return H
+        # for 2-graphs the monomials are empty and their products are 1
+        return (y[self._hmono].prod(axis=-1) @ self._hcoef).reshape(self.m, self.m)
 
     def expand(self, y: np.ndarray) -> np.ndarray:
         """Block weights back to per-vertex weights."""
@@ -481,7 +446,8 @@ _CERT_STARTS = 8
 
 
 def _dirichlet(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
-    z = rng.exponential(1.0, size=(rows, m))
+    """Uniform points of the simplex: normalized Gamma(1) draws."""
+    z = rng.standard_gamma(1.0, size=(rows, m))
     z /= z.sum(axis=1, keepdims=True)
     return z
 
@@ -647,18 +613,23 @@ def motzkin_straus(g2: Hypergraph) -> tuple[float, int]:
 _STRICTNESS_TOL = 1e-9
 
 
+def _weak_vertex(g: Hypergraph, value: float, config: OptimizerConfig) -> int | None:
+    """The first vertex whose deletion lowers the optimum ``value`` by at
+    most ``_STRICTNESS_TOL``, or None if every deletion is strict."""
+    for v in range(1, g.n + 1):
+        sub = induced(g, [u for u in range(1, g.n + 1) if u != v])
+        if maximize(sub, config).value >= value - _STRICTNESS_TOL:
+            return v
+    return None
+
+
 def is_dense(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG) -> bool:
     """True iff deleting any single vertex strictly lowers the optimum.
     (Monotonicity under induced subgraphs makes single-vertex deletions
     sufficient.)  The empty graph is not dense by convention."""
     if not g.edges or g.n == 0:
         return False
-    base = maximize(g, config).value
-    for v in range(1, g.n + 1):
-        sub = induced(g, [u for u in range(1, g.n + 1) if u != v])
-        if maximize(sub, config).value >= base - _STRICTNESS_TOL:
-            return False
-    return True
+    return _weak_vertex(g, maximize(g, config).value, config) is None
 
 
 def densify(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG):
@@ -674,12 +645,7 @@ def densify(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG):
         if len(res.support) < cur.n:
             cur = induced(cur, res.support)
             continue
-        weak = None
-        for v in range(1, cur.n + 1):
-            sub = induced(cur, [u for u in range(1, cur.n + 1) if u != v])
-            if maximize(sub, config).value >= res.value - _STRICTNESS_TOL:
-                weak = v
-                break
+        weak = _weak_vertex(cur, res.value, config)
         if weak is None:
             return cur, res
         cur = induced(cur, [u for u in range(1, cur.n + 1) if u != weak])

@@ -774,9 +774,18 @@ def checkpoint_save(run, path) -> None:
     os.replace(tmp, path)
 
 
+def _require_fields(what: str, got: dict, cls) -> None:
+    want = sorted(f.name for f in fields(cls))
+    if sorted(got) != want:
+        raise CheckpointError(f"checkpoint {what} {sorted(got)} are not {want}")
+
+
 def checkpoint_resume(path, expect_space: dict | None = None):
     """Rebuild a paused run from a checkpoint file.  Raises
-    CheckpointError on version, search-space or optimizer-settings mismatch."""
+    CheckpointError on version, search-space or optimizer-settings mismatch,
+    and on a state that lacks a field of the run's kind, whose stats are not
+    exactly the :class:`SearchStats` fields, or whose decisions are not
+    0/1 tokens at most as many as the ground set has."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("version") != CHECKPOINT_VERSION:
@@ -794,11 +803,18 @@ def checkpoint_resume(path, expect_space: dict | None = None):
         run = TuranRun(space["n"], forbidden)
     elif space["kind"] == "density":
         config = space["config"]
-        want = sorted(f.name for f in fields(OptimizerConfig))
-        if sorted(config) != want:
-            raise CheckpointError(f"checkpoint config has settings {sorted(config)}, not {want}")
+        _require_fields("config settings", config, OptimizerConfig)
         run = DensityRun(space["pattern"], space["n"], space["mode"], OptimizerConfig(**config))
     else:
         raise CheckpointError(f"unknown checkpoint kind {space.get('kind')!r}")
-    run.load_state(payload["state"])
+    state = payload["state"]
+    missing = sorted(set(run.to_state()) - set(state))
+    if missing:
+        raise CheckpointError(f"checkpoint state lacks {missing}")
+    _require_fields("stats fields", state["stats"], SearchStats)
+    decisions = state["decisions"]
+    if len(decisions) > run.M or any(t not in (0, 1) for t in decisions):
+        raise CheckpointError(
+            f"checkpoint decisions are not at most {run.M} tokens of 0 or 1")
+    run.load_state(state)
     return run

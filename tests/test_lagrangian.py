@@ -265,11 +265,32 @@ def test_block_gradient_matches_vertex_gradient(r, n, seed, blow):
             assert got[k] == pytest.approx(want[v - 1], abs=1e-13)
 
 
-def test_hessian_matches_central_differences():
-    g = random_hypergraph(random.Random(11), 8)
+def _exact_block_hessian(g, problem, y):
+    """H[k, l] = sum over u in class k, v in class l of d^2F/dx_u dx_v,
+    divided by mults[k] * mults[l], where F is the vertex polynomial at
+    the expanded point; the second partials are summed in Fractions."""
+    cls = {v: k for k, c in enumerate(problem.classes) for v in c}
+    x = {v: Fraction(float(y[k])) / len(problem.classes[k]) for v, k in cls.items()}
+    m = problem.m
+    H = [[Fraction(0)] * m for _ in range(m)]
+    for e in g.edges:
+        for u, v in itertools.permutations(e, 2):
+            H[cls[u]][cls[v]] += math.prod((x[w] for w in e if w not in (u, v)), start=Fraction(1))
+    return np.array([[float(H[k][l] / (len(problem.classes[k]) * len(problem.classes[l])))
+                      for l in range(m)] for k in range(m)])
+
+
+@given(st.sampled_from([2, 3]), st.integers(3, 8), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_hessian_matches_central_differences(r, n, seed, blow):
+    rnd = random.Random(seed)
+    g = random_hypergraph(rnd, max(n, r), r=r)
+    if blow:
+        g = blowup(g, [rnd.randint(1, 3) for _ in range(g.n)])
     problem = _BlockProblem.from_graph(g)
-    y = np.array(random_simplex_point(random.Random(12), problem.m))
+    y = np.array(random_simplex_point(rnd, problem.m))
     H = problem.hessian(y)
+    assert H == pytest.approx(_exact_block_hessian(g, problem, y), rel=0, abs=1e-13)
     h = 1e-6
     for k in range(problem.m):
         e = np.zeros(problem.m)

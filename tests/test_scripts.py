@@ -1,8 +1,11 @@
 """Each script under ``scripts/`` loads (only its imports run, since its
 entry point is guarded by ``__name__``) and defines ``main``, so removing
 a name from the package cannot break a script unnoticed.  The density
-scan's checkpoint round trip is run end to end."""
+scan's checkpoint round trip is run end to end.  Every name the
+benchmark's span tracer wraps exists, since a missing one would make its
+metrics read 0 silently."""
 
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -11,7 +14,8 @@ import pytest
 
 from hyperlag.search import CheckpointError
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _load(path):
@@ -24,6 +28,14 @@ def _load(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_loads_and_defines_main(path):
     assert callable(_load(path).main)
+
+
+def test_span_tracer_targets_resolve():
+    targets = _load(ROOT / "bench" / "spans.py").TARGETS
+    assert targets
+    missing = [(module, attr) for module, attr, *_ in targets
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
 
 
 def _report(out: str) -> dict:

@@ -714,6 +714,70 @@ def test_checkpoint_config_must_hold_exactly_the_settings(tmp_path):
     assert checkpoint_resume(path).config == OptimizerConfig(seed=3)
 
 
+def _paused_turan_payload(path):
+    """A turan run on 6 vertices (20 ground edges) paused mid-run, saved
+    to ``path``; returns the saved payload."""
+    run = TuranRun(6, (named("F5"),))
+    assert not run.run(max_nodes=50)
+    checkpoint_save(run, path)
+    assert checkpoint_resume(path).to_state() == run.to_state()
+    return json.loads(path.read_text())
+
+
+def _refused(path, payload, match):
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=match):
+        checkpoint_resume(path)
+
+
+def test_checkpoint_refuses_stats_missing_a_field(tmp_path):
+    # a file written before the lex-leader cut has no symmetry_cuts; it is
+    # refused rather than resumed with 0
+    path = tmp_path / "t.json"
+    payload = _paused_turan_payload(path)
+    del payload["state"]["stats"]["symmetry_cuts"]
+    _refused(path, payload, "stats fields")
+
+
+def test_checkpoint_refuses_stats_with_an_unknown_field(tmp_path):
+    path = tmp_path / "t.json"
+    payload = _paused_turan_payload(path)
+    payload["state"]["stats"]["shards"] = 4
+    _refused(path, payload, "stats fields")
+
+
+def test_checkpoint_refuses_state_missing_a_field(tmp_path):
+    path = tmp_path / "t.json"
+    payload = _paused_turan_payload(path)
+    del payload["state"]["best"]
+    _refused(path, payload, r"lacks \['best'\]")
+    checkpoint_save(DensityRun("P2", 5, "all"), path)
+    payload = json.loads(path.read_text())
+    del payload["state"]["evaluated"]
+    _refused(path, payload, r"lacks \['evaluated'\]")
+
+
+def test_checkpoint_refuses_decisions_past_the_ground_set(tmp_path):
+    path = tmp_path / "t.json"
+    payload = _paused_turan_payload(path)
+    payload["state"]["decisions"] = [0] * 500
+    _refused(path, payload, "at most 20 tokens")
+    # one token more than the ground set is refused, a full leaf is not
+    payload["state"]["decisions"] = [0] * 21
+    _refused(path, payload, "at most 20 tokens")
+    payload["state"]["decisions"] = [0] * 20
+    path.write_text(json.dumps(payload))
+    assert checkpoint_resume(path).decisions == [0] * 20
+
+
+def test_checkpoint_refuses_decision_tokens_other_than_0_1(tmp_path):
+    path = tmp_path / "t.json"
+    payload = _paused_turan_payload(path)
+    for bad in (2, -1, "1", None):
+        payload["state"]["decisions"] = [1, bad]
+        _refused(path, payload, "tokens of 0 or 1")
+
+
 def test_checkpoint_space_mismatch(tmp_path):
     path = tmp_path / "c.json"
     checkpoint_save(DensityRun("P3", 7), path)
