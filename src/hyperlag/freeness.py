@@ -216,11 +216,13 @@ def _search(plan: tuple, completions: dict[int, int], allowed: list[int]):
     return img if extend(0, 0) else None
 
 
-def _contains_edges(n: int, edges, pattern: Hypergraph):
-    """Backtracking embedding search of pattern into (n, edges) over host
-    vertex bitmasks: ``_search`` following the pattern's cached ``_plan``,
-    with each position allowed the host vertices of at least its degree.
-    The answer does not depend on the order of ``edges``.
+def _contains_edges(n: int, completions: dict[int, int], deg: list[int], pattern: Hypergraph):
+    """Backtracking embedding search of pattern into the host on [n] whose
+    completion map and vertex degrees ``_completions`` gives: ``_search``
+    following the pattern's cached ``_plan``, with each position allowed
+    the host vertices of at least its degree.  The host is read, never
+    changed, so a search can keep both up to date edge by edge and call
+    this at every node without a rebuild.
 
     The witness is the first embedding in pattern order and increasing
     host id.  The plan's symmetry-breaking conditions keep one embedding
@@ -231,8 +233,7 @@ def _contains_edges(n: int, edges, pattern: Hypergraph):
     if pattern.n > n:
         return None
     plan = _plan(pattern.r, pattern.n, pattern.edges)
-    completions, host_deg = _completions(n, edges)
-    deg_ok = {d: sum(1 << v for v in range(1, n + 1) if host_deg[v] >= d) for d in set(plan[1])}
+    deg_ok = {d: sum(1 << v for v in range(1, n + 1) if deg[v] >= d) for d in set(plan[1])}
     img = _search(plan, completions, [deg_ok[d] for d in plan[1]])
     if img is None:
         return None
@@ -247,10 +248,11 @@ def contains(g: Hypergraph, pattern: Hypergraph):
     witness is the first embedding in that order.  Of each class of
     embeddings that differ by an automorphism of the pattern, the search
     visits only one, which for the first witness is that witness itself
-    (see ``_plan``), so misses cost one search per class."""
+    (see ``_plan``), so misses cost one search per class.  The completion
+    map is built once per call; searches keep theirs across nodes."""
     if g.r != pattern.r:
         raise ValueError(f"uniformity mismatch: host r={g.r}, pattern r={pattern.r}")
-    return _contains_edges(g.n, g.edges, pattern)
+    return _contains_edges(g.n, *_completions(g.n, g.edges), pattern)
 
 
 def is_free(g: Hypergraph, pattern: Hypergraph) -> bool:

@@ -36,7 +36,11 @@ the uncut search; only the counts differ.
 The DFS decision list is the whole search state: include is always tried
 before exclude, so a token list reconstructs the frontier exactly.  That
 is what checkpoints serialize; resuming replays the tokens and produces
-bit-identical final results.
+bit-identical final results.  Everything else the DFS keeps across nodes
+(the included edges and their masks, the counts of missing lower covers,
+the host completion map and the vertex degrees) is derived from the
+included edges, updated on each include and undo, and rebuilt by
+:meth:`_ColexDFS.replay`.
 """
 
 from __future__ import annotations
@@ -114,6 +118,29 @@ class _ColexDFS:
     to the state through ``super()``; the decision token list and the
     stats are the resumable state of the engine itself.
 
+    The engine also keeps state derived from the included edges, updated
+    by :meth:`_apply_include` and :meth:`_undo_include` and rebuilt from
+    the tokens by :meth:`replay`, so a checkpoint never stores it:
+
+    - ``included`` and ``included_masks``: the included ground indices in
+      ascending order and their vertex bitmasks;
+    - ``missing`` (down-set mode only, else None): per position, how many
+      of its lower covers are not included, so the down-set test is
+      ``missing[k] == 0``;
+    - ``completions`` and ``deg``: the host completion map of the included
+      edges and the degree of each vertex, as
+      :func:`~hyperlag.freeness._completions` builds them, which is what
+      :func:`~hyperlag.freeness._contains_edges` searches.
+      :meth:`_host_add` and :meth:`_host_remove` add and take back one
+      candidate edge around a test.
+
+    In down-set mode a position with a lower cover missing is a forced
+    exclude, and a run of them is taken in one step: every position is
+    still counted as a node, and the run stops at a ``max_nodes`` budget
+    exactly where the node-by-node walk would.  ``bound_cut`` is asked
+    where the run starts, not inside it.  Every include token sits at an
+    included index, so a backtrack jumps straight to ``included[-1]``.
+
     In full mode the include at depth d is tried only when the decision
     vector x[0..d] with x[d] = 1 is not lex-smaller than its image under
     any adjacent transposition (i i+1) of the vertices (see
@@ -154,18 +181,15 @@ class _ColexDFS:
         self.M = len(self.ground)
         index = {e: i for i, e in enumerate(self.ground)}
         self.cover_idx = [[index[c] for c in lower_covers(e)] for e in self.ground]
-        self.masks = []
-        for e in self.ground:
-            m = 0
-            for v in e:
-                m |= 1 << v
-            self.masks.append(m)
+        self.upper_idx: list[list[int]] = [[] for _ in self.ground]
+        for k, covers in enumerate(self.cover_idx):
+            for c in covers:
+                self.upper_idx[c].append(k)
+        self.masks = [sum(1 << v for v in e) for e in self.ground]
         self.swaps = [] if downset else adjacent_swaps(n, self.ground)
-        self.decisions: list[int] = []
-        self.included: list[int] = []           # ground indices, ascending
-        self.included_set: set[int] = set()
         self.stats = SearchStats()
         self.finished = False
+        self.replay([])
 
     # hooks -----------------------------------------------------------
     def include_accept(self, k: int) -> bool:
@@ -179,9 +203,7 @@ class _ColexDFS:
 
     # engine ----------------------------------------------------------
     def _include_allowed(self, k: int) -> bool:
-        if not self.downset:
-            return True
-        return all(c in self.included_set for c in self.cover_idx[k])
+        return self.missing is None or self.missing[k] == 0
 
     def _lex_smaller(self, x: list[int]) -> bool:
         """Is the decided prefix ``x`` lex-smaller than its image under some
@@ -210,64 +232,115 @@ class _ColexDFS:
             self.stats.symmetry_cuts += 1
         return not smaller
 
+    def _host_add(self, k: int) -> None:
+        """Add ground edge k to the completion map and the degrees."""
+        m = self.masks[k]
+        completions, deg = self.completions, self.deg
+        for v in self.ground[k]:
+            b = 1 << v
+            completions[m ^ b] = completions.get(m ^ b, 0) | b
+            deg[v] += 1
+
+    def _host_remove(self, k: int) -> None:
+        """Take back :meth:`_host_add`; a key left with no completion goes."""
+        m = self.masks[k]
+        completions, deg = self.completions, self.deg
+        for v in self.ground[k]:
+            b = 1 << v
+            rest = completions[m ^ b] ^ b
+            if rest:
+                completions[m ^ b] = rest
+            else:
+                del completions[m ^ b]
+            deg[v] -= 1
+
     def _apply_include(self, k: int) -> None:
         self.included.append(k)
-        self.included_set.add(k)
+        self.included_masks.append(self.masks[k])
+        if self.missing is not None:
+            for u in self.upper_idx[k]:
+                self.missing[u] -= 1
+        self._host_add(k)
 
     def _undo_include(self, k: int) -> None:
         self.included.pop()
-        self.included_set.discard(k)
+        self.included_masks.pop()
+        if self.missing is not None:
+            for u in self.upper_idx[k]:
+                self.missing[u] += 1
+        self._host_remove(k)
 
     def _backtrack(self) -> bool:
-        while self.decisions and self.decisions[-1] == 0:
-            self.decisions.pop()
-        if not self.decisions:
+        """Turn the last include into an exclude, dropping the tokens after
+        it; False when no include is left, so the search is over."""
+        if not self.included:
             return False
-        d = len(self.decisions) - 1
+        d = self.included[-1]
+        del self.decisions[d + 1:]
         self._undo_include(d)
-        self.decisions[-1] = 0
+        self.decisions[d] = 0
         return True
 
     def replay(self, tokens: list[int]) -> None:
+        """Set the decision list to ``tokens`` and rebuild the derived state."""
         self.decisions = []
-        self.included = []
-        self.included_set = set()
+        self.included: list[int] = []           # ground indices, ascending
+        self.included_masks: list[int] = []
+        self.missing = [len(c) for c in self.cover_idx] if self.downset else None
+        self.completions: dict[int, int] = {}
+        self.deg = [0] * (self.n + 1)
         for d, tok in enumerate(tokens):
             if tok == 1:
                 self._apply_include(d)
             self.decisions.append(tok)
 
     def run(self, max_nodes: int | None = None, max_seconds: float | None = None) -> bool:
-        """Drive the DFS to completion; False means a budget stopped it."""
+        """Drive the DFS to completion; False means a budget stopped it.
+        The deadline is read each time another 256 nodes are counted."""
         deadline = time.monotonic() + max_seconds if max_seconds else None
         budget = max_nodes
-        # chosen once, so down-set runs make no per-node lex test
-        allowed = self._include_allowed if self.downset else self._lex_allowed
+        stats = self.stats
+        decisions = self.decisions
+        missing = self.missing
+        M = self.M
+        next_clock = stats.nodes
         while True:
-            if budget is not None and self.stats.nodes >= budget:
+            if budget is not None and stats.nodes >= budget:
                 return False
-            if deadline is not None and self.stats.nodes % 256 == 0 and time.monotonic() > deadline:
-                return False
-            d = len(self.decisions)
-            if d == self.M:
-                self.stats.leaves += 1
+            if deadline is not None and stats.nodes >= next_clock:
+                if time.monotonic() > deadline:
+                    return False
+                next_clock = stats.nodes + 256
+            d = len(decisions)
+            if d == M:
+                stats.leaves += 1
                 self.on_leaf()
                 if not self._backtrack():
                     return True
                 continue
             if self.bound_cut(d):
-                self.stats.bound_cuts += 1
+                stats.bound_cuts += 1
                 if not self._backtrack():
                     return True
                 continue
-            self.stats.nodes += 1
-            if allowed(d):
+            if missing is not None and missing[d]:
+                # a run of forced excludes, cut short at the node budget
+                stop = M if budget is None else min(M, d + budget - stats.nodes)
+                j = d + 1
+                while j < stop and missing[j]:
+                    j += 1
+                stats.nodes += j - d
+                decisions.extend(itertools.repeat(0, j - d))
+                continue
+            stats.nodes += 1
+            # chosen by mode, so down-set runs make no lex test
+            if missing is not None or self._lex_allowed(d):
                 if self.include_accept(d):
-                    self.decisions.append(1)
+                    decisions.append(1)
                     self._apply_include(d)
                     continue
-                self.stats.pruned += 1
-            self.decisions.append(0)
+                stats.pruned += 1
+            decisions.append(0)
 
     def execute(self, max_nodes=None, max_seconds=None):
         """Run until done or a budget stops it, then return the subclass's
@@ -286,9 +359,6 @@ class _ColexDFS:
     # conveniences for subclasses --------------------------------------
     def included_edges(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.ground[i] for i in self.included))
-
-    def included_masks(self) -> list[int]:
-        return [self.masks[i] for i in self.included]
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +603,12 @@ class TuranRun(_ColexDFS):
                 "forbidden": [to_json_obj(f) for f in self.forbidden]}
 
     def include_accept(self, k: int) -> bool:
-        # the matcher's answer does not depend on edge order: no sort here
-        edges = [self.ground[i] for i in self.included]
-        edges.append(self.ground[k])
-        for f in self.forbidden:
-            if _contains_edges(self.n, edges, f) is not None:
-                return False
-        return True
+        self._host_add(k)
+        try:
+            return all(_contains_edges(self.n, self.completions, self.deg, f) is None
+                       for f in self.forbidden)
+        finally:
+            self._host_remove(k)
 
     def bound_cut(self, depth: int) -> bool:
         return len(self.included) + (self.M - depth) < self.best
@@ -667,7 +736,7 @@ class DensityRun(_ColexDFS):
                 "mode": self.mode, "config": asdict(self.config)}
 
     def include_accept(self, k: int) -> bool:
-        return not self._creates(self.included_masks(), self.masks[k])
+        return not self._creates(self.included_masks, self.masks[k])
 
     def _optimize(self, edges: tuple, plain: bool, cfree: bool) -> None:
         """Maximize one survivor and offer its value to the running bests
@@ -679,16 +748,16 @@ class DensityRun(_ColexDFS):
         if cfree and value > self.best_cfree[0]:
             self.best_cfree = (value, edges)
 
+    def _has_clique(self) -> bool:
+        return _contains_edges(self.n, self.completions, self.deg, self.clique) is not None
+
     def on_leaf(self) -> None:
-        edges = self.included_edges()
-        masks = self.included_masks()
-        has_clique = _contains_edges(self.n, edges, self.clique) is not None
+        masks = self.included_masks
+        has_clique = self._has_clique()
         ext_plain = False
         ext_cfree = False
         for k in range(self.M):
-            if k in self.included_set:
-                continue
-            if not self._include_allowed(k):
+            if self.decisions[k] or not self._include_allowed(k):
                 continue
             if self._creates(masks, self.masks[k]):
                 continue
@@ -696,12 +765,14 @@ class DensityRun(_ColexDFS):
             if has_clique:
                 break
             # no clique yet, so any clique in the extension contains ground[k]
-            if _contains_edges(self.n, edges + (self.ground[k],), self.clique) is None:
-                ext_cfree = True
+            self._host_add(k)
+            ext_cfree = not self._has_clique()
+            self._host_remove(k)
+            if ext_cfree:
                 break
         cfree = not has_clique and not ext_cfree
         if not ext_plain or cfree:
-            self._optimize(edges, not ext_plain, cfree)
+            self._optimize(self.included_edges(), not ext_plain, cfree)
 
     # state ---------------------------------------------------------------
     def to_state(self) -> dict:
@@ -774,46 +845,62 @@ def checkpoint_save(run, path) -> None:
     os.replace(tmp, path)
 
 
-def _require_fields(what: str, got: dict, cls) -> None:
-    want = sorted(f.name for f in fields(cls))
-    if sorted(got) != want:
-        raise CheckpointError(f"checkpoint {what} {sorted(got)} are not {want}")
+def _require_fields(what: str, got, want) -> None:
+    want = sorted(want)
+    got = sorted(got) if isinstance(got, dict) else got
+    if got != want:
+        raise CheckpointError(f"checkpoint {what} {got!r} are not {want}")
 
 
 def checkpoint_resume(path, expect_space: dict | None = None):
     """Rebuild a paused run from a checkpoint file.  Raises
-    CheckpointError on version, search-space or optimizer-settings mismatch,
-    and on a state that lacks a field of the run's kind, whose stats are not
-    exactly the :class:`SearchStats` fields, or whose decisions are not
-    0/1 tokens at most as many as the ground set has."""
+    CheckpointError on version, search-space or optimizer-settings mismatch;
+    on a space that describes no run (a missing key, an unknown pattern or
+    mode, a malformed forbidden graph) or is not exactly the space of the
+    run it rebuilds (an unknown key, another ``r``); and on a state that
+    lacks a field of the run's kind, whose stats are not exactly the
+    :class:`SearchStats` fields, or whose decisions are not 0/1 tokens at
+    most as many as the ground set has."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {payload.get('version')!r} != {CHECKPOINT_VERSION}")
+    _require_fields("parts", payload, ("version", "space", "state"))
     space = payload["space"]
+    kind = space.get("kind") if isinstance(space, dict) else None
+    if kind not in ("turan", "density"):
+        raise CheckpointError(f"unknown checkpoint kind {kind!r}")
     if expect_space is not None:
         for key, val in expect_space.items():
             if space.get(key) != val:
                 raise CheckpointError(
                     f"checkpoint space mismatch on {key!r}: {space.get(key)!r} != {val!r}")
-    if space["kind"] == "turan":
-        forbidden = [new(f["r"], f["n"], [tuple(e) for e in f["edges"]])
-                     for f in space["forbidden"]]
-        run = TuranRun(space["n"], forbidden)
-    elif space["kind"] == "density":
-        config = space["config"]
-        _require_fields("config settings", config, OptimizerConfig)
-        run = DensityRun(space["pattern"], space["n"], space["mode"], OptimizerConfig(**config))
-    else:
-        raise CheckpointError(f"unknown checkpoint kind {space.get('kind')!r}")
+    if kind == "density":
+        _require_fields("config settings", space.get("config"),
+                        (f.name for f in fields(OptimizerConfig)))
+    try:
+        if kind == "turan":
+            forbidden = [new(f["r"], f["n"], [tuple(e) for e in f["edges"]])
+                         for f in space["forbidden"]]
+            run = TuranRun(space["n"], forbidden)
+        else:
+            run = DensityRun(space["pattern"], space["n"], space["mode"],
+                             OptimizerConfig(**space["config"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint space describes no run: {exc!r}") from exc
+    if run.space_descriptor() != space:
+        raise CheckpointError(
+            f"checkpoint space {space!r} is not that of the run it rebuilds, "
+            f"{run.space_descriptor()!r}")
     state = payload["state"]
     missing = sorted(set(run.to_state()) - set(state))
     if missing:
         raise CheckpointError(f"checkpoint state lacks {missing}")
-    _require_fields("stats fields", state["stats"], SearchStats)
+    _require_fields("stats fields", state["stats"], (f.name for f in fields(SearchStats)))
     decisions = state["decisions"]
-    if len(decisions) > run.M or any(t not in (0, 1) for t in decisions):
+    if (not isinstance(decisions, list) or len(decisions) > run.M
+            or any(t not in (0, 1) for t in decisions)):
         raise CheckpointError(
             f"checkpoint decisions are not at most {run.M} tokens of 0 or 1")
     run.load_state(state)

@@ -258,6 +258,21 @@ def check_path3_density(config: OptimizerConfig) -> list[CheckResult]:
                             "argmax_is_complete_minus_6": cargmax_ok,
                             "observed_epsilon": eps,
                             "expected_epsilon": eps_expected}))
+    # the same search over every labelled graph, with no compression lemma
+    # behind it, must find the same maxima and argmax classes
+    full = density_evidence("P3", 7, "all", config)
+    # both reports give canonical forms, so equal classes are equal graphs
+    same_argmax = ((full.argmax_graph, full.argmax_complete_free)
+                   == (rep.argmax_graph, rep.argmax_complete_free))
+    out.append(CheckResult("path3-density", "all-mode-equals-left-compressed",
+                           rep.status == full.status == "exact" and same_argmax
+                           and abs(full.max_lambda - rep.max_lambda) <= 1e-12
+                           and abs(full.max_lambda_complete_free
+                                   - rep.max_lambda_complete_free) <= 1e-12,
+                           {"max_lambda": full.max_lambda,
+                            "max_lambda_clique_free": full.max_lambda_complete_free,
+                            "same_argmax_classes": same_argmax,
+                            "counts": full.counts}))
     return out
 
 

@@ -73,6 +73,10 @@ def test_c08b_path3_density_clique_free_separation():
     _accept("path3-density", "clique-free-separation")
 
 
+def test_c08d_path3_all_mode_equals_left_compressed():
+    _accept("path3-density", "all-mode-equals-left-compressed")
+
+
 def test_c08_checkpoint_resume_matches_uninterrupted():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p3.ckpt.json"

@@ -235,7 +235,8 @@ def test_verify_path3_density_json(capsys):
     assert code == 0
     assert payload["passed"] is True
     assert {r["name"] for r in payload["results"]} == {"max-is-complete-6",
-                                                       "clique-free-separation"}
+                                                       "clique-free-separation",
+                                                       "all-mode-equals-left-compressed"}
     _validate(payload, "verify_report.schema.json")
 
 

@@ -9,6 +9,7 @@ from hyperlag import freeness
 from hyperlag.corpora import covers_pairs_path_free, random_hypergraph
 from hyperlag.freeness import (
     EmbeddingMap,
+    _completions,
     _contains_edges,
     _pattern_order,
     _plan,
@@ -129,7 +130,7 @@ def _host_and_pattern(draw):
 @given(_host_and_pattern())
 def test_matcher_agrees_with_brute_force_first_witness(case):
     n, edges, pattern = case
-    found = _contains_edges(n, edges, pattern)
+    found = _contains_edges(n, *_completions(n, edges), pattern)
     oracle = _first_embedding(n, edges, pattern)
     assert (found is None) == (oracle is None)
     if found is not None:

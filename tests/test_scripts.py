@@ -2,7 +2,8 @@
 entry point is guarded by ``__name__``) and defines ``main``, so removing
 a name from the package cannot break a script unnoticed.  The density
 scan's checkpoint round trip is run end to end.  Every name the
-benchmark's span tracer wraps exists, since a missing one would make its
+benchmark's span tracer wraps exists, and the matcher it wraps is the one
+the searches call, since a missing or bypassed one would make its
 metrics read 0 silently."""
 
 import importlib
@@ -36,6 +37,23 @@ def test_span_tracer_targets_resolve():
     missing = [(module, attr) for module, attr, *_ in targets
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_span_tracer_sees_the_matcher_in_searches():
+    from hyperlag.hypergraph import named
+    from hyperlag.search import density_evidence, turan_number
+
+    spans = _load(ROOT / "bench" / "spans.py")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.phase("density", lambda: density_evidence("P3", 7))
+        tracer.phase("turan", lambda: turan_number(6, [named("F5")]))
+    finally:
+        tracer.uninstall()
+    matcher = tracer._ids["freeness._contains_edges"]
+    for label, lo, hi in tracer.phases:
+        assert matcher in tracer.name[lo:hi], label
 
 
 def _report(out: str) -> dict:

@@ -1,12 +1,14 @@
 import itertools
 import json
 import random
+import time
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlag.freeness import contains, creates_linear_path, is_free
+from hyperlag.freeness import _completions, contains, creates_linear_path, is_free
 import hyperlag.search as search_mod
 from hyperlag.hypergraph import (
     Hypergraph,
@@ -544,9 +546,9 @@ class EverySurvivorDensityRun(DensityRun):
     oracle for optimizing only the maximal ones."""
 
     def on_leaf(self):
-        edges = self.included_edges()
-        has_clique = search_mod._contains_edges(self.n, edges, self.clique) is not None
-        self._optimize(edges, True, not has_clique)
+        has_clique = search_mod._contains_edges(
+            self.n, self.completions, self.deg, self.clique) is not None
+        self._optimize(self.included_edges(), True, not has_clique)
 
 
 @pytest.mark.parametrize("pattern,n,mode", [("P2", 5, "all"), ("P2", 6, "all"), ("T2", 4, "all"),
@@ -612,6 +614,116 @@ def test_density_p4_on_eight_vertices_skips_the_path_test(monkeypatch):
 def test_density_budget_marks_partial():
     rep = density_evidence("P2", 5, "all", max_nodes=5)
     assert rep.status == "partial"
+
+
+def test_deadline_stops_a_long_downset_run():
+    # P4 at n=12 takes millions of nodes, most of them in forced runs
+    t0 = time.monotonic()
+    rep = density_evidence("P4", 12, max_seconds=0.3)
+    assert rep.status == "partial"
+    assert 0 < rep.counts["nodes"] < 2_378_964
+    assert time.monotonic() - t0 < 10
+
+
+def _fake_maximize(g, config):
+    # the budget tests exercise the engine, not the optimizer
+    return types.SimpleNamespace(value=len(g.edges) / 100)
+
+
+def test_budget_inside_a_forced_run_stops_there_and_resumes(tmp_path, monkeypatch):
+    monkeypatch.setattr(search_mod, "maximize", _fake_maximize)
+    full = density_evidence("P3", 6).to_json()
+    # a run stepped one node per call is the node-by-node walk
+    stepped = DensityRun("P3", 6)
+    walk = {}
+    while not stepped.run(max_nodes=stepped.stats.nodes + 1):
+        walk[stepped.stats.nodes] = list(stepped.decisions)
+
+    def forced(x, k):
+        return any(not x[c] for c in stepped.cover_idx[k])
+
+    # stops between two forced excludes
+    inside = [b for b, x in walk.items() if len(x) < stepped.M and forced(x, len(x) - 1)
+              and forced(x, len(x))]
+    assert len(inside) > 300
+    path = tmp_path / "c.json"
+    for b in inside:
+        run = DensityRun("P3", 6)
+        assert not run.run(max_nodes=b)
+        assert run.stats.nodes == b
+        assert run.decisions == walk[b]
+        checkpoint_save(run, path)
+        assert checkpoint_resume(path).execute().to_json() == full
+
+
+def _assert_derived_state(run):
+    """The state the DFS keeps across nodes equals a rebuild from scratch."""
+    inc = [k for k, t in enumerate(run.decisions) if t]
+    assert run.included == inc
+    assert run.included_masks == [run.masks[k] for k in inc]
+    if run.downset:
+        assert run.missing == [sum(1 for c in covers if c not in inc) for covers in run.cover_idx]
+    else:
+        assert run.missing is None
+    completions, deg = _completions(run.n, [run.ground[k] for k in inc])
+    assert run.completions == completions
+    assert run.deg == deg
+
+
+class _Checked:
+    """Asserts the derived state at every node the hooks see: before each
+    bound test and include test, and at each leaf, before and after."""
+
+    checked = 0
+
+    def _check(self):
+        _assert_derived_state(self)
+        self.checked += 1
+
+    def bound_cut(self, depth):
+        self._check()
+        return super().bound_cut(depth)
+
+    def include_accept(self, k):
+        self._check()
+        ok = super().include_accept(k)
+        self._check()
+        return ok
+
+    def on_leaf(self):
+        self._check()
+        super().on_leaf()
+        self._check()
+
+
+class CheckedDensityRun(_Checked, DensityRun):
+    pass
+
+
+class CheckedTuranRun(_Checked, TuranRun):
+    pass
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CheckedDensityRun("P3", 7, "left_compressed"),
+    lambda: CheckedDensityRun("P2", 6, "all"),
+    lambda: CheckedTuranRun(6, (named("F5"),)),
+], ids=["P3-7-left_compressed", "P2-6-all", "turan-F5-6"])
+def test_derived_state_matches_a_rebuild_at_every_node(make, tmp_path):
+    run = make()
+    full = run.execute().to_json()
+    assert run.checked > run.stats.leaves
+    # a run paused mid-way and replayed from its checkpoint rebuilds the
+    # same state and goes on to the same report
+    paused = make()
+    assert not paused.run(max_nodes=run.stats.nodes // 2)
+    path = tmp_path / "c.json"
+    checkpoint_save(paused, path)
+    _assert_derived_state(checkpoint_resume(path))
+    checked = make()
+    checked.load_state(json.loads(path.read_text())["state"])
+    _assert_derived_state(checked)
+    assert checked.execute().to_json() == full
 
 
 def test_density_report_serializes():
@@ -776,6 +888,50 @@ def test_checkpoint_refuses_decision_tokens_other_than_0_1(tmp_path):
     for bad in (2, -1, "1", None):
         payload["state"]["decisions"] = [1, bad]
         _refused(path, payload, "tokens of 0 or 1")
+    payload["state"]["decisions"] = 1
+    _refused(path, payload, "tokens of 0 or 1")
+
+
+@pytest.mark.parametrize("part", ["space", "state"])
+def test_checkpoint_refuses_a_payload_missing_a_part(tmp_path, part):
+    path = tmp_path / "t.json"
+    payload = _paused_turan_payload(path)
+    del payload[part]
+    _refused(path, payload, "parts")
+
+
+def _edited_space(path, kind, edit):
+    if kind == "turan":
+        payload = _paused_turan_payload(path)
+    else:
+        checkpoint_save(DensityRun("P2", 5, "all"), path)
+        payload = json.loads(path.read_text())
+    edit(payload["space"])
+    return payload
+
+
+@pytest.mark.parametrize("kind,edit,match", [
+    ("density", lambda sp: sp.pop("kind"), "unknown checkpoint kind None"),
+    ("turan", lambda sp: sp.pop("kind"), "unknown checkpoint kind None"),
+    ("density", lambda sp: sp.pop("n"), "describes no run: KeyError"),
+    ("turan", lambda sp: sp.pop("n"), "describes no run: KeyError"),
+    ("density", lambda sp: sp.pop("pattern"), "describes no run: KeyError"),
+    ("density", lambda sp: sp.pop("mode"), "describes no run: KeyError"),
+    ("turan", lambda sp: sp.pop("forbidden"), "describes no run: KeyError"),
+    ("density", lambda sp: sp.update(pattern="P9"), "describes no run"),
+    ("density", lambda sp: sp.update(mode="some"), "describes no run"),
+    ("density", lambda sp: sp.update(n="5"), "describes no run"),
+    ("turan", lambda sp: sp["forbidden"][0].pop("edges"), "describes no run"),
+    ("turan", lambda sp: sp["forbidden"][0]["edges"].append([1, 2]), "describes no run"),
+    ("turan", lambda sp: sp.update(r=2), "not that of the run"),
+    ("density", lambda sp: sp.pop("config"), "config settings"),
+    ("density", lambda sp: sp.update(seed=0), "not that of the run"),
+], ids=["density-kind", "turan-kind", "density-n", "turan-n", "pattern", "mode", "forbidden",
+        "pattern-P9", "unknown-mode", "n-not-int", "forbidden-edges", "forbidden-bad-edge",
+        "turan-r", "config", "unknown-key"])
+def test_checkpoint_refuses_a_malformed_space(tmp_path, kind, edit, match):
+    path = tmp_path / "c.json"
+    _refused(path, _edited_space(path, kind, edit), match)
 
 
 def test_checkpoint_space_mismatch(tmp_path):
