@@ -37,7 +37,6 @@ from .lagrangian import (
     evaluate,
     gradient,
     is_dense,
-    lagrangian_density_lower_bound,
     maximize,
     motzkin_straus,
 )

@@ -162,6 +162,18 @@ def _completions(n: int, edges) -> tuple[dict[int, int], list[int]]:
     return completions, deg
 
 
+def _degree_masks(n: int, r: int, deg: list[int]) -> list[int]:
+    """Entry d is the bitmask of the vertices of [n] of degree at least d,
+    for every degree an r-graph on [n] can have, up to C(n-1, r-1), so for
+    every degree of a pattern that fits on [n]."""
+    masks = [0] * (comb(max(n - 1, 0), r - 1) + 1)
+    for v in range(1, n + 1):
+        masks[deg[v]] |= 1 << v
+    for d in reversed(range(len(masks) - 1)):
+        masks[d] |= masks[d + 1]
+    return masks
+
+
 def _search(plan: tuple, completions: dict[int, int], allowed: list[int]):
     """The first embedding, following ``plan``, that maps position i into
     ``allowed[i]`` and every pattern edge onto an edge of ``completions``:
@@ -216,13 +228,14 @@ def _search(plan: tuple, completions: dict[int, int], allowed: list[int]):
     return img if extend(0, 0) else None
 
 
-def _contains_edges(n: int, completions: dict[int, int], deg: list[int], pattern: Hypergraph):
+def _contains_edges(n: int, completions: dict[int, int], deg_masks: list[int], pattern: Hypergraph):
     """Backtracking embedding search of pattern into the host on [n] whose
-    completion map and vertex degrees ``_completions`` gives: ``_search``
-    following the pattern's cached ``_plan``, with each position allowed
-    the host vertices of at least its degree.  The host is read, never
-    changed, so a search can keep both up to date edge by edge and call
-    this at every node without a rebuild.
+    completion map ``_completions`` gives and whose vertices of degree at
+    least d make ``deg_masks[d]`` (as :func:`_degree_masks` builds it):
+    ``_search`` following the pattern's cached ``_plan``, with each
+    position allowed the host vertices of at least its degree.  The host
+    is read, never changed, so a search can keep both up to date edge by
+    edge and call this at every node without a rebuild.
 
     The witness is the first embedding in pattern order and increasing
     host id.  The plan's symmetry-breaking conditions keep one embedding
@@ -233,8 +246,7 @@ def _contains_edges(n: int, completions: dict[int, int], deg: list[int], pattern
     if pattern.n > n:
         return None
     plan = _plan(pattern.r, pattern.n, pattern.edges)
-    deg_ok = {d: sum(1 << v for v in range(1, n + 1) if deg[v] >= d) for d in set(plan[1])}
-    img = _search(plan, completions, [deg_ok[d] for d in plan[1]])
+    img = _search(plan, completions, [deg_masks[d] for d in plan[1]])
     if img is None:
         return None
     return EmbeddingMap(tuple(sorted((p, img[i].bit_length() - 1) for i, p in enumerate(plan[0]))))
@@ -249,10 +261,12 @@ def contains(g: Hypergraph, pattern: Hypergraph):
     embeddings that differ by an automorphism of the pattern, the search
     visits only one, which for the first witness is that witness itself
     (see ``_plan``), so misses cost one search per class.  The completion
-    map is built once per call; searches keep theirs across nodes."""
+    map and the degree masks are built once per call; searches keep theirs
+    across nodes."""
     if g.r != pattern.r:
         raise ValueError(f"uniformity mismatch: host r={g.r}, pattern r={pattern.r}")
-    return _contains_edges(g.n, *_completions(g.n, g.edges), pattern)
+    completions, deg = _completions(g.n, g.edges)
+    return _contains_edges(g.n, completions, _degree_masks(g.n, g.r, deg), pattern)
 
 
 def is_free(g: Hypergraph, pattern: Hypergraph) -> bool:

@@ -37,6 +37,8 @@ the true maximum.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +60,7 @@ __all__ = [
     "motzkin_straus",
     "is_dense",
     "densify",
-    "lagrangian_density_lower_bound",
+    "upper_bound",
 ]
 
 
@@ -163,6 +165,36 @@ def _lower(mono: np.ndarray, coef: np.ndarray, m: int):
             np.array(list(lowered.values())).reshape(U, c * m))
 
 
+def _block_table(g: Hypergraph):
+    """The value table of ``g``'s block form: (cols, coeffs, mults, classes)
+    as :class:`_BlockProblem` takes them, one column per class of
+    :func:`~hyperlag.hypergraph.equivalence_classes`."""
+    part = equivalence_classes(g)
+    classes = part.classes
+    idx = {}
+    for k, c in enumerate(classes):
+        for v in c:
+            idx[v] = k
+    mults = np.array([len(c) for c in classes], dtype=float)
+    counts: dict[tuple[int, ...], int] = {}
+    for e in g.edges:
+        mono = tuple(sorted(idx[v] for v in e))
+        counts[mono] = counts.get(mono, 0) + 1
+    # terms in ascending order of their class signatures (the multiplicity
+    # of each column), which for sorted multisets of one size is
+    # descending lex order
+    monos = sorted(counts, reverse=True)
+    coeffs = np.zeros(len(monos))
+    for t, mono in enumerate(monos):
+        # vertex weight = y_k / |class k|
+        scale = 1.0
+        for k in sorted(set(mono)):
+            scale /= mults[k] ** mono.count(k)
+        coeffs[t] = counts[mono] * scale
+    cols = np.array(monos, dtype=np.int64).reshape(len(monos), g.r)
+    return cols, coeffs, mults, classes
+
+
 class _BlockProblem:
     """max  sum_j c_j * prod_k y_k^(A_jk)  over the standard simplex.
 
@@ -191,30 +223,7 @@ class _BlockProblem:
 
     @classmethod
     def from_graph(cls, g: Hypergraph):
-        part = equivalence_classes(g)
-        classes = part.classes
-        idx = {}
-        for k, c in enumerate(classes):
-            for v in c:
-                idx[v] = k
-        mults = np.array([len(c) for c in classes], dtype=float)
-        counts: dict[tuple[int, ...], int] = {}
-        for e in g.edges:
-            mono = tuple(sorted(idx[v] for v in e))
-            counts[mono] = counts.get(mono, 0) + 1
-        # terms in ascending order of their class signatures (the multiplicity
-        # of each column), which for sorted multisets of one size is
-        # descending lex order
-        monos = sorted(counts, reverse=True)
-        coeffs = np.zeros(len(monos))
-        for t, mono in enumerate(monos):
-            # vertex weight = y_k / |class k|
-            scale = 1.0
-            for k in sorted(set(mono)):
-                scale /= mults[k] ** mono.count(k)
-            coeffs[t] = counts[mono] * scale
-        cols = np.array(monos, dtype=np.int64).reshape(len(monos), g.r)
-        return cls(cols, coeffs, mults, classes)
+        return cls(*_block_table(g))
 
     def value(self, Y: np.ndarray) -> np.ndarray:
         return Y[..., self._cols].prod(axis=-1) @ self.coeffs
@@ -235,6 +244,112 @@ class _BlockProblem:
             for v in c:
                 x[v - 1] = w
         return x
+
+
+# subsimplices one proof may make: a failed proof stays cheaper than one
+# maximize call, and at most 47 bisections deep every vertex is exact (see
+# upper_bound)
+_BOUND_BUDGET = 96
+
+
+def _polar_tensor(cols: np.ndarray, coeffs: np.ndarray, m: int) -> np.ndarray:
+    """The symmetric coefficient tensor of the block form's polar form:
+    entry (a, b, c) is P(e_a, e_b, e_c), the coefficient of the term whose
+    monomial is the multiset {a, b, c} shared equally among the distinct
+    orderings of that multiset."""
+    T = np.zeros((m,) * cols.shape[1])
+    for mono, c in zip(cols.tolist(), coeffs.tolist()):
+        orders = set(itertools.permutations(mono))
+        share = c / len(orders)
+        for order in orders:
+            T[order] = share
+    return T
+
+
+def upper_bound(g: Hypergraph, target: float) -> float:
+    """A proved upper bound on the Lagrangian of ``g`` and on
+    ``maximize(g).value``, whatever the configuration.  The bound is refined
+    best-first until it lies below ``target``, a vertex of the leading
+    subsimplex evaluates to at least ``target`` (so no refinement could get
+    there), or ``_BOUND_BUDGET`` subsimplices are made; a caller asks
+    whether the result is below ``target``.
+
+    The bound is that of the block form f, homogeneous of degree r, over
+    the simplex of class weights (Ramshaw, "Blossoms are polar forms", CAGD
+    1989).  Soundness, in four parts:
+
+    1. λ is the maximum of f.  Swapping two members of one class of
+       :func:`~hyperlag.hypergraph.equivalence_classes` is an automorphism,
+       so along the line that moves weight between them the edge
+       polynomial is symmetric about their mean, and of degree at most two
+       with a nonpositive square term (the edges holding both).  So
+       averaging two members never lowers it, and repeated averaging makes
+       every class uniform: the maximum over the vertex simplex is attained
+       on points that f describes.
+    2. Bernstein coefficients.  A point of a subsimplex with vertex rows
+       v_0..v_{m-1} is sum_a β_a v_a with β in the simplex, so f there is
+       P(y, .., y) = sum over ordered r-tuples of β_a β_b .. times
+       P(v_a, v_b, ..), whose weights are nonnegative and sum to one.  So
+       the largest coefficient P(v_a, v_b, ..) bounds f on the subsimplex,
+       and the largest over a set of subsimplices covering the simplex
+       bounds λ.  Each subsimplex's coefficients are r contractions of the
+       tensor of :func:`_polar_tensor` with its vertex rows.  Bisecting the
+       longest edge splits a subsimplex into two that cover it; the
+       midpoint of two dyadic points is dyadic, and the budget allows at
+       most (96 − 1)/2 bisections on any chain, so every coordinate is a
+       multiple of 2^-47, exact in floats, and every vertex lies on the
+       simplex.
+    3. The γ margin.  Every term is nonnegative, so each float sum is off
+       by at most γ_j = j·u/(1 − j·u) relatively for j roundings on the
+       way (Higham, "Accuracy and stability of numerical algorithms",
+       §3.1): r+1 in the coefficient table, one in the tensor entry, m in
+       each contraction.  A float ``maximize`` value exceeds λ by at most
+       γ_{r(n+1)} relatively: its weights sum to 1 within n roundings, f
+       scales by that sum to the r-th power, and each product and the
+       compensated sum round once more.  Doubling the count of roundings
+       covers the products of these factors and the final multiplication.
+    4. The use.  A density search skips a survivor only when this bound is
+       strictly below every running best it is offered to, so its
+       ``maximize`` value could not have replaced any of them (a running
+       best moves only on a strictly larger value).  A proof that does not
+       get there costs nothing but its time: the survivor is optimized.
+    """
+    if not g.edges:
+        return 0.0
+    cols, coeffs, mults, _ = _block_table(g)
+    m, r = len(mults), g.r
+    T = _polar_tensor(cols, coeffs, m)
+    k = 2 * ((r + 2) + r * m + r * (g.n + 1))
+    gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
+    diag = (np.arange(m),) * r
+
+    def piece(V: np.ndarray, made: int):
+        # (minus the largest coefficient, a tie-break, the largest vertex
+        # value, the vertex rows); each pass contracts the first axis with
+        # the vertex rows and moves the new axis last
+        B = T.reshape(m, -1)
+        for _ in range(r):
+            B = (V @ B).reshape(m, m, -1).transpose(1, 2, 0).reshape(m, -1)
+        B = B.reshape(T.shape)
+        return -float(B.max()), made, float(B[diag].max()), V
+
+    heap = [piece(np.eye(m), 0)]
+    made = 1
+    while True:
+        neg, _, vertex_best, V = heap[0]
+        bound = -neg * (1 + gamma)
+        if bound < target or vertex_best >= target or made + 2 > _BOUND_BUDGET:
+            return bound
+        heapq.heappop(heap)
+        G = V @ V.T
+        sq = np.diag(G)
+        i, j = np.unravel_index(np.argmax(sq[:, None] + sq[None, :] - 2 * G), (m, m))
+        mid = (V[i] + V[j]) * 0.5
+        for row in (i, j):
+            child = V.copy()
+            child[row] = mid
+            heapq.heappush(heap, piece(child, made))
+            made += 1
 
 
 def _project_rows(V: np.ndarray) -> np.ndarray:
@@ -649,15 +764,3 @@ def densify(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG):
         if weak is None:
             return cur, res
         cur = induced(cur, [u for u in range(1, cur.n + 1) if u != weak])
-
-
-def lagrangian_density_lower_bound(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG,
-                                   forbidden: Hypergraph | None = None) -> float:
-    """r! times the optimum of a witness graph; the caller asserts the
-    witness avoids the forbidden configuration (pass it to verify)."""
-    if forbidden is not None:
-        from .freeness import is_free
-
-        if not is_free(g, forbidden):
-            raise ValueError("witness graph contains the forbidden configuration")
-    return math.factorial(g.r) * maximize(g, config).value

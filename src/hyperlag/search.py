@@ -38,7 +38,8 @@ before exclude, so a token list reconstructs the frontier exactly.  That
 is what checkpoints serialize; resuming replays the tokens and produces
 bit-identical final results.  Everything else the DFS keeps across nodes
 (the included edges and their masks, the counts of missing lower covers,
-the host completion map and the vertex degrees) is derived from the
+the host completion map, the vertex degrees and the masks of the vertices
+of each degree or more) is derived from the
 included edges, updated on each include and undo, and rebuilt by
 :meth:`_ColexDFS.replay`.
 """
@@ -52,7 +53,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 from math import comb
 
-from .freeness import _contains_edges, creates_linear_path
+from .freeness import _contains_edges, _degree_masks, creates_linear_path
 from .hgio import to_json_obj
 from .hypergraph import (
     Hypergraph,
@@ -63,9 +64,9 @@ from .hypergraph import (
     named,
     new,
 )
-from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, maximize
+from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, maximize, upper_bound
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 # enumerate_all walks 2^C(n, r) edge sets; past this many r-sets it refuses
 _ENUMERATE_ALL_MAX_BITS = 24
 
@@ -129,8 +130,11 @@ class _ColexDFS:
       ``missing[k] == 0``;
     - ``completions`` and ``deg``: the host completion map of the included
       edges and the degree of each vertex, as
-      :func:`~hyperlag.freeness._completions` builds them, which is what
-      :func:`~hyperlag.freeness._contains_edges` searches.
+      :func:`~hyperlag.freeness._completions` builds them, and
+      ``deg_masks``, entry d the mask of the vertices of degree at least d,
+      as :func:`~hyperlag.freeness._degree_masks` builds it; the map and
+      the masks are what :func:`~hyperlag.freeness._contains_edges`
+      searches.
       :meth:`_host_add` and :meth:`_host_remove` add and take back one
       candidate edge around a test.
 
@@ -233,18 +237,20 @@ class _ColexDFS:
         return not smaller
 
     def _host_add(self, k: int) -> None:
-        """Add ground edge k to the completion map and the degrees."""
+        """Add ground edge k to the completion map, the degrees and the
+        degree masks."""
         m = self.masks[k]
-        completions, deg = self.completions, self.deg
+        completions, deg, deg_masks = self.completions, self.deg, self.deg_masks
         for v in self.ground[k]:
             b = 1 << v
             completions[m ^ b] = completions.get(m ^ b, 0) | b
             deg[v] += 1
+            deg_masks[deg[v]] |= b
 
     def _host_remove(self, k: int) -> None:
         """Take back :meth:`_host_add`; a key left with no completion goes."""
         m = self.masks[k]
-        completions, deg = self.completions, self.deg
+        completions, deg, deg_masks = self.completions, self.deg, self.deg_masks
         for v in self.ground[k]:
             b = 1 << v
             rest = completions[m ^ b] ^ b
@@ -252,6 +258,7 @@ class _ColexDFS:
                 completions[m ^ b] = rest
             else:
                 del completions[m ^ b]
+            deg_masks[deg[v]] ^= b
             deg[v] -= 1
 
     def _apply_include(self, k: int) -> None:
@@ -289,6 +296,7 @@ class _ColexDFS:
         self.missing = [len(c) for c in self.cover_idx] if self.downset else None
         self.completions: dict[int, int] = {}
         self.deg = [0] * (self.n + 1)
+        self.deg_masks = _degree_masks(self.n, self.r, self.deg)
         for d, tok in enumerate(tokens):
             if tok == 1:
                 self._apply_include(d)
@@ -605,7 +613,7 @@ class TuranRun(_ColexDFS):
     def include_accept(self, k: int) -> bool:
         self._host_add(k)
         try:
-            return all(_contains_edges(self.n, self.completions, self.deg, f) is None
+            return all(_contains_edges(self.n, self.completions, self.deg_masks, f) is None
                        for f in self.forbidden)
         finally:
             self._host_remove(k)
@@ -710,6 +718,13 @@ class DensityRun(_ColexDFS):
     edges, is kept for the family and for its clique-free part; on a tie
     the survivor found first stays.  The reported argmax graphs are their
     canonical forms.
+
+    Before a survivor is optimized it is screened: when the bound of
+    :func:`~hyperlag.lagrangian.upper_bound` proves it strictly below
+    every running best it is offered to, it is counted as ``screened`` and
+    not optimized, since its value could not have replaced either best.
+    So screening changes no value, argmax graph or status, only the counts
+    (``optimized`` + ``screened`` is the count without it).
     """
 
     kind = "density"
@@ -730,6 +745,7 @@ class DensityRun(_ColexDFS):
         self.best_plain: tuple[float, tuple | None] = (-1.0, None)
         self.best_cfree: tuple[float, tuple | None] = (-1.0, None)
         self.evaluated = 0
+        self.screened = 0
 
     def space_descriptor(self) -> dict:
         return {"kind": self.kind, "pattern": self.pattern, "n": self.n,
@@ -738,18 +754,30 @@ class DensityRun(_ColexDFS):
     def include_accept(self, k: int) -> bool:
         return not self._creates(self.included_masks, self.masks[k])
 
+    def _screen(self, g: Hypergraph, plain: bool, cfree: bool) -> bool:
+        """Does a proved bound place ``g`` strictly below every running best
+        it is offered to?  Its ``maximize`` value could then replace none of
+        them (see :func:`~hyperlag.lagrangian.upper_bound`)."""
+        target = min(best[0] for best, offered in ((self.best_plain, plain),
+                                                   (self.best_cfree, cfree)) if offered)
+        return target > 0 and upper_bound(g, target) < target
+
     def _optimize(self, edges: tuple, plain: bool, cfree: bool) -> None:
         """Maximize one survivor and offer its value to the running bests
-        it belongs to."""
+        it belongs to, unless it is screened out."""
+        g = Hypergraph(3, self.n, edges)
+        if self._screen(g, plain, cfree):
+            self.screened += 1
+            return
         self.evaluated += 1
-        value = maximize(Hypergraph(3, self.n, edges), self.config).value
+        value = maximize(g, self.config).value
         if plain and value > self.best_plain[0]:
             self.best_plain = (value, edges)
         if cfree and value > self.best_cfree[0]:
             self.best_cfree = (value, edges)
 
     def _has_clique(self) -> bool:
-        return _contains_edges(self.n, self.completions, self.deg, self.clique) is not None
+        return _contains_edges(self.n, self.completions, self.deg_masks, self.clique) is not None
 
     def on_leaf(self) -> None:
         masks = self.included_masks
@@ -779,7 +807,7 @@ class DensityRun(_ColexDFS):
         def best(b):
             return [b[0], None if b[1] is None else list(map(list, b[1]))]
 
-        return {**super().to_state(), "evaluated": self.evaluated,
+        return {**super().to_state(), "evaluated": self.evaluated, "screened": self.screened,
                 "best_plain": best(self.best_plain), "best_cfree": best(self.best_cfree)}
 
     def load_state(self, state: dict) -> None:
@@ -788,6 +816,7 @@ class DensityRun(_ColexDFS):
 
         super().load_state(state)
         self.evaluated = state["evaluated"]
+        self.screened = state["screened"]
         self.best_plain = best(state["best_plain"])
         self.best_cfree = best(state["best_cfree"])
 
@@ -802,7 +831,7 @@ class DensityRun(_ColexDFS):
             space=self.space_descriptor(),
             counts={"nodes": self.stats.nodes, "survivors": self.stats.leaves,
                     "pruned": self.stats.pruned, "symmetry_cuts": self.stats.symmetry_cuts,
-                    "optimized": self.evaluated},
+                    "optimized": self.evaluated, "screened": self.screened},
             max_lambda=val,
             argmax_graph=self._argmax(self.best_plain),
             max_lambda_complete_free=cval,

@@ -11,6 +11,7 @@ from hyperlag.freeness import (
     EmbeddingMap,
     _completions,
     _contains_edges,
+    _degree_masks,
     _pattern_order,
     _plan,
     check_structures,
@@ -130,7 +131,8 @@ def _host_and_pattern(draw):
 @given(_host_and_pattern())
 def test_matcher_agrees_with_brute_force_first_witness(case):
     n, edges, pattern = case
-    found = _contains_edges(n, *_completions(n, edges), pattern)
+    completions, deg = _completions(n, edges)
+    found = _contains_edges(n, completions, _degree_masks(n, pattern.r, deg), pattern)
     oracle = _first_embedding(n, edges, pattern)
     assert (found is None) == (oracle is None)
     if found is not None:

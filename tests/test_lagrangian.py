@@ -18,7 +18,6 @@ from hyperlag.hypergraph import (
     compress,
     equivalence_classes,
     induced,
-    linear_path,
     matching,
     new,
 )
@@ -32,9 +31,9 @@ from hyperlag.lagrangian import (
     evaluate,
     gradient,
     is_dense,
-    lagrangian_density_lower_bound,
     maximize,
     motzkin_straus,
+    upper_bound,
 )
 
 
@@ -615,14 +614,95 @@ def test_densify_drops_isolated_vertex():
     assert res.value == pytest.approx(5 / 54, abs=1e-9)
 
 
-def test_density_lower_bound_examples():
-    assert lagrangian_density_lower_bound(complete(6, 3)) == pytest.approx(5 / 9, abs=1e-8)
-    assert lagrangian_density_lower_bound(complete(8, 3)) == pytest.approx(21 / 32, abs=1e-8)
-    assert lagrangian_density_lower_bound(complete(4, 3)) == pytest.approx(3 / 8, abs=1e-8)
-    assert lagrangian_density_lower_bound(
-        complete(6, 3), forbidden=linear_path(3)) == pytest.approx(5 / 9, abs=1e-8)
-    with pytest.raises(ValueError):
-        lagrangian_density_lower_bound(complete(7, 3), forbidden=linear_path(3))
+# ---------------------------------------------------------------------------
+# proved upper bounds
+
+
+def _offered_targets(value):
+    # at the value a proof must fail, so the bound is refined to the
+    # budget; above it a proof may succeed, and the bound must still hold
+    return (value, value * (1 + 1e-3), value * 1.05)
+
+
+@given(st.sampled_from([2, 3]), st.integers(3, 8), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_upper_bound_is_above_the_maximize_value(r, n, seed, blow):
+    rnd = random.Random(seed)
+    g = random_hypergraph(rnd, max(n, r), r=r)
+    if blow:
+        g = blowup(g, [rnd.randint(1, 3) for _ in range(g.n)])
+    value = maximize(g).value
+    for target in _offered_targets(value):
+        assert upper_bound(g, target) >= value
+
+
+def _closed_form_graphs():
+    for t in range(3, 10):
+        yield complete(t, 3), closed_form("K", t=t).value
+    for t in range(2, 7):
+        yield complete(t, 2), closed_form("K", t=t, r=2).value
+    for t in (4, 6, 8):
+        lam = closed_form(f"K{t}_minus").value
+        yield complete_minus(t), lam
+        # as a density search meets it, with an isolated vertex
+        yield new(3, t + 1, complete_minus(t).edges), lam
+
+
+def test_upper_bound_never_proves_a_closed_form_below_itself():
+    for g, lam in _closed_form_graphs():
+        for target in (lam, lam - 1e-9):
+            assert upper_bound(g, target) >= lam, (g, target)
+
+
+def _typed_graph(rnd, r):
+    """A graph on at most three parts whose edges are every r-set of each
+    chosen multiset of parts, so the parts are weight-exchangeable and the
+    block form has at most three columns.  Returns the graph, the part
+    sizes and, per chosen multiset, its edge count."""
+    sizes = [rnd.randint(1, 3) for _ in range(rnd.randint(1, 3))]
+    sizes[0] = max(sizes[0], r - sum(sizes[1:]))  # room for one edge
+    part = [k for k, s in enumerate(sizes) for _ in range(s)]
+    types = [c for c in itertools.combinations_with_replacement(range(len(sizes)), r)
+             if all(c.count(k) <= sizes[k] for k in c)]
+    chosen = {c for c in types if rnd.random() < 0.6} or {types[0]}
+    edges = [e for e in itertools.combinations(range(1, len(part) + 1), r)
+             if tuple(sorted(part[v - 1] for v in e)) in chosen]
+    counts = {c: sum(1 for e in edges if tuple(sorted(part[v - 1] for v in e)) == c)
+              for c in chosen}
+    return new(r, len(part), edges), sizes, counts
+
+
+def _grid_max(sizes, counts, denom=60):
+    """The exact maximum of the edge polynomial over the block weights
+    whose coordinates are multiples of 1/denom, part k's weight spread
+    evenly over its vertices."""
+    best = Fraction(0)
+    for cut in itertools.combinations(range(denom + len(sizes) - 1), len(sizes) - 1):
+        bounds = (-1,) + cut + (denom + len(sizes) - 1,)
+        y = [Fraction(bounds[k + 1] - bounds[k] - 1, denom) for k in range(len(sizes))]
+        w = [y[k] / sizes[k] for k in range(len(sizes))]
+        best = max(best, sum(cnt * math.prod(w[k] for k in c) for c, cnt in counts.items()))
+    return best
+
+
+@given(st.sampled_from([2, 3]), st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_upper_bound_is_above_the_grid_maximum_on_three_blocks(r, seed):
+    g, sizes, counts = _typed_graph(random.Random(seed), r)
+    assert _BlockProblem.from_graph(g).m <= 3
+    grid = _grid_max(sizes, counts)
+    assert grid > 0
+    for target in (grid, grid * Fraction(1001, 1000)):
+        assert upper_bound(g, float(target)) >= grid
+
+
+def test_upper_bound_screens_below_a_higher_target():
+    # K_6^- on seven vertices lies below 5/54 by about 0.0039; the proof
+    # must find that within the budget, and K_6 itself must never pass
+    k6_minus = new(3, 7, complete_minus(6).edges)
+    assert upper_bound(k6_minus, 5 / 54) < 5 / 54
+    assert upper_bound(new(3, 7, complete(6, 3).edges), 5 / 54) >= 5 / 54
+    assert upper_bound(new(3, 4, ()), 0.1) == 0.0
 
 
 # ---------------------------------------------------------------------------

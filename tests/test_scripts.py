@@ -75,4 +75,5 @@ def test_path3_scan_resume_matches_uninterrupted(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("resumed at 200 nodes")
     assert _report(out) == full
-    assert full["status"] == "exact" and full["counts"]["optimized"] == 7
+    assert full["status"] == "exact"
+    assert (full["counts"]["optimized"], full["counts"]["screened"]) == (2, 5)

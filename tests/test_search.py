@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlag.freeness import _completions, contains, creates_linear_path, is_free
+from hyperlag.freeness import _completions, _degree_masks, contains, creates_linear_path, is_free
 import hyperlag.search as search_mod
 from hyperlag.hypergraph import (
     Hypergraph,
@@ -541,13 +541,24 @@ def test_density_t2_reference_clique_is_single_edge():
     assert rep.max_lambda_complete_free == 0.0
 
 
-class EverySurvivorDensityRun(DensityRun):
-    """Optimizes every survivor at full strength, maximal or not: the
-    oracle for optimizing only the maximal ones."""
+class _Unscreened:
+    """Optimizes every survivor it is offered, with no bound screening."""
+
+    def _screen(self, g, plain, cfree):
+        return False
+
+
+class UnscreenedDensityRun(_Unscreened, DensityRun):
+    """Optimizes every maximal survivor: the oracle for screening."""
+
+
+class EverySurvivorDensityRun(_Unscreened, DensityRun):
+    """Optimizes every survivor at full strength, maximal or not, with no
+    screening: the oracle for optimizing only the maximal ones."""
 
     def on_leaf(self):
         has_clique = search_mod._contains_edges(
-            self.n, self.completions, self.deg, self.clique) is not None
+            self.n, self.completions, self.deg_masks, self.clique) is not None
         self._optimize(self.included_edges(), True, not has_clique)
 
 
@@ -566,6 +577,19 @@ def test_maximal_survivors_match_every_survivor_oracle(pattern, n, mode):
     assert fast.counts["optimized"] <= oracle.counts["optimized"]
 
 
+@pytest.mark.parametrize("pattern,n,mode", [
+    ("P2", 5, "all"), ("P2", 6, "all"), ("T2", 4, "all"), ("P3", 7, "left_compressed"),
+    ("P3", 7, "all"), ("P4", 8, "left_compressed")])
+def test_screening_changes_nothing_but_the_counts(pattern, n, mode):
+    screened = density_evidence(pattern, n, mode).to_json()
+    oracle = UnscreenedDensityRun(pattern, n, mode).execute().to_json()
+    got, want = screened.pop("counts"), oracle.pop("counts")
+    assert screened == oracle
+    assert want.pop("screened") == 0
+    got["optimized"] += got.pop("screened")
+    assert got == want
+
+
 def test_one_maximize_call_per_optimized_survivor(monkeypatch):
     calls = []
     maximize = search_mod.maximize
@@ -576,8 +600,8 @@ def test_one_maximize_call_per_optimized_survivor(monkeypatch):
 
     monkeypatch.setattr(search_mod, "maximize", counting)
     rep = density_evidence("P3", 7)
-    assert rep.counts["optimized"] == 7
-    assert len(calls) == 7
+    assert (rep.counts["optimized"], rep.counts["screened"]) == (2, 5)
+    assert len(calls) == 2
     calls.clear()
     rep = density_evidence("P2", 6, "all")
     assert len(calls) == rep.counts["optimized"]
@@ -586,7 +610,7 @@ def test_one_maximize_call_per_optimized_survivor(monkeypatch):
 def test_density_p3_eleven_pinned_report():
     rep = density_evidence("P3", 11)
     assert rep.counts == {"nodes": 63356, "survivors": 787, "pruned": 29, "symmetry_cuts": 0,
-                          "optimized": 7}
+                          "optimized": 2, "screened": 5}
     assert rep.max_lambda == pytest.approx(5 / 54, abs=1e-12)
     assert rep.argmax_graph == new(3, 11, complete(6, 3).edges)
     assert rep.max_lambda_complete_free == pytest.approx(0.08866210790363471, abs=1e-12)
@@ -603,7 +627,7 @@ def test_density_p4_on_eight_vertices_skips_the_path_test(monkeypatch):
     monkeypatch.setattr(search_mod, "creates_linear_path", never)
     rep = density_evidence("P4", 8)
     assert rep.counts == {"nodes": 40682, "survivors": 2431, "pruned": 0, "symmetry_cuts": 0,
-                          "optimized": 2}
+                          "optimized": 2, "screened": 0}
     assert rep.max_lambda == pytest.approx(7 / 64, abs=1e-12)
     assert rep.argmax_graph == complete(8, 3)
     assert rep.max_lambda_complete_free == pytest.approx(0.10767488654714333, abs=1e-12)
@@ -668,6 +692,7 @@ def _assert_derived_state(run):
     completions, deg = _completions(run.n, [run.ground[k] for k in inc])
     assert run.completions == completions
     assert run.deg == deg
+    assert run.deg_masks == _degree_masks(run.n, run.r, deg)
 
 
 class _Checked:
@@ -724,6 +749,29 @@ def test_derived_state_matches_a_rebuild_at_every_node(make, tmp_path):
     checked.load_state(json.loads(path.read_text())["state"])
     _assert_derived_state(checked)
     assert checked.execute().to_json() == full
+
+
+@given(st.sampled_from([2, 3]), st.integers(4, 8), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_host_state_after_random_includes_and_undos_matches_a_rebuild(r, n, seed):
+    # includes and undos in a random stack order, each undo of the last
+    # include, with candidate edges added and taken back around them
+    rnd = random.Random(seed)
+    run = TuranRun(n, (complete(r + 1, r),))
+    for _ in range(60):
+        if run.included and rnd.random() < 0.4:
+            run._undo_include(run.included[-1])
+        else:
+            free = [k for k in range(run.M) if k not in run.included]
+            if not free:
+                continue
+            k = rnd.choice(free)
+            run._host_add(k)
+            run._host_remove(k)
+            run._apply_include(k)
+        completions, deg = _completions(n, [run.ground[k] for k in run.included])
+        assert (run.completions, run.deg) == (completions, deg)
+        assert run.deg_masks == _degree_masks(n, r, deg)
 
 
 def test_density_report_serializes():
@@ -799,8 +847,9 @@ def test_checkpoint_keeps_every_setting(tmp_path):
     assert set(json.loads(path.read_text())["space"]) == {"kind", "n", "r", "forbidden"}
 
     # a version 3 file carries the heaps and knobs this version no longer
-    # has, a version 4 file the deleted support-enumeration size
-    for version in (3, 4):
+    # has, a version 4 file the deleted support-enumeration size, a
+    # version 5 file no screened count
+    for version in (3, 4, 5):
         payload["version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="version"):
@@ -864,9 +913,12 @@ def test_checkpoint_refuses_state_missing_a_field(tmp_path):
     del payload["state"]["best"]
     _refused(path, payload, r"lacks \['best'\]")
     checkpoint_save(DensityRun("P2", 5, "all"), path)
-    payload = json.loads(path.read_text())
-    del payload["state"]["evaluated"]
-    _refused(path, payload, r"lacks \['evaluated'\]")
+    saved = path.read_text()
+    # a version 5 density state has no screened count
+    for field in ("evaluated", "screened"):
+        payload = json.loads(saved)
+        del payload["state"][field]
+        _refused(path, payload, rf"lacks \['{field}'\]")
 
 
 def test_checkpoint_refuses_decisions_past_the_ground_set(tmp_path):
@@ -952,7 +1004,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     with pytest.raises(CheckpointError, match="version"):
         checkpoint_resume(path)
     # a version 2 decision list belongs to the tree without the lex-leader cut
-    assert CHECKPOINT_VERSION == 5
+    assert CHECKPOINT_VERSION == 6
     payload["version"] = 2
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="version"):
