@@ -15,14 +15,11 @@ from .hypergraph import (
     induced,
     is_left_compressed,
     linear_path,
-    link,
     link_diff,
-    link_equal_classes,
     matching,
     named,
     new,
     relabel,
-    symmetrize,
     turan_blowup,
     turan_count,
 )
@@ -42,13 +39,10 @@ from .lagrangian import (
 )
 from .freeness import (
     EmbeddingMap,
-    StructureReport,
-    check_structures,
     contains,
     contains_core,
     is_free,
     left_compress_loop,
-    symmetrize_clean,
 )
 from .search import (
     CheckpointError,

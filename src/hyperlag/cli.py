@@ -1,9 +1,10 @@
 """Command-line surface.
 
-One tool in subcommand style.  Flags fall back to HYPERLAG_* environment
-variables; the seed in effect is always printed so every run can be
-reproduced.  Exit codes: 0 success/certified, 1 input error, 2 an
-uncertified numeric result, 3 a resource-capped partial result.
+One tool in subcommand style.  Every subcommand takes the common flags;
+the optimizer's defaults are ``DEFAULT_CONFIG``'s, and the seed in effect
+is always printed so every run can be reproduced.  Exit codes: 0
+success/certified, 1 input error, 2 an uncertified numeric result, 3 a
+resource-capped partial result.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .hypergraph import (
     turan_blowup,
     turan_count,
 )
-from .lagrangian import OptimizerConfig, maximize
+from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, maximize
 from .search import density_evidence, turan_number
 from .verify import GROUPS, run_suite
 
@@ -37,23 +38,13 @@ EXIT_UNCERTIFIED = 2
 EXIT_CAPPED = 3
 
 
-def _env(name: str, cast, default):
-    raw = os.environ.get(f"HYPERLAG_{name}")
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(f"bad HYPERLAG_{name}={raw!r}")
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-    p.add_argument("--restarts", type=int, default=_env("RESTARTS", int, 64))
-    p.add_argument("--kkt-tol", type=float, default=_env("KKT_TOL", float, 1e-8))
-    p.add_argument("--max-nodes", type=int, default=_env("MAX_NODES", int, None))
-    p.add_argument("--max-seconds", type=float, default=_env("MAX_SECONDS", float, None))
-    p.add_argument("--json", action="store_true", default=_env("FORMAT", str, "human") == "json")
+    p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
+    p.add_argument("--restarts", type=int, default=DEFAULT_CONFIG.restarts)
+    p.add_argument("--kkt-tol", type=float, default=DEFAULT_CONFIG.kkt_tol)
+    p.add_argument("--max-nodes", type=int, default=None)
+    p.add_argument("--max-seconds", type=float, default=None)
+    p.add_argument("--json", action="store_true")
     p.add_argument("--out", type=str, default=None, help="write the result graph to this file")
 
 

@@ -1,8 +1,7 @@
 """Subgraph containment by a bitmask matcher compiled once per pattern
 (whole-graph linear-path tests are ``contains(g, linear_path(t))``), the
 incremental linear-path test that grows a path outward from a new edge
-inside searches, the dense-and-left-compressed rewriting loop, and the
-symmetrize-and-clean iteration."""
+inside searches, and the dense-and-left-compressed rewriting loop."""
 
 from __future__ import annotations
 
@@ -14,14 +13,12 @@ from math import comb
 from .hypergraph import (
     Hypergraph,
     compress,
-    covers_pairs,
     induced,
     linear_path,
     link_diff,
-    named,
     relabel,
 )
-from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, densify, is_dense, maximize
+from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, densify, maximize
 
 
 @dataclass(frozen=True)
@@ -385,164 +382,3 @@ def left_compress_loop(g: Hypergraph, t: int,
         if contains(cur, path) is not None:
             raise RuntimeError(
                 f"compression {moved} created a length-{t} path; loop preconditions violated")
-
-
-# ---------------------------------------------------------------------------
-# symmetrization and cleaning
-
-
-def _alpha_dense(edges: set, alive: list[int], r: int, alpha: float) -> bool:
-    if not alive:
-        return False
-    deg = {v: 0 for v in alive}
-    for e in edges:
-        for v in e:
-            deg[v] += 1
-    need = alpha * comb(len(alive) - 1, r - 1)
-    return min(deg.values()) >= need
-
-
-def symmetrize_clean(g: Hypergraph, alpha: float) -> Hypergraph:
-    """Iterate: pick two nonadjacent vertices with different links, the
-    higher degree first (ties by smallest ids); give every vertex of the
-    lower one's link-equality class a copy of the higher one's link; then
-    while the graph is not alpha-dense (minimum degree at least alpha
-    times the full degree), delete a minimum-degree vertex, except that a
-    minimum-degree vertex inside the class just symmetrized *to* is spared
-    and a just-symmetrized source vertex is deleted instead, while any
-    remain.  Stops when no nonadjacent pair with different links is left;
-    the survivors are renumbered 1..k in increasing original id.
-
-    The result is a blowup of its induced subgraph on one representative
-    per link-equality class.
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    alive = list(range(1, g.n + 1))
-    edges = set(g.edges)
-    for _round in range(4 * g.n * g.n + 64):
-        if not alive or not edges:
-            break
-        deg = {v: 0 for v in alive}
-        links: dict[int, frozenset] = {v: frozenset() for v in alive}
-        by_vertex: dict[int, list] = {v: [] for v in alive}
-        for e in edges:
-            for v in e:
-                deg[v] += 1
-                by_vertex[v].append(e)
-        for v in alive:
-            links[v] = frozenset(tuple(x for x in e if x != v) for e in by_vertex[v])
-        adjacent: set[tuple[int, int]] = set()
-        for e in edges:
-            adjacent.update(itertools.combinations(sorted(e), 2))
-        pick = None
-        for u in alive:
-            for v in alive:
-                if u == v:
-                    continue
-                a, b = min(u, v), max(u, v)
-                if (a, b) in adjacent or links[u] == links[v]:
-                    continue
-                if deg[u] >= deg[v]:
-                    if pick is None or (u, v) < pick:
-                        pick = (u, v)
-        if pick is None:
-            break
-        u, v = pick
-        cls_v = sorted(w for w in alive if links[w] == links[v])
-        cls_u = set(w for w in alive if links[w] == links[u])
-        for w in cls_v:
-            edges = {e for e in edges if w not in e}
-        for w in cls_v:
-            for f in links[u]:
-                if w not in f:
-                    edges.add(tuple(sorted(f + (w,))))
-        # cleaning: a graph with no edges left is cleaned down to nothing
-        sources = list(cls_v)
-        while alive and not (edges and _alpha_dense(edges, alive, g.r, alpha)):
-            d = {x: 0 for x in alive}
-            for e in edges:
-                for x in e:
-                    d[x] += 1
-            z = min(alive, key=lambda x: (d[x], x))
-            if z in cls_u and sources:
-                victim = sources.pop(0)
-            else:
-                victim = z
-            alive.remove(victim)
-            edges = {e for e in edges if victim not in e}
-        if not edges:
-            break
-    else:
-        raise RuntimeError("symmetrize_clean failed to terminate within the round cap")
-    keep = sorted(alive)
-    mapping = {old: new for new, old in enumerate(keep, start=1)}
-    out = sorted(tuple(sorted(mapping[v] for v in e)) for e in edges)
-    return Hypergraph(g.r, len(keep), tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# structure reports
-
-
-@dataclass(frozen=True)
-class StructureCheck:
-    check: str
-    violated: bool
-    witness: EmbeddingMap | tuple | None = None
-
-    def to_json(self) -> dict:
-        out = {"check": self.check, "violated": self.violated}
-        if isinstance(self.witness, EmbeddingMap):
-            out["witness_embedding"] = self.witness.to_json()
-        elif self.witness is not None:
-            out["witness"] = list(self.witness)
-        return out
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    checks: tuple[StructureCheck, ...]
-
-    @property
-    def violated(self) -> bool:
-        return any(c.violated for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"checks": [c.to_json() for c in self.checks], "violated": self.violated}
-
-
-def check_structures(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG) -> StructureReport:
-    """Structural consequences a graph in this regime must satisfy.
-
-    For a covering-pairs, length-4-path-free graph on at least 9 vertices:
-    no disjoint pair of length-2 paths (F1) and no edge disjoint from a
-    length-3 path (F2) may embed; when additionally the optimum is within
-    0.005 of the near-complete threshold, no central triple with three
-    pendant edges (F3) may embed.  For a dense graph on at least 5
-    (resp. 4) vertices, some two edges intersect in exactly 1 (resp. 2)
-    vertices.
-    """
-    checks: list[StructureCheck] = []
-    if g.r == 3 and g.n >= 9 and contains(g, linear_path(4)) is None:
-        # the freeness guarantees only bind covering-pairs graphs; scans on
-        # other inputs still report witnesses (detector sanity) but are not
-        # violations
-        covering = covers_pairs(g)
-        for name in ("F1", "F2"):
-            w = contains(g, named(name))
-            checks.append(StructureCheck(f"{name.lower()}-free", covering and w is not None, w))
-        if covering and maximize(g, config).value >= _K8_FLOOR:
-            w = contains(g, named("F3"))
-            checks.append(StructureCheck("f3-free", w is not None, w))
-    if g.r == 3 and g.n >= 4 and is_dense(g, config):
-        for size, min_n in ((1, 5), (2, 4)):
-            if g.n >= min_n:
-                found = None
-                for e1, e2 in itertools.combinations(g.edges, 2):
-                    if len(set(e1) & set(e2)) == size:
-                        found = (e1, e2)
-                        break
-                checks.append(StructureCheck(
-                    f"intersecting-pair-{size}", found is None, found))
-    return StructureReport(tuple(checks))

@@ -181,15 +181,6 @@ def covers_pairs(g: Hypergraph) -> bool:
     return len(seen) == want
 
 
-def link(g: Hypergraph, i: int) -> Hypergraph:
-    """Link of vertex i: the (r-1)-graph on [n] with edges e-{i} for each
-    edge e containing i."""
-    if not 1 <= i <= g.n:
-        raise ValueError(f"vertex {i} out of range [1, {g.n}]")
-    edges = sorted(tuple(v for v in e if v != i) for e in g.edges if i in e)
-    return Hypergraph(g.r - 1, g.n, tuple(edges))
-
-
 def link_diff(g: Hypergraph, j: int, i: int) -> frozenset[Edge]:
     """The (r-1)-sets f avoiding both i and j with f+{j} an edge but
     f+{i} not an edge."""
@@ -404,35 +395,3 @@ def equivalence_classes(g: Hypergraph) -> VertexPartition:
         groups.setdefault(find(v), []).append(v)
     classes = tuple(sorted(tuple(sorted(c)) for c in groups.values()))
     return VertexPartition(g.n, classes)
-
-
-def link_equal_classes(g: Hypergraph) -> VertexPartition:
-    """Partition by literal link equality (members are then automatically
-    pairwise nonadjacent).  This is the class notion the symmetrization
-    and cleaning iteration needs; it is finer than
-    :func:`equivalence_classes` on adjacent exchangeable vertices."""
-    groups: dict[frozenset[Edge], list[int]] = {}
-    for v in range(1, g.n + 1):
-        lk = frozenset(tuple(x for x in e if x != v) for e in g.edges if v in e)
-        groups.setdefault(lk, []).append(v)
-    classes = tuple(sorted(tuple(sorted(c)) for c in groups.values()))
-    return VertexPartition(g.n, classes)
-
-
-def symmetrize(g: Hypergraph, u: int, v: int) -> Hypergraph:
-    """Give u a copy of v's link: delete all edges through u, then add
-    {u}+A for every A in the link of v not containing u.  (Members of the
-    link of v never contain v; they can contain u only when u and v are
-    adjacent, and those sets are skipped.)"""
-    if u == v:
-        raise ValueError("symmetrize needs two distinct vertices")
-    for x in (u, v):
-        if not 1 <= x <= g.n:
-            raise ValueError(f"vertex {x} out of range [1, {g.n}]")
-    edges = {e for e in g.edges if u not in e}
-    for e in g.edges:
-        if v in e:
-            f = tuple(x for x in e if x != v)
-            if u not in f:
-                edges.add(tuple(sorted(f + (u,))))
-    return Hypergraph(g.r, g.n, tuple(sorted(edges)))

@@ -876,9 +876,32 @@ def checkpoint_save(run, path) -> None:
 
 def _require_fields(what: str, got, want) -> None:
     want = sorted(want)
-    got = sorted(got) if isinstance(got, dict) else got
+    got = sorted(got) if isinstance(got, dict) else f"a JSON {type(got).__name__}"
     if got != want:
-        raise CheckpointError(f"checkpoint {what} {got!r} are not {want}")
+        raise CheckpointError(f"checkpoint {what} {got} are not {want}")
+
+
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _is_edges(x) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(e, list) and all(type(v) is int and v >= 1 for v in e) for e in x)
+
+
+def _is_running_best(x) -> bool:
+    return (isinstance(x, list) and len(x) == 2 and type(x[0]) in (int, float)
+            and (x[1] is None or _is_edges(x[1])))
+
+
+# the value each state field must hold, as checkpoint.schema.json states it
+_STATE_VALUES = {
+    "best": lambda x: type(x) is int and x >= -1,
+    "witnesses": lambda x: isinstance(x, list) and all(map(_is_edges, x)),
+    "evaluated": _is_count, "screened": _is_count,
+    "best_plain": _is_running_best, "best_cfree": _is_running_best,
+}
 
 
 def checkpoint_resume(path, expect_space: dict | None = None):
@@ -888,14 +911,15 @@ def checkpoint_resume(path, expect_space: dict | None = None):
     mode, a malformed forbidden graph) or is not exactly the space of the
     run it rebuilds (an unknown key, another ``r``); and on a state that
     lacks a field of the run's kind, whose stats are not exactly the
-    :class:`SearchStats` fields, or whose decisions are not 0/1 tokens at
-    most as many as the ground set has."""
+    :class:`SearchStats` fields, whose values are not of the types
+    ``checkpoint.schema.json`` gives them, or whose decisions are not 0/1
+    tokens at most as many as the ground set has."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {payload.get('version')!r} != {CHECKPOINT_VERSION}")
     _require_fields("parts", payload, ("version", "space", "state"))
+    if payload["version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint version {payload['version']!r} != {CHECKPOINT_VERSION}")
     space = payload["space"]
     kind = space.get("kind") if isinstance(space, dict) else None
     if kind not in ("turan", "density"):
@@ -923,10 +947,14 @@ def checkpoint_resume(path, expect_space: dict | None = None):
             f"checkpoint space {space!r} is not that of the run it rebuilds, "
             f"{run.space_descriptor()!r}")
     state = payload["state"]
-    missing = sorted(set(run.to_state()) - set(state))
+    missing = sorted(set(run.to_state()) - set(state if isinstance(state, dict) else ()))
     if missing:
         raise CheckpointError(f"checkpoint state lacks {missing}")
     _require_fields("stats fields", state["stats"], (f.name for f in fields(SearchStats)))
+    bad = [f"stats.{k}" for k, v in sorted(state["stats"].items()) if not _is_count(v)]
+    bad += [k for k in run.to_state() if k in _STATE_VALUES and not _STATE_VALUES[k](state[k])]
+    if bad:
+        raise CheckpointError(f"checkpoint state values {bad} are malformed")
     decisions = state["decisions"]
     if (not isinstance(decisions, list) or len(decisions) > run.M
             or any(t not in (0, 1) for t in decisions)):

@@ -246,10 +246,10 @@ def test_verify_human_output_prints_seed(capsys):
     assert "seed: 0" in out and "PASS" in out
 
 
-def test_env_fallback_seed(monkeypatch, capsys):
+def test_environment_does_not_set_the_seed(monkeypatch, capsys):
     monkeypatch.setenv("HYPERLAG_SEED", "7")
     main(["verify", "--only", "clique-extension-value"])
-    assert "seed: 7" in capsys.readouterr().out
+    assert "seed: 0" in capsys.readouterr().out
 
 
 def test_missing_file_exit_one(capsys):

@@ -14,13 +14,11 @@ from hyperlag.freeness import (
     _degree_masks,
     _pattern_order,
     _plan,
-    check_structures,
     contains,
     contains_core,
     creates_linear_path,
     is_free,
     left_compress_loop,
-    symmetrize_clean,
 )
 from hyperlag.hypergraph import (
     Hypergraph,
@@ -28,10 +26,8 @@ from hyperlag.hypergraph import (
     complete_minus,
     compress,
     covers_pairs,
-    induced,
     is_left_compressed,
     linear_path,
-    link_equal_classes,
     matching,
     named,
     new,
@@ -420,117 +416,3 @@ def test_compress_preserves_path4_freeness_on_matched_samples():
             if free_k8:
                 assert is_free(pg, k8)
     assert qualifying >= 5
-
-
-# ---------------------------------------------------------------------------
-# symmetrize and clean
-
-
-def test_symmetrize_clean_complete_unchanged():
-    assert symmetrize_clean(complete(5, 3), 0.5) == complete(5, 3)
-
-
-def test_symmetrize_clean_two_disjoint_edges_hand_trace():
-    # degrees all equal, so the smallest nonadjacent pair with different
-    # links is (1, 4); vertex 4 takes the link of 1, the isolated 5 and 6
-    # are cleaned away, and the survivors blow up a single covering edge
-    g = new(3, 6, [(1, 2, 3), (4, 5, 6)])
-    out = symmetrize_clean(g, 0.01)
-    assert out == new(3, 4, [(1, 2, 3), (2, 3, 4)])
-    part = link_equal_classes(out)
-    reps = [c[0] for c in part.classes]
-    core = induced(out, reps)
-    assert covers_pairs(core)
-
-
-def test_symmetrize_clean_empty():
-    assert symmetrize_clean(Hypergraph(3, 0, ()), 0.5).n == 0
-    g = Hypergraph(3, 4, ())
-    assert symmetrize_clean(g, 0.5) == g  # all links equal, nothing to do
-
-
-def test_symmetrize_clean_alpha_validation():
-    with pytest.raises(ValueError):
-        symmetrize_clean(complete(4, 3), 0.0)
-    with pytest.raises(ValueError):
-        symmetrize_clean(complete(4, 3), 1.5)
-
-
-def _is_blowup_of_representative_core(g):
-    part = link_equal_classes(g)
-    reps = [c[0] for c in part.classes]
-    core = induced(g, reps)
-    # rebuild the blowup of the core with the class sizes and compare
-    from hyperlag.hypergraph import blowup
-
-    rebuilt = blowup(core, [len(part.classes[k]) for k in range(len(part.classes))])
-    # rebuilt labels classes consecutively; compare canonically via sizes
-    return len(rebuilt.edges) == len(g.edges)
-
-
-def test_symmetrize_clean_output_is_blowup_and_never_loses_edges():
-    rnd = random.Random(17)
-    for _ in range(25):
-        g = random_hypergraph(rnd, rnd.randint(4, 7), p=rnd.uniform(0.1, 0.5))
-        out = symmetrize_clean(g, rnd.choice([0.05, 0.2, 0.5]))
-        if out.n == 0:
-            continue
-        assert _is_blowup_of_representative_core(out)
-
-
-def test_symmetrize_step_never_decreases_edge_count():
-    # within one iteration the rerouted class had the lower degree, so the
-    # edge count cannot drop; observe it through single symmetrize calls
-    from hyperlag.hypergraph import symmetrize
-
-    rnd = random.Random(13)
-    for _ in range(80):
-        g = random_hypergraph(rnd, rnd.randint(4, 7))
-        verts = range(1, g.n + 1)
-        covered = {p for e in g.edges for p in itertools.combinations(e, 2)}
-        degs = [0] + g.degrees()
-        for u, v in itertools.permutations(verts, 2):
-            if (min(u, v), max(u, v)) in covered:
-                continue
-            if degs[u] >= degs[v]:
-                assert len(symmetrize(g, v, u).edges) >= len(g.edges)
-
-
-# ---------------------------------------------------------------------------
-# structure report
-
-
-def test_structure_report_on_dense_complete():
-    rep = check_structures(complete(5, 3), FAST_OPT)
-    by_name = {c.check: c for c in rep.checks}
-    assert not by_name["intersecting-pair-2"].violated
-    assert not by_name["intersecting-pair-1"].violated
-    assert not rep.violated
-
-
-def test_structure_report_detects_planted_configuration():
-    # sanity of the detector itself: the forbidden configuration embeds
-    # into itself, so scanning it must produce a witness; it does not
-    # cover pairs, so no guarantee is violated
-    f1 = named("F1")
-    rep = check_structures(f1, FAST_OPT)
-    by_name = {c.check: c for c in rep.checks}
-    w = by_name["f1-free"].witness
-    assert w is not None and w.verify(f1, f1)
-    assert not by_name["f1-free"].violated
-
-
-def test_structure_report_sampled_covering_path_free():
-    rnd = random.Random(61)
-    for i in range(6):
-        g = covers_pairs_path_free(rnd, 9 + (i % 2), 4)
-        rep = check_structures(g, FAST_OPT)
-        by_name = {c.check: c for c in rep.checks}
-        assert not by_name["f1-free"].violated
-        assert not by_name["f2-free"].violated
-
-
-def test_structure_report_serializes():
-    rep = check_structures(complete(5, 3), FAST_OPT)
-    payload = rep.to_json()
-    assert "checks" in payload and isinstance(payload["violated"], bool)

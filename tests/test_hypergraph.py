@@ -18,15 +18,12 @@ from hyperlag.hypergraph import (
     induced,
     is_left_compressed,
     linear_path,
-    link,
     link_diff,
-    link_equal_classes,
     lower_covers,
     matching,
     named,
     new,
     relabel,
-    symmetrize,
     turan_blowup,
     turan_count,
 )
@@ -103,14 +100,6 @@ def test_covers_pairs():
     assert covers_pairs(complete(4, 3))
     assert not covers_pairs(linear_path(3))
     assert not covers_pairs(named("F5"))
-
-
-def test_link():
-    assert link(complete(4, 3), 1).edges == ((2, 3), (2, 4), (3, 4))
-    assert link(linear_path(3), 4).edges == ((3, 5),)
-    assert link(new(3, 5, [(1, 2, 3)]), 5).edges == ()
-    with pytest.raises(ValueError):
-        link(complete(4, 3), 9)
 
 
 def test_link_diff():
@@ -263,22 +252,6 @@ def test_equivalence_classes_examples():
     assert equivalence_classes(complete(5, 3)).classes == ((1, 2, 3, 4, 5),)
     assert equivalence_classes(complete_minus(6, 3)).classes == ((1, 2, 3), (4, 5, 6))
     assert equivalence_classes(linear_path(3)).classes == ((1, 2), (3,), (4,), (5,), (6, 7))
-
-
-def test_link_equal_classes_are_finer_and_nonadjacent():
-    # adjacent exchangeable vertices split under literal link equality
-    assert len(link_equal_classes(complete_minus(6, 3))) == 6
-    # blowup parts are nonadjacent with equal links, so they are the classes
-    assert link_equal_classes(turan_blowup(3, 3, 6)).classes == ((1, 2), (3, 4), (5, 6))
-
-
-def test_symmetrize_examples():
-    assert symmetrize(new(3, 6, [(1, 2, 3), (4, 5, 6)]), 1, 4).edges == ((1, 5, 6), (4, 5, 6))
-    g = turan_blowup(3, 3, 6)
-    assert symmetrize(g, 1, 2) == g  # equal links leave the graph unchanged
-    assert symmetrize(new(3, 4, [(1, 2, 3)]), 4, 1).edges == ((1, 2, 3), (2, 3, 4))
-    with pytest.raises(ValueError):
-        symmetrize(g, 2, 2)
 
 
 def test_vertex_partition_validation():

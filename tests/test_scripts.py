@@ -4,11 +4,14 @@ a name from the package cannot break a script unnoticed.  The density
 scan's checkpoint round trip is run end to end.  Every name the
 benchmark's span tracer wraps exists, and the matcher it wraps is the one
 the searches call, since a missing or bypassed one would make its
-metrics read 0 silently."""
+metrics read 0 silently.  Every function and class of the package is
+reached from outside tests, and every JSON schema is used."""
 
+import ast
 import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,55 @@ def test_path3_scan_resume_matches_uninterrupted(tmp_path, capsys):
     assert _report(out) == full
     assert full["status"] == "exact"
     assert (full["counts"]["optimized"], full["counts"]["screened"]) == (2, 5)
+
+
+# Top-level names no code outside tests reaches, each with its reason.
+REACHED_ONLY_BY_TESTS = {
+    "isomorphic": "public API: graph comparison up to relabelling, on canonical_form",
+}
+
+
+def _names(node) -> set[str]:
+    """Every name the node uses: identifiers, attributes, and the parts of
+    dotted string constants (``bench/spans.py`` names its targets as
+    strings)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and re.fullmatch(r"[\w.]+", n.value):
+            out.update(n.value.split("."))
+    return out
+
+
+def test_every_package_definition_is_reached_outside_tests():
+    package = ROOT / "src" / "hyperlag"
+    files = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    files += SCRIPTS
+    files += [p for p in sorted((ROOT / "bench").rglob("*.py")) if "tests" not in p.parts]
+    defined, uses = [], []
+    for path in files:
+        for stmt in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = (path, stmt.name)
+                if path.parent == package:
+                    defined.append(own)
+            uses.append((own, _names(stmt)))
+    unreached = sorted(own[1] for own in defined
+                       if not any(own[1] in names for user, names in uses if user != own))
+    assert unreached == sorted(REACHED_ONLY_BY_TESTS)
+
+
+def test_every_schema_is_validated_or_referenced():
+    schemas = sorted((ROOT / "docs" / "schemas").glob("*.json"))
+    used = set()
+    for path in [*(ROOT / "tests").rglob("*.py"), *(ROOT / "bench" / "tests").rglob("*.py")]:
+        used |= {n.value for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    for path in schemas:
+        used |= {ref.split("#")[0] for ref in re.findall(r'"\$ref":\s*"([^"]+)"', path.read_text())}
+    assert [p.name for p in schemas if p.name not in used] == []

@@ -944,6 +944,32 @@ def test_checkpoint_refuses_decision_tokens_other_than_0_1(tmp_path):
     _refused(path, payload, "tokens of 0 or 1")
 
 
+def _density_payload(path):
+    checkpoint_save(DensityRun("P2", 5, "all"), path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("kind,edit,match", [
+    ("turan", lambda p: [p], "parts a JSON list"),
+    ("turan", lambda p: {**p, "state": {**p["state"], "stats": sorted(p["state"]["stats"])}},
+     "stats fields a JSON list"),
+    ("turan", lambda p: {**p, "state": {**p["state"], "witnesses": 5}}, r"\['witnesses'\]"),
+    ("density", lambda p: {**p, "state": {**p["state"], "best_plain": 3}}, r"\['best_plain'\]"),
+    ("turan", lambda p: {**p, "state": {**p["state"],
+                                        "stats": {**p["state"]["stats"], "nodes": "x"}}},
+     r"\['stats.nodes'\]"),
+    ("turan", lambda p: {**p, "state": {**p["state"], "best": "x"}}, r"\['best'\]"),
+    ("density", lambda p: {**p, "state": {**p["state"], "evaluated": "x"}}, r"\['evaluated'\]"),
+], ids=["top-level-array", "stats-list", "witnesses-int", "best-plain-int", "stats-nodes-str",
+        "best-str", "evaluated-str"])
+def test_checkpoint_refuses_malformed_state_values(tmp_path, kind, edit, match):
+    # unchecked, each would raise a raw AttributeError or TypeError, on
+    # load or later in the resumed run
+    path = tmp_path / "c.json"
+    payload = _paused_turan_payload(path) if kind == "turan" else _density_payload(path)
+    _refused(path, edit(payload), match)
+
+
 @pytest.mark.parametrize("part", ["space", "state"])
 def test_checkpoint_refuses_a_payload_missing_a_part(tmp_path, part):
     path = tmp_path / "t.json"
