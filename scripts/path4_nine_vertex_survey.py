@@ -19,39 +19,27 @@ from hyperlag.corpora import full_star
 from hyperlag.freeness import contains, creates_linear_path
 from hyperlag.hypergraph import is_left_compressed, linear_path, new
 from hyperlag.lagrangian import closed_form, is_dense, maximize
-from hyperlag.search import _ColexDFS
+from hyperlag.search import enumerate_left_compressed
 
 
-class ExtrasRun(_ColexDFS):
-    """Down-sets of triples of [2..9] whose union with the star stays
-    path-free (ground shifted down by one so the engine sees [1..8])."""
-
-    def __init__(self, star_masks):
-        super().__init__(8, 3, True)
-        self.star_masks = star_masks
-        self.found = []
-
-    def _shift(self, e):
-        return tuple(v + 1 for v in e)
-
-    def include_accept(self, k):
-        mask = sum(1 << v for v in self._shift(self.ground[k]))
-        masks = self.star_masks + [sum(1 << (v + 1) for v in self.ground[i])
-                                   for i in self.included]
-        return not creates_linear_path(masks, mask, 4)
-
-    def on_leaf(self):
-        self.found.append(tuple(sorted(self._shift(self.ground[i]) for i in self.included)))
+def _mask(e) -> int:
+    """The vertex bitmask of a triple of [8] moved up one, onto [2..9]."""
+    return sum(1 << (v + 1) for v in e)
 
 
 def main() -> int:
     t0 = time.time()
     star = full_star(9)
     star_masks = [sum(1 << v for v in e) for e in star.edges]
-    run = ExtrasRun(star_masks)
-    run.run()
+    # the down-sets of triples of [2..9] whose union with the star stays
+    # path-free, enumerated on [8] and moved up one
+    found = []
+    enumerate_left_compressed(
+        8, 3,
+        prune=lambda edges, e: creates_linear_path(star_masks + [_mask(f) for f in edges], _mask(e), 4),
+        visit=lambda edges: found.append(tuple(tuple(v + 1 for v in e) for e in edges)))
     rows = []
-    for extras in run.found:
+    for extras in found:
         g = new(3, 9, list(star.edges) + list(extras))
         assert contains(g, linear_path(4)) is None and is_left_compressed(g)
         dense = is_dense(g)

@@ -109,7 +109,8 @@ def _plan(r: int, n: int, edges: tuple) -> tuple:
     itself is an automorphism."""
     order = _pattern_order(Hypergraph(r, n, edges))
     pos = {v: i for i, v in enumerate(order)}
-    completions, deg = _completions(n, edges)
+    host = _Host(n, r, edges)
+    completions, deg = host.completions, host.deg
     ready, carried, fresh = ([[] for _ in range(n)] for _ in range(3))
     for e in edges:
         ps = sorted(pos[v] for v in e)
@@ -141,34 +142,56 @@ def _plan(r: int, n: int, edges: tuple) -> tuple:
     return plan + (tuple(map(tuple, below)),)
 
 
-def _completions(n: int, edges) -> tuple[dict[int, int], list[int]]:
-    """The completion map of an edge list on [n] -- the bitmask of any r-1
-    of its vertices to the bitmask of the vertices completing them to an
-    edge -- and the degree of each vertex, built in one pass."""
-    completions: dict[int, int] = {}
-    deg = [0] * (n + 1)
-    for e in edges:
+class _Host:
+    """A host r-graph on [n] in the form :func:`_contains_edges` reads: the
+    completion map ``completions`` (the bitmask of any r-1 vertices of an
+    edge to the bitmask of the vertices completing them to an edge), the
+    degree ``deg[v]`` of each vertex, ``deg_masks[d]`` the bitmask of the
+    vertices of degree at least d (for every degree an r-graph on [n] can
+    have, up to C(n-1, r-1), so for every degree of a pattern that fits on
+    [n]), and the edge bitmasks ``masks`` in the order they were added.
+
+    :meth:`add` adds an edge and :meth:`remove` takes back the last
+    :meth:`add`: a search and every test only ever undo in LIFO order, its
+    includes and the candidate edges it adds around a test alike.  This is
+    the only code that writes the completion map."""
+
+    def __init__(self, n: int, r: int, edges=()):
+        self.n = n
+        self.completions: dict[int, int] = {}
+        self.deg = [0] * (n + 1)
+        self.deg_masks = [0] * (comb(max(n - 1, 0), r - 1) + 1)
+        self.deg_masks[0] = (1 << n + 1) - 2
+        self.masks: list[int] = []
+        for e in edges:
+            self.add(e)
+
+    def add(self, e) -> None:
         m = 0
         for v in e:
             m |= 1 << v
+        self.masks.append(m)
+        completions, deg, deg_masks = self.completions, self.deg, self.deg_masks
         for v in e:
             b = 1 << v
-            key = m ^ b
-            completions[key] = completions.get(key, 0) | b
+            completions[m ^ b] = completions.get(m ^ b, 0) | b
             deg[v] += 1
-    return completions, deg
+            deg_masks[deg[v]] |= b
 
-
-def _degree_masks(n: int, r: int, deg: list[int]) -> list[int]:
-    """Entry d is the bitmask of the vertices of [n] of degree at least d,
-    for every degree an r-graph on [n] can have, up to C(n-1, r-1), so for
-    every degree of a pattern that fits on [n]."""
-    masks = [0] * (comb(max(n - 1, 0), r - 1) + 1)
-    for v in range(1, n + 1):
-        masks[deg[v]] |= 1 << v
-    for d in reversed(range(len(masks) - 1)):
-        masks[d] |= masks[d + 1]
-    return masks
+    def remove(self, e) -> None:
+        """Take back the last :meth:`add`, of edge ``e``; a key left with
+        no completion goes."""
+        m = self.masks.pop()
+        completions, deg, deg_masks = self.completions, self.deg, self.deg_masks
+        for v in e:
+            b = 1 << v
+            rest = completions[m ^ b] ^ b
+            if rest:
+                completions[m ^ b] = rest
+            else:
+                del completions[m ^ b]
+            deg_masks[deg[v]] ^= b
+            deg[v] -= 1
 
 
 def _search(plan: tuple, completions: dict[int, int], allowed: list[int]):
@@ -225,14 +248,12 @@ def _search(plan: tuple, completions: dict[int, int], allowed: list[int]):
     return img if extend(0, 0) else None
 
 
-def _contains_edges(n: int, completions: dict[int, int], deg_masks: list[int], pattern: Hypergraph):
-    """Backtracking embedding search of pattern into the host on [n] whose
-    completion map ``_completions`` gives and whose vertices of degree at
-    least d make ``deg_masks[d]`` (as :func:`_degree_masks` builds it):
-    ``_search`` following the pattern's cached ``_plan``, with each
-    position allowed the host vertices of at least its degree.  The host
-    is read, never changed, so a search can keep both up to date edge by
-    edge and call this at every node without a rebuild.
+def _contains_edges(host: _Host, pattern: Hypergraph):
+    """Backtracking embedding search of pattern into ``host``: ``_search``
+    following the pattern's cached ``_plan``, with each position allowed
+    the host vertices of at least its degree.  The host is read, never
+    changed, so a search can keep one up to date edge by edge and call
+    this at every node without a rebuild.
 
     The witness is the first embedding in pattern order and increasing
     host id.  The plan's symmetry-breaking conditions keep one embedding
@@ -240,10 +261,10 @@ def _contains_edges(n: int, completions: dict[int, int], deg_masks: list[int], p
     included (the ``_plan`` docstring has the argument), so they change
     neither that witness nor a miss; they only spare the search the
     repeats of a failing partial map under the pattern's automorphisms."""
-    if pattern.n > n:
+    if pattern.n > host.n:
         return None
     plan = _plan(pattern.r, pattern.n, pattern.edges)
-    img = _search(plan, completions, [deg_masks[d] for d in plan[1]])
+    img = _search(plan, host.completions, [host.deg_masks[d] for d in plan[1]])
     if img is None:
         return None
     return EmbeddingMap(tuple(sorted((p, img[i].bit_length() - 1) for i, p in enumerate(plan[0]))))
@@ -257,13 +278,11 @@ def contains(g: Hypergraph, pattern: Hypergraph):
     witness is the first embedding in that order.  Of each class of
     embeddings that differ by an automorphism of the pattern, the search
     visits only one, which for the first witness is that witness itself
-    (see ``_plan``), so misses cost one search per class.  The completion
-    map and the degree masks are built once per call; searches keep theirs
-    across nodes."""
+    (see ``_plan``), so misses cost one search per class.  The host is
+    built once per call; searches keep theirs across nodes."""
     if g.r != pattern.r:
         raise ValueError(f"uniformity mismatch: host r={g.r}, pattern r={pattern.r}")
-    completions, deg = _completions(g.n, g.edges)
-    return _contains_edges(g.n, completions, _degree_masks(g.n, g.r, deg), pattern)
+    return _contains_edges(_Host(g.n, g.r, g.edges), pattern)
 
 
 def is_free(g: Hypergraph, pattern: Hypergraph) -> bool:

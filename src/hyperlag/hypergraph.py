@@ -59,9 +59,6 @@ class Hypergraph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def degrees(self) -> list[int]:
         d = [0] * (self.n + 1)
         for e in self.edges:
@@ -344,12 +341,6 @@ class VertexPartition:
                 seen.add(v)
         if seen != set(range(1, self.n + 1)):
             raise ValueError("classes do not cover [1, n]")
-
-    def class_of(self, v: int) -> tuple[int, ...]:
-        for c in self.classes:
-            if v in c:
-                return c
-        raise KeyError(v)
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -37,11 +37,9 @@ The DFS decision list is the whole search state: include is always tried
 before exclude, so a token list reconstructs the frontier exactly.  That
 is what checkpoints serialize; resuming replays the tokens and produces
 bit-identical final results.  Everything else the DFS keeps across nodes
-(the included edges and their masks, the counts of missing lower covers,
-the host completion map, the vertex degrees and the masks of the vertices
-of each degree or more) is derived from the
-included edges, updated on each include and undo, and rebuilt by
-:meth:`_ColexDFS.replay`.
+(the included edges, the counts of missing lower covers and the host the
+matcher searches) is derived from the included edges, updated on each
+include and undo, and rebuilt by :meth:`_ColexDFS.replay`.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 from math import comb
 
-from .freeness import _contains_edges, _degree_masks, creates_linear_path
+from .freeness import _contains_edges, _Host, creates_linear_path
 from .hgio import to_json_obj
 from .hypergraph import (
     Hypergraph,
@@ -123,20 +121,14 @@ class _ColexDFS:
     by :meth:`_apply_include` and :meth:`_undo_include` and rebuilt from
     the tokens by :meth:`replay`, so a checkpoint never stores it:
 
-    - ``included`` and ``included_masks``: the included ground indices in
-      ascending order and their vertex bitmasks;
+    - ``included``: the included ground indices in ascending order;
     - ``missing`` (down-set mode only, else None): per position, how many
       of its lower covers are not included, so the down-set test is
       ``missing[k] == 0``;
-    - ``completions`` and ``deg``: the host completion map of the included
-      edges and the degree of each vertex, as
-      :func:`~hyperlag.freeness._completions` builds them, and
-      ``deg_masks``, entry d the mask of the vertices of degree at least d,
-      as :func:`~hyperlag.freeness._degree_masks` builds it; the map and
-      the masks are what :func:`~hyperlag.freeness._contains_edges`
-      searches.
-      :meth:`_host_add` and :meth:`_host_remove` add and take back one
-      candidate edge around a test.
+    - ``host``: the included edges as the
+      :class:`~hyperlag.freeness._Host` that the matcher searches, its
+      ``masks`` in the order of ``included``.  :meth:`_creates` adds a
+      candidate edge to it around a matcher test.
 
     In down-set mode a position with a lower cover missing is a forced
     exclude, and a run of them is taken in one step: every position is
@@ -236,46 +228,31 @@ class _ColexDFS:
             self.stats.symmetry_cuts += 1
         return not smaller
 
-    def _host_add(self, k: int) -> None:
-        """Add ground edge k to the completion map, the degrees and the
-        degree masks."""
-        m = self.masks[k]
-        completions, deg, deg_masks = self.completions, self.deg, self.deg_masks
-        for v in self.ground[k]:
-            b = 1 << v
-            completions[m ^ b] = completions.get(m ^ b, 0) | b
-            deg[v] += 1
-            deg_masks[deg[v]] |= b
-
-    def _host_remove(self, k: int) -> None:
-        """Take back :meth:`_host_add`; a key left with no completion goes."""
-        m = self.masks[k]
-        completions, deg, deg_masks = self.completions, self.deg, self.deg_masks
-        for v in self.ground[k]:
-            b = 1 << v
-            rest = completions[m ^ b] ^ b
-            if rest:
-                completions[m ^ b] = rest
-            else:
-                del completions[m ^ b]
-            deg_masks[deg[v]] ^= b
-            deg[v] -= 1
+    def _creates(self, k: int, patterns) -> bool:
+        """Does including ground edge k give the host a copy of one of
+        ``patterns``?  The edge is added, the matcher run and the edge
+        taken back.  On a host free of them every copy found uses the
+        edge."""
+        e = self.ground[k]
+        self.host.add(e)
+        try:
+            return any(_contains_edges(self.host, p) is not None for p in patterns)
+        finally:
+            self.host.remove(e)
 
     def _apply_include(self, k: int) -> None:
         self.included.append(k)
-        self.included_masks.append(self.masks[k])
         if self.missing is not None:
             for u in self.upper_idx[k]:
                 self.missing[u] -= 1
-        self._host_add(k)
+        self.host.add(self.ground[k])
 
     def _undo_include(self, k: int) -> None:
         self.included.pop()
-        self.included_masks.pop()
         if self.missing is not None:
             for u in self.upper_idx[k]:
                 self.missing[u] += 1
-        self._host_remove(k)
+        self.host.remove(self.ground[k])
 
     def _backtrack(self) -> bool:
         """Turn the last include into an exclude, dropping the tokens after
@@ -292,11 +269,8 @@ class _ColexDFS:
         """Set the decision list to ``tokens`` and rebuild the derived state."""
         self.decisions = []
         self.included: list[int] = []           # ground indices, ascending
-        self.included_masks: list[int] = []
         self.missing = [len(c) for c in self.cover_idx] if self.downset else None
-        self.completions: dict[int, int] = {}
-        self.deg = [0] * (self.n + 1)
-        self.deg_masks = _degree_masks(self.n, self.r, self.deg)
+        self.host = _Host(self.n, self.r)
         for d, tok in enumerate(tokens):
             if tok == 1:
                 self._apply_include(d)
@@ -406,9 +380,8 @@ def enumerate_left_compressed(n: int, r: int, prune=None, visit=None) -> SearchS
     return dfs.stats
 
 
-def enumerate_all(n: int, r: int, visit=None, up_to_iso: bool = False) -> SearchStats:
-    """Iterate all 2^C(n,r) edge subsets, for C(n,r) up to 24, optionally
-    reduced modulo isomorphism by the minimum-image canonical form."""
+def enumerate_all(n: int, r: int, visit=None) -> SearchStats:
+    """Iterate all 2^C(n,r) edge subsets, for C(n,r) up to 24."""
     M = comb(n, r)
     if M > _ENUMERATE_ALL_MAX_BITS:
         raise ValueError(f"ground set of {M} edges exceeds the cap of {_ENUMERATE_ALL_MAX_BITS} bits")
@@ -424,10 +397,6 @@ def enumerate_all(n: int, r: int, visit=None, up_to_iso: bool = False) -> Search
             b ^= low
         edges = tuple(sorted(edges))
         stats.nodes += 1
-        if up_to_iso:
-            g = Hypergraph(r, n, edges)
-            if canonical_form(g).edges != edges:
-                continue
         if visit is not None:
             visit(edges)
     return stats
@@ -611,12 +580,7 @@ class TuranRun(_ColexDFS):
                 "forbidden": [to_json_obj(f) for f in self.forbidden]}
 
     def include_accept(self, k: int) -> bool:
-        self._host_add(k)
-        try:
-            return all(_contains_edges(self.n, self.completions, self.deg_masks, f) is None
-                       for f in self.forbidden)
-        finally:
-            self._host_remove(k)
+        return not self._creates(k, self.forbidden)
 
     def bound_cut(self, depth: int) -> bool:
         return len(self.included) + (self.M - depth) < self.best
@@ -664,20 +628,6 @@ def _pattern_graph(name: str) -> Hypergraph:
     if name == "T2":
         return named("T2")
     raise ValueError(f"density evidence supports P2, T2, P3, P4; got {name!r}")
-
-
-def _creates_pattern(name: str, n: int):
-    """Incremental test ``check(masks, new_mask)``: does adding the new
-    edge create the pattern through it?  On fewer vertices than the
-    pattern has, it never can."""
-    if n < _pattern_graph(name).n:
-        return lambda masks, new_mask: False
-    if name in ("P2", "P3", "P4"):
-        t = int(name[1])
-        return lambda masks, new_mask: creates_linear_path(masks, new_mask, t)
-    if name == "T2":
-        return lambda masks, new_mask: any((m & new_mask).bit_count() == 2 for m in masks)
-    raise ValueError(name)
 
 
 @dataclass(frozen=True)
@@ -740,7 +690,10 @@ class DensityRun(_ColexDFS):
         self.config = config
         self.clique_order = pat.n - 1
         self.clique = complete(self.clique_order, 3)
-        self._creates = _creates_pattern(pattern, n)
+        # the grower tests a linear path that fits on [n]; the matcher tests
+        # anything else, and refuses a pattern too large for [n] at once
+        self._path_length = int(pattern[1]) if pattern[0] == "P" and pat.n <= n else None
+        self._pattern = pat
         # (value, edges); edges is None until a survivor is optimized
         self.best_plain: tuple[float, tuple | None] = (-1.0, None)
         self.best_cfree: tuple[float, tuple | None] = (-1.0, None)
@@ -752,7 +705,9 @@ class DensityRun(_ColexDFS):
                 "mode": self.mode, "config": asdict(self.config)}
 
     def include_accept(self, k: int) -> bool:
-        return not self._creates(self.included_masks, self.masks[k])
+        if self._path_length is not None:
+            return not creates_linear_path(self.host.masks, self.masks[k], self._path_length)
+        return not self._creates(k, (self._pattern,))
 
     def _screen(self, g: Hypergraph, plain: bool, cfree: bool) -> bool:
         """Does a proved bound place ``g`` strictly below every running best
@@ -776,26 +731,18 @@ class DensityRun(_ColexDFS):
         if cfree and value > self.best_cfree[0]:
             self.best_cfree = (value, edges)
 
-    def _has_clique(self) -> bool:
-        return _contains_edges(self.n, self.completions, self.deg_masks, self.clique) is not None
-
     def on_leaf(self) -> None:
-        masks = self.included_masks
-        has_clique = self._has_clique()
+        has_clique = _contains_edges(self.host, self.clique) is not None
         ext_plain = False
         ext_cfree = False
         for k in range(self.M):
-            if self.decisions[k] or not self._include_allowed(k):
-                continue
-            if self._creates(masks, self.masks[k]):
+            if self.decisions[k] or not self._include_allowed(k) or not self.include_accept(k):
                 continue
             ext_plain = True
             if has_clique:
                 break
             # no clique yet, so any clique in the extension contains ground[k]
-            self._host_add(k)
-            ext_cfree = not self._has_clique()
-            self._host_remove(k)
+            ext_cfree = not self._creates(k, (self.clique,))
             if ext_cfree:
                 break
         cfree = not has_clique and not ext_cfree
@@ -890,6 +837,15 @@ def _is_edges(x) -> bool:
         isinstance(e, list) and all(type(v) is int and v >= 1 for v in e) for e in x)
 
 
+def _fits(edges: list, n: int, r: int) -> bool:
+    """Are ``edges`` distinct r-sets of [n], each written and all listed in
+    increasing order, as a run stores them?"""
+    es = [tuple(e) for e in edges]
+    return (all(len(e) == r and list(e) == sorted(set(e)) and all(1 <= v <= n for v in e)
+                for e in es)
+            and all(a < b for a, b in zip(es, es[1:])))
+
+
 def _is_running_best(x) -> bool:
     return (isinstance(x, list) and len(x) == 2 and type(x[0]) in (int, float)
             and (x[1] is None or _is_edges(x[1])))
@@ -912,8 +868,9 @@ def checkpoint_resume(path, expect_space: dict | None = None):
     run it rebuilds (an unknown key, another ``r``); and on a state that
     lacks a field of the run's kind, whose stats are not exactly the
     :class:`SearchStats` fields, whose values are not of the types
-    ``checkpoint.schema.json`` gives them, or whose decisions are not 0/1
-    tokens at most as many as the ground set has."""
+    ``checkpoint.schema.json`` gives them, whose stored edges do not fit
+    the run (see :func:`_fits`), or whose decisions are not 0/1 tokens at
+    most as many as the ground set has."""
     with open(path) as fh:
         payload = json.load(fh)
     _require_fields("parts", payload, ("version", "space", "state"))
@@ -955,6 +912,12 @@ def checkpoint_resume(path, expect_space: dict | None = None):
     bad += [k for k in run.to_state() if k in _STATE_VALUES and not _STATE_VALUES[k](state[k])]
     if bad:
         raise CheckpointError(f"checkpoint state values {bad} are malformed")
+    stored = ([("witnesses", w) for w in state["witnesses"]] if kind == "turan" else
+              [(k, state[k][1]) for k in ("best_plain", "best_cfree") if state[k][1] is not None])
+    bad = sorted({k for k, edges in stored if not _fits(edges, run.n, run.r)})
+    if bad:
+        raise CheckpointError(
+            f"checkpoint state edges in {bad} are not sorted distinct {run.r}-sets of [1, {run.n}]")
     decisions = state["decisions"]
     if (not isinstance(decisions, list) or len(decisions) > run.M
             or any(t not in (0, 1) for t in decisions)):

@@ -70,20 +70,6 @@ class SuiteReport:
                 "results": [r.to_json() for r in self.results]}
 
 
-GROUPS = (
-    "closed-forms",
-    "clique-oracle",
-    "compression-monotone",
-    "compress-preserve",
-    "short-path-density",
-    "path3-density",
-    "path4-evidence",
-    "clique-extension-value",
-    "turan-machinery",
-    "forbidden-configs",
-)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -414,6 +400,7 @@ _CHECKS = {
     "turan-machinery": check_turan_machinery,
     "forbidden-configs": check_forbidden_configs,
 }
+GROUPS = tuple(_CHECKS)
 
 
 def run_suite(config: OptimizerConfig = DEFAULT_CONFIG, only=None) -> SuiteReport:

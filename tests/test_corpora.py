@@ -1,4 +1,3 @@
-import itertools
 import random
 
 from hyperlag.corpora import (
@@ -10,7 +9,7 @@ from hyperlag.corpora import (
 )
 from hyperlag.freeness import contains, creates_linear_path
 from hyperlag.hypergraph import covers_pairs, is_left_compressed, linear_path
-from hyperlag.search import _ColexDFS
+from hyperlag.search import enumerate_left_compressed
 
 
 def test_random_simplex_point_is_feasible():
@@ -69,24 +68,15 @@ def test_dense_lc_path4_free_sampler_reaches_the_whole_family():
     star = full_star(9)
     star_masks = [sum(1 << v for v in e) for e in star.edges]
 
-    class ExtrasRun(_ColexDFS):
-        def __init__(self):
-            super().__init__(8, 3, True)
-            self.found = []
+    def mask(e):  # a triple of [8] moved up one, onto [2..9]
+        return sum(1 << (v + 1) for v in e)
 
-        def include_accept(self, k):
-            mask = sum(1 << (v + 1) for v in self.ground[k])
-            masks = star_masks + [sum(1 << (v + 1) for v in self.ground[i])
-                                  for i in self.included]
-            return not creates_linear_path(masks, mask, 4)
-
-        def on_leaf(self):
-            self.found.append(frozenset(tuple(v + 1 for v in self.ground[i])
-                                        for i in self.included))
-
-    run = ExtrasRun()
-    run.run()
-    family = {frozenset(map(tuple, extras)) for extras in run.found}
+    found = []
+    enumerate_left_compressed(
+        8, 3,
+        prune=lambda edges, e: creates_linear_path(star_masks + [mask(f) for f in edges], mask(e), 4),
+        visit=lambda edges: found.append(frozenset(tuple(v + 1 for v in f) for f in edges)))
+    family = set(found)
     assert len(family) == 9  # exhaustively small space
 
     rnd = random.Random(3)

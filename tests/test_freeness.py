@@ -1,5 +1,7 @@
 import itertools
 import random
+import types
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,8 @@ from hyperlag import freeness
 from hyperlag.corpora import covers_pairs_path_free, random_hypergraph
 from hyperlag.freeness import (
     EmbeddingMap,
-    _completions,
     _contains_edges,
-    _degree_masks,
+    _Host,
     _pattern_order,
     _plan,
     contains,
@@ -123,12 +124,28 @@ def _host_and_pattern(draw):
     return n, tuple(sorted(edges)), pattern
 
 
+def host_from_scratch(n, r, edges):
+    """The matcher's host format (see ``freeness._Host``) built field by
+    field from its definition."""
+    completions = {}
+    for e in edges:
+        for v in e:
+            rest = sum(1 << u for u in e if u != v)
+            completions[rest] = completions.get(rest, 0) | 1 << v
+    deg = [0] + [sum(v in e for e in edges) for v in range(1, n + 1)]
+    deg_masks = [sum(1 << v for v in range(1, n + 1) if deg[v] >= d)
+                 for d in range(comb(max(n - 1, 0), r - 1) + 1)]
+    return types.SimpleNamespace(n=n, completions=completions, deg=deg, deg_masks=deg_masks,
+                                 masks=[sum(1 << v for v in e) for e in edges])
+
+
 @settings(max_examples=400, deadline=None)
 @given(_host_and_pattern())
 def test_matcher_agrees_with_brute_force_first_witness(case):
     n, edges, pattern = case
-    completions, deg = _completions(n, edges)
-    found = _contains_edges(n, completions, _degree_masks(n, pattern.r, deg), pattern)
+    host = host_from_scratch(n, pattern.r, edges)
+    assert vars(_Host(n, pattern.r, edges)) == vars(host)
+    found = _contains_edges(host, pattern)
     oracle = _first_embedding(n, edges, pattern)
     assert (found is None) == (oracle is None)
     if found is not None:

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,6 @@ from hyperlag.hypergraph import (
     linear_path,
     link_diff,
     lower_covers,
-    matching,
     named,
     new,
     relabel,

@@ -17,7 +17,6 @@ from hyperlag.hypergraph import (
     complete_minus,
     compress,
     equivalence_classes,
-    induced,
     matching,
     new,
 )

@@ -5,7 +5,8 @@ scan's checkpoint round trip is run end to end.  Every name the
 benchmark's span tracer wraps exists, and the matcher it wraps is the one
 the searches call, since a missing or bypassed one would make its
 metrics read 0 silently.  Every function and class of the package is
-reached from outside tests, and every JSON schema is used."""
+reached from outside tests, every JSON schema is used, and no module
+imports a name it does not use."""
 
 import ast
 import importlib
@@ -121,6 +122,25 @@ def test_every_package_definition_is_reached_outside_tests():
     unreached = sorted(own[1] for own in defined
                        if not any(own[1] in names for user, names in uses if user != own))
     assert unreached == sorted(REACHED_ONLY_BY_TESTS)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the package's __init__ imports only to re-export
+    files = [p for p in sorted((ROOT / "src" / "hyperlag").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "tests").glob("*.py")) + SCRIPTS
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.relative_to(ROOT)}: {name}" for name in names if name not in used]
+    assert unused == []
 
 
 def test_every_schema_is_validated_or_referenced():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlag.freeness import _completions, _degree_masks, contains, creates_linear_path, is_free
+from hyperlag.freeness import contains, creates_linear_path, is_free
 import hyperlag.search as search_mod
 from hyperlag.hypergraph import (
     Hypergraph,
@@ -40,6 +40,7 @@ from hyperlag.search import (
     isomorphic,
     turan_number,
 )
+from test_freeness import host_from_scratch
 
 P3_MASKS = lambda edges: [sum(1 << v for v in e) for e in edges]
 
@@ -157,14 +158,21 @@ def test_enumerate_all_double_counting_cross_check():
 
 
 def test_enumerate_all_up_to_iso():
-    reps = []
-    enumerate_all(4, 3, visit=lambda e: reps.append(e), up_to_iso=True)
+    def classes(n, r):
+        """The edge sets enumerate_all visits that are their own canonical form."""
+        reps = []
+
+        def visit(edges):
+            if canonical_form(Hypergraph(r, n, edges)).edges == edges:
+                reps.append(edges)
+
+        enumerate_all(n, r, visit=visit)
+        return reps
+
     # subsets of the 4-edge clique up to symmetry: one per edge count
-    assert len(reps) == 5
+    assert len(classes(4, 3)) == 5
     # with no size cap on the canonical form, the same holds on 8 vertices
-    reps = []
-    enumerate_all(8, 1, visit=lambda e: reps.append(e), up_to_iso=True)
-    assert reps == [tuple((v,) for v in range(1, k + 1)) for k in range(9)]
+    assert classes(8, 1) == [tuple((v,) for v in range(1, k + 1)) for k in range(9)]
 
 
 def test_canonical_form_identifies_relabelings():
@@ -541,6 +549,30 @@ def test_density_t2_reference_clique_is_single_edge():
     assert rep.max_lambda_complete_free == 0.0
 
 
+class TwoVertexRuleDensityRun(DensityRun):
+    """Checks every T2 include test, those of the leaf scans too, against
+    the rule the matcher replaced: a candidate creates T2 exactly when
+    some included edge meets it in two vertices."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.outcomes = []
+
+    def include_accept(self, k):
+        ok = super().include_accept(k)
+        rule = not any((self.masks[i] & self.masks[k]).bit_count() == 2 for i in self.included)
+        assert ok == rule, (self.included_edges(), self.ground[k])
+        self.outcomes.append(ok)
+        return ok
+
+
+def test_t2_include_agrees_with_the_two_vertex_rule():
+    run = TwoVertexRuleDensityRun("T2", 6, "all")
+    assert run.execute().to_json() == density_evidence("T2", 6, "all").to_json()
+    assert len(run.outcomes) > run.stats.nodes
+    assert set(run.outcomes) == {True, False}
+
+
 class _Unscreened:
     """Optimizes every survivor it is offered, with no bound screening."""
 
@@ -557,8 +589,7 @@ class EverySurvivorDensityRun(_Unscreened, DensityRun):
     screening: the oracle for optimizing only the maximal ones."""
 
     def on_leaf(self):
-        has_clique = search_mod._contains_edges(
-            self.n, self.completions, self.deg_masks, self.clique) is not None
+        has_clique = search_mod._contains_edges(self.host, self.clique) is not None
         self._optimize(self.included_edges(), True, not has_clique)
 
 
@@ -684,15 +715,11 @@ def _assert_derived_state(run):
     """The state the DFS keeps across nodes equals a rebuild from scratch."""
     inc = [k for k, t in enumerate(run.decisions) if t]
     assert run.included == inc
-    assert run.included_masks == [run.masks[k] for k in inc]
     if run.downset:
         assert run.missing == [sum(1 for c in covers if c not in inc) for covers in run.cover_idx]
     else:
         assert run.missing is None
-    completions, deg = _completions(run.n, [run.ground[k] for k in inc])
-    assert run.completions == completions
-    assert run.deg == deg
-    assert run.deg_masks == _degree_masks(run.n, run.r, deg)
+    assert vars(run.host) == vars(host_from_scratch(run.n, run.r, [run.ground[k] for k in inc]))
 
 
 class _Checked:
@@ -766,12 +793,10 @@ def test_host_state_after_random_includes_and_undos_matches_a_rebuild(r, n, seed
             if not free:
                 continue
             k = rnd.choice(free)
-            run._host_add(k)
-            run._host_remove(k)
+            run._creates(k, run.forbidden)
             run._apply_include(k)
-        completions, deg = _completions(n, [run.ground[k] for k in run.included])
-        assert (run.completions, run.deg) == (completions, deg)
-        assert run.deg_masks == _degree_masks(n, r, deg)
+        want = host_from_scratch(n, r, [run.ground[k] for k in run.included])
+        assert vars(run.host) == vars(want)
 
 
 def test_density_report_serializes():
@@ -968,6 +993,30 @@ def test_checkpoint_refuses_malformed_state_values(tmp_path, kind, edit, match):
     path = tmp_path / "c.json"
     payload = _paused_turan_payload(path) if kind == "turan" else _density_payload(path)
     _refused(path, edit(payload), match)
+
+
+@pytest.mark.parametrize("kind,field,edges", [
+    ("turan", "witnesses", [[1, 2, 99]]),
+    ("turan", "witnesses", [[1, 2, 4], [1, 2, 3]]),
+    ("turan", "witnesses", [[1, 2, 3], [1, 2, 3]]),
+    ("turan", "witnesses", [[2, 1, 3]]),
+    ("turan", "witnesses", [[1, 2]]),
+    ("density", "best_plain", [[1, 2, 99]]),
+    ("density", "best_cfree", [[1, 3, 3]]),
+], ids=["witness-out-of-range", "witness-unsorted", "witness-repeated-edge",
+        "witness-decreasing-edge", "witness-short-edge", "best-plain-out-of-range",
+        "best-cfree-repeated-vertex"])
+def test_checkpoint_refuses_edges_that_do_not_fit_the_run(tmp_path, kind, field, edges):
+    # unchecked, the first one loads on n = 6 (turan) or n = 5 (density) and
+    # the resumed run's result() raises a raw ValueError
+    path = tmp_path / "c.json"
+    payload = _paused_turan_payload(path) if kind == "turan" else _density_payload(path)
+    payload["state"][field] = [edges] if kind == "turan" else [0.9, edges]
+    _refused(path, payload, rf"edges in \['{field}'\]")
+    # the same payload with its edges in order loads
+    payload["state"][field] = [[[1, 2, 3], [1, 2, 4]]] if kind == "turan" else [0.9, [[1, 2, 3]]]
+    path.write_text(json.dumps(payload))
+    checkpoint_resume(path)
 
 
 @pytest.mark.parametrize("part", ["space", "state"])
