@@ -1,10 +1,11 @@
 """Command-line surface.
 
-One tool in subcommand style.  Every subcommand takes the common flags;
-the optimizer's defaults are ``DEFAULT_CONFIG``'s, and the seed in effect
-is always printed so every run can be reproduced.  Exit codes: 0
-success/certified, 1 input error, 2 an uncertified numeric result, 3 a
-resource-capped partial result.
+One tool in subcommand style.  A subcommand accepts only the flags it
+reads: ``--out`` where it writes a graph, the budgets and ``--checkpoint``
+where it searches.  The optimizer's defaults are ``DEFAULT_CONFIG``'s,
+and the seed in effect is always printed so every run can be reproduced.
+Exit codes: 0 success/certified, 1 input error, 2 an uncertified numeric
+result, 3 a resource-capped partial result.
 """
 
 from __future__ import annotations
@@ -38,14 +39,32 @@ EXIT_UNCERTIFIED = 2
 EXIT_CAPPED = 3
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _subcommand(sub, name: str, fn, help: str, writes: bool = False,
+                searches: bool = False) -> argparse.ArgumentParser:
+    """Add a subcommand with the common flags, ``--out`` if it ``writes`` a
+    graph, and the budgets and ``--checkpoint`` if it ``searches``."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(fn=fn)
     p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
     p.add_argument("--restarts", type=int, default=DEFAULT_CONFIG.restarts)
     p.add_argument("--kkt-tol", type=float, default=DEFAULT_CONFIG.kkt_tol)
-    p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--max-seconds", type=float, default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out", type=str, default=None, help="write the result graph to this file")
+    if writes:
+        p.add_argument("--out", type=str, default=None, help="write the result graph to this file")
+    if searches:
+        p.add_argument("--max-nodes", type=int, default=None,
+                       help="node budget of the whole run, resumed nodes included")
+        p.add_argument("--max-seconds", type=float, default=None)
+        p.add_argument("--checkpoint", default=None,
+                       help="resume from this file if it exists; save there when a budget stops the run")
+    return p
+
+
+def _note_checkpoint(args, finished: bool, nodes: int) -> None:
+    # on stderr, so --json stdout stays one JSON document
+    if args.checkpoint and not finished:
+        print(f"budget stopped the run at {nodes} nodes; checkpoint written to {args.checkpoint}",
+              file=sys.stderr)
 
 
 def _optimizer(args) -> OptimizerConfig:
@@ -186,7 +205,9 @@ def cmd_construct(args) -> int:
 
 def cmd_turan(args) -> int:
     forbidden = [pattern_by_name(s) for s in args.forbid]
-    res = turan_number(args.n, forbidden, max_nodes=args.max_nodes, max_seconds=args.max_seconds)
+    res = turan_number(args.n, forbidden, max_nodes=args.max_nodes, max_seconds=args.max_seconds,
+                       checkpoint=args.checkpoint)
+    _note_checkpoint(args, res.status == "exact", res.stats.nodes)
     payload = res.to_json()
     if args.compare_m is not None:
         # the balanced-blowup count is the conjectured extremal value only
@@ -206,7 +227,9 @@ def cmd_turan(args) -> int:
 
 def cmd_density(args) -> int:
     rep = density_evidence(args.pattern.upper(), args.n, args.mode, _optimizer(args),
-                           max_nodes=args.max_nodes, max_seconds=args.max_seconds)
+                           max_nodes=args.max_nodes, max_seconds=args.max_seconds,
+                           checkpoint=args.checkpoint)
+    _note_checkpoint(args, rep.status == "exact", rep.counts["nodes"])
     if args.json:
         print(json.dumps(rep.to_json()))
     else:
@@ -239,56 +262,45 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Hypergraph Lagrangians and Turan-type searches")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lambda", help="maximize the edge polynomial of a graph file")
+    p = _subcommand(sub, "lambda", cmd_lambda, "maximize the edge polynomial of a graph file")
     p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(fn=cmd_lambda)
 
-    p = sub.add_parser("check", help="test containment of named or file patterns")
+    p = _subcommand(sub, "check", cmd_check, "test containment of named or file patterns")
     p.add_argument("input")
     p.add_argument("--free-of", nargs="+", required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("compress", help="single compression or the dense+left-compressed loop")
+    p = _subcommand(sub, "compress", cmd_compress,
+                    "single compression or the dense+left-compressed loop", writes=True)
     p.add_argument("input")
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
     p.add_argument("--loop", type=int, default=None, choices=(3, 4),
                    help="run the full rewriting loop for this path length")
-    _add_common(p)
-    p.set_defaults(fn=cmd_compress)
 
-    p = sub.add_parser("extend", help="close all uncovered pairs with fresh edges")
+    p = _subcommand(sub, "extend", cmd_extend, "close all uncovered pairs with fresh edges",
+                    writes=True)
     p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(fn=cmd_extend)
 
-    p = sub.add_parser("construct", help="write a named construction: K t [r] | Kminus t [r] | P t | M t [r] | T m r n | T2|F1|F2|F3|F5")
+    p = _subcommand(sub, "construct", cmd_construct, "write a named construction: K t [r] | "
+                    "Kminus t [r] | P t | M t [r] | T m r n | T2|F1|F2|F3|F5", writes=True)
     p.add_argument("kind")
     p.add_argument("params", nargs="*")
-    _add_common(p)
-    p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("turan", help="exact maximum edge count avoiding given patterns")
+    p = _subcommand(sub, "turan", cmd_turan, "exact maximum edge count avoiding given patterns",
+                    searches=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forbid", nargs="+", required=True)
     p.add_argument("--compare-m", type=int, default=None,
                    help="also print the balanced blowup count with this many classes")
-    _add_common(p)
-    p.set_defaults(fn=cmd_turan)
 
-    p = sub.add_parser("density", help="enumerate pattern-free graphs and report the largest Lagrangian")
-    p.add_argument("--pattern", required=True, choices=["P2", "T2", "P3", "P4", "p2", "t2", "p3", "p4"])
+    p = _subcommand(sub, "density", cmd_density,
+                    "enumerate pattern-free graphs and report the largest Lagrangian", searches=True)
+    p.add_argument("--pattern", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", default="left_compressed", choices=["left_compressed", "all"])
-    _add_common(p)
-    p.set_defaults(fn=cmd_density)
 
-    p = sub.add_parser("verify", help="run the bundled verification suite")
+    p = _subcommand(sub, "verify", cmd_verify, "run the bundled verification suite")
     p.add_argument("--only", nargs="+", choices=list(GROUPS), default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify)
 
     return ap
 
@@ -300,10 +312,7 @@ def main(argv=None) -> int:
     except HgParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

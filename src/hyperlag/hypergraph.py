@@ -150,13 +150,9 @@ _NAMED: dict[str, tuple[int, tuple[Edge, ...]]] = {
 }
 
 
-def named(name: str, t: int | None = None, r: int = 3) -> Hypergraph:
-    """Small named graphs: T2, F5, F1, F2, F3, and M (matching, needs t)."""
+def named(name: str) -> Hypergraph:
+    """Small named 3-graphs: T2, F5, F1, F2, F3."""
     key = name.replace("_", "").upper()
-    if key == "M":
-        if t is None:
-            raise ValueError("matching M needs a size t")
-        return matching(t, r)
     if key in _NAMED:
         n, edges = _NAMED[key]
         return Hypergraph(3, n, edges)

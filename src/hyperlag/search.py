@@ -611,11 +611,12 @@ class TuranRun(_ColexDFS):
 
 
 def turan_number(n: int, forbidden, max_nodes: int | None = None,
-                 max_seconds: float | None = None) -> TuranResult:
+                 max_seconds: float | None = None, checkpoint=None) -> TuranResult:
     """Exact maximum edge count of a graph on [n] avoiding every forbidden
     graph, with one canonical witness per extremal isomorphism class.
-    Budgets degrade the status to lower_bound, never silently truncate."""
-    return TuranRun(n, forbidden).execute(max_nodes, max_seconds)
+    Budgets degrade the status to lower_bound, never silently truncate;
+    ``checkpoint`` is as in :func:`_checkpointed`."""
+    return _checkpointed(TuranRun(n, forbidden), max_nodes, max_seconds, checkpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -794,12 +795,27 @@ class DensityRun(_ColexDFS):
 
 def density_evidence(pattern: str, n: int, mode: str = "left_compressed",
                      config: OptimizerConfig = DEFAULT_CONFIG,
-                     max_nodes: int | None = None, max_seconds: float | None = None) -> DensityReport:
+                     max_nodes: int | None = None, max_seconds: float | None = None,
+                     checkpoint=None) -> DensityReport:
     """Enumerate pattern-free graphs on [n], report the maximum Lagrangian
     found, its witness, and the separation of clique-free survivors from
     the complete reference value.  Budget overruns flag the report as
-    partial instead of truncating silently."""
-    return DensityRun(pattern, n, mode, config).execute(max_nodes, max_seconds)
+    partial instead of truncating silently; ``checkpoint`` is as in
+    :func:`_checkpointed`."""
+    return _checkpointed(DensityRun(pattern, n, mode, config), max_nodes, max_seconds, checkpoint)
+
+
+def _checkpointed(run, max_nodes, max_seconds, checkpoint):
+    """Execute ``run``.  With a ``checkpoint`` path, an existing file is
+    resumed first (refused unless its space is exactly ``run``'s), so
+    ``max_nodes`` counts the whole run's nodes, and a run a budget stops is
+    saved there.  Without one no file is touched."""
+    if checkpoint is not None and os.path.exists(checkpoint):
+        run = checkpoint_resume(checkpoint, expect_space=run.space_descriptor())
+    result = run.execute(max_nodes, max_seconds)
+    if checkpoint is not None and not run.finished:
+        checkpoint_save(run, checkpoint)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +867,17 @@ def _is_running_best(x) -> bool:
             and (x[1] is None or _is_edges(x[1])))
 
 
+def _reachable_best(best, n: int) -> bool:
+    """Could a density run on [n] hold the running best ``best``: -1 with
+    no edges before any survivor is optimized, else a value at most the
+    proved bound of :func:`~hyperlag.lagrangian.upper_bound` on the
+    Lagrangian of its edges, which no ``maximize`` value exceeds?"""
+    value, edges = best
+    if edges is None:
+        return value == -1
+    return value <= upper_bound(Hypergraph(3, n, tuple(map(tuple, edges))), value)
+
+
 # the value each state field must hold, as checkpoint.schema.json states it
 _STATE_VALUES = {
     "best": lambda x: type(x) is int and x >= -1,
@@ -869,8 +896,9 @@ def checkpoint_resume(path, expect_space: dict | None = None):
     lacks a field of the run's kind, whose stats are not exactly the
     :class:`SearchStats` fields, whose values are not of the types
     ``checkpoint.schema.json`` gives them, whose stored edges do not fit
-    the run (see :func:`_fits`), or whose decisions are not 0/1 tokens at
-    most as many as the ground set has."""
+    the run (see :func:`_fits`), whose running bests no run could hold
+    (see :func:`_reachable_best`), or whose decisions are not 0/1 tokens
+    at most as many as the ground set has."""
     with open(path) as fh:
         payload = json.load(fh)
     _require_fields("parts", payload, ("version", "space", "state"))
@@ -918,6 +946,12 @@ def checkpoint_resume(path, expect_space: dict | None = None):
     if bad:
         raise CheckpointError(
             f"checkpoint state edges in {bad} are not sorted distinct {run.r}-sets of [1, {run.n}]")
+    bests = ("best_plain", "best_cfree") if kind == "density" else ()
+    bad = [k for k in bests if not _reachable_best(state[k], run.n)]
+    if bad:
+        raise CheckpointError(
+            f"checkpoint running bests {bad} are not -1 with no edges, nor at most "
+            f"a proved bound on the Lagrangian of their edges")
     decisions = state["decisions"]
     if (not isinstance(decisions, list) or len(decisions) > run.M
             or any(t not in (0, 1) for t in decisions)):

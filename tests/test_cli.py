@@ -220,6 +220,67 @@ def test_density_capped_exit_three(capsys):
                  "--max-nodes", "3"]) == 3
 
 
+def test_density_unknown_pattern_exit_one(capsys):
+    # the search's own list of patterns is the only one
+    assert main(["density", "--pattern", "P5", "--n", "5"]) == 1
+    assert "P2, T2, P3, P4; got 'P5'" in capsys.readouterr().err
+
+
+def test_density_checkpoint_resume_matches_uninterrupted(tmp_path, capsys):
+    argv = ["density", "--pattern", "P3", "--n", "7", "--json"]
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+
+    state = tmp_path / "state.json"
+    assert main([*argv, "--checkpoint", str(state), "--max-nodes", "200"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["counts"]["nodes"] == 200
+    assert "at 200 nodes; checkpoint written" in captured.err
+    saved = state.read_text()
+    # the checkpoint's mode is part of its space: another --mode is refused
+    assert main([*argv, "--mode", "all", "--checkpoint", str(state)]) == 1
+    assert "mode" in capsys.readouterr().err
+    assert state.read_text() == saved
+    assert main([*argv, "--checkpoint", str(state)]) == 0
+    assert capsys.readouterr().out == full
+    report = json.loads(full)
+    assert report["status"] == "exact"
+    assert (report["counts"]["optimized"], report["counts"]["screened"]) == (2, 5)
+
+
+def test_turan_checkpoint_resume_matches_uninterrupted(tmp_path, capsys):
+    argv = ["turan", "--n", "6", "--forbid", "F5", "--json"]
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+
+    state = tmp_path / "state.json"
+    assert main([*argv, "--checkpoint", str(state), "--max-nodes", "100"]) == 3
+    assert "at 100 nodes; checkpoint written" in capsys.readouterr().err
+    # the node budget counts the whole run, the resumed nodes included
+    assert main([*argv, "--checkpoint", str(state), "--max-nodes", "150"]) == 3
+    assert json.loads(capsys.readouterr().out)["stats"]["nodes"] == 150
+    saved = state.read_text()
+    # the forbidden graphs are the checkpoint's space: another --forbid is refused
+    assert main(["turan", "--n", "6", "--forbid", "K4-", "--checkpoint", str(state)]) == 1
+    assert "forbidden" in capsys.readouterr().err
+    assert state.read_text() == saved
+    assert main([*argv, "--checkpoint", str(state)]) == 0
+    assert capsys.readouterr().out == full
+    assert json.loads(full)["status"] == "exact"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda", "g.hg", "--out", "x.hg"],
+    ["check", "g.hg", "--free-of", "P3", "--max-nodes", "5"],
+    ["verify", "--checkpoint", "c.json"],
+], ids=["lambda-out", "check-max-nodes", "verify-checkpoint"])
+def test_flags_a_subcommand_never_reads_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_subset_json(capsys):
     code = main(["verify", "--only", "turan-machinery", "--json"])
     payload = json.loads(capsys.readouterr().out)

@@ -19,6 +19,7 @@ from hyperlag.hypergraph import (
     linear_path,
     link_diff,
     lower_covers,
+    matching,
     named,
     new,
     relabel,
@@ -86,7 +87,7 @@ def test_named_graphs():
     assert f3.n == 9 and len(f3.edges) == 4
     degs = f3.degrees()
     assert degs[0] == degs[1] == degs[2] == 2
-    assert named("M", t=2).edges == ((1, 2, 3), (4, 5, 6))
+    assert matching(2).edges == ((1, 2, 3), (4, 5, 6))
     f1, f2 = named("F1"), named("F2")
     assert (f1.n, len(f1.edges)) == (10, 4)
     assert (f2.n, len(f2.edges)) == (10, 4)

@@ -1,7 +1,6 @@
 """Each script under ``scripts/`` loads (only its imports run, since its
 entry point is guarded by ``__name__``) and defines ``main``, so removing
-a name from the package cannot break a script unnoticed.  The density
-scan's checkpoint round trip is run end to end.  Every name the
+a name from the package cannot break a script unnoticed.  Every name the
 benchmark's span tracer wraps exists, and the matcher it wraps is the one
 the searches call, since a missing or bypassed one would make its
 metrics read 0 silently.  Every function and class of the package is
@@ -11,13 +10,10 @@ imports a name it does not use."""
 import ast
 import importlib
 import importlib.util
-import json
 import re
 from pathlib import Path
 
 import pytest
-
-from hyperlag.search import CheckpointError
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -58,29 +54,6 @@ def test_span_tracer_sees_the_matcher_in_searches():
     matcher = tracer._ids["freeness._contains_edges"]
     for label, lo, hi in tracer.phases:
         assert matcher in tracer.name[lo:hi], label
-
-
-def _report(out: str) -> dict:
-    return json.loads(out[out.index("{"):])
-
-
-def test_path3_scan_resume_matches_uninterrupted(tmp_path, capsys):
-    scan = _load(next(p for p in SCRIPTS if p.name == "path3_density_scan.py")).main
-    assert scan([]) == 0
-    full = _report(capsys.readouterr().out)
-
-    state = str(tmp_path / "state.json")
-    assert scan(["--checkpoint", state, "--max-nodes", "200"]) == 3
-    assert "checkpoint written" in capsys.readouterr().out
-    # the checkpoint's mode is part of its space: another --mode is refused
-    with pytest.raises(CheckpointError, match="mode"):
-        scan(["--checkpoint", state, "--resume", "--mode", "all"])
-    assert scan(["--checkpoint", state, "--resume"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("resumed at 200 nodes")
-    assert _report(out) == full
-    assert full["status"] == "exact"
-    assert (full["counts"]["optimized"], full["counts"]["screened"]) == (2, 5)
 
 
 # Top-level names no code outside tests reaches, each with its reason.

@@ -681,8 +681,10 @@ def test_deadline_stops_a_long_downset_run():
 
 
 def _fake_maximize(g, config):
-    # the budget tests exercise the engine, not the optimizer
-    return types.SimpleNamespace(value=len(g.edges) / 100)
+    # the budget tests exercise the engine, not the optimizer; the value is
+    # the edge polynomial at the uniform weighting, at most the Lagrangian,
+    # so a resume does not refuse the running bests it leads to
+    return types.SimpleNamespace(value=len(g.edges) / g.n**3)
 
 
 def test_budget_inside_a_forced_run_stops_there_and_resumes(tmp_path, monkeypatch):
@@ -985,11 +987,17 @@ def _density_payload(path):
      r"\['stats.nodes'\]"),
     ("turan", lambda p: {**p, "state": {**p["state"], "best": "x"}}, r"\['best'\]"),
     ("density", lambda p: {**p, "state": {**p["state"], "evaluated": "x"}}, r"\['evaluated'\]"),
+    ("density", lambda p: {**p, "state": {**p["state"], "best_plain": [0.9, [[1, 2, 3]]]}},
+     r"running bests \['best_plain'\]"),
+    ("density", lambda p: {**p, "state": {**p["state"], "best_cfree": [0.5, None]}},
+     r"running bests \['best_cfree'\]"),
 ], ids=["top-level-array", "stats-list", "witnesses-int", "best-plain-int", "stats-nodes-str",
-        "best-str", "evaluated-str"])
+        "best-str", "evaluated-str", "best-plain-above-bound", "best-cfree-value-without-edges"])
 def test_checkpoint_refuses_malformed_state_values(tmp_path, kind, edit, match):
-    # unchecked, each would raise a raw AttributeError or TypeError, on
-    # load or later in the resumed run
+    # unchecked, each but the last two would raise a raw AttributeError or
+    # TypeError, on load or later in the resumed run; the last two would
+    # resume to a report with a value no survivor has (0.9 for an edge
+    # whose Lagrangian is 1/27) or with no argmax for its value
     path = tmp_path / "c.json"
     payload = _paused_turan_payload(path) if kind == "turan" else _density_payload(path)
     _refused(path, edit(payload), match)
@@ -1014,7 +1022,7 @@ def test_checkpoint_refuses_edges_that_do_not_fit_the_run(tmp_path, kind, field,
     payload["state"][field] = [edges] if kind == "turan" else [0.9, edges]
     _refused(path, payload, rf"edges in \['{field}'\]")
     # the same payload with its edges in order loads
-    payload["state"][field] = [[[1, 2, 3], [1, 2, 4]]] if kind == "turan" else [0.9, [[1, 2, 3]]]
+    payload["state"][field] = [[[1, 2, 3], [1, 2, 4]]] if kind == "turan" else [1 / 27, [[1, 2, 3]]]
     path.write_text(json.dumps(payload))
     checkpoint_resume(path)
 
