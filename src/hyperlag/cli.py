@@ -4,8 +4,13 @@ One tool in subcommand style.  A subcommand accepts only the flags it
 reads: ``--out`` where it writes a graph, the budgets and ``--checkpoint``
 where it searches.  The optimizer's defaults are ``DEFAULT_CONFIG``'s,
 and the seed in effect is always printed so every run can be reproduced.
+Graph names (``construct``, ``check --free-of``, ``turan --forbid``) are
+read by :func:`~hyperlag.hypergraph.named` alone, fused (``K6_4``) or in
+words (``K 6 4``); ``check`` and ``turan`` also take a graph file's path.
 Exit codes: 0 success/certified, 1 input error, 2 an uncertified numeric
-result, 3 a resource-capped partial result.
+result, 3 a resource-capped partial result.  Every input error, an
+unreadable name included, exits 1 through :func:`main` with one
+``error:`` line on stderr (``parse error:`` for a malformed graph file).
 """
 
 from __future__ import annotations
@@ -18,17 +23,7 @@ from fractions import Fraction
 
 from .freeness import contains, left_compress_loop
 from .hgio import HgParseError, emit_hg, load, save, to_json_obj
-from .hypergraph import (
-    Hypergraph,
-    complete,
-    complete_minus,
-    compress,
-    linear_path,
-    matching,
-    named,
-    turan_blowup,
-    turan_count,
-)
+from .hypergraph import Hypergraph, compress, extension, named, turan_count
 from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, maximize
 from .search import density_evidence, turan_number
 from .verify import GROUPS, run_suite
@@ -72,27 +67,9 @@ def _optimizer(args) -> OptimizerConfig:
 
 
 def pattern_by_name(name: str) -> Hypergraph:
-    """Resolve P<t>, K<t>[_r], K<t>-[_r], M<t>[_r], T2/F1/F2/F3/F5, or an
-    existing file path."""
-    if os.path.exists(name):
-        return load(name)
-    s = name.strip().upper().replace("^", "").replace("-", "MINUS")
-    try:
-        if s.startswith("P") and s[1:].isdigit():
-            return linear_path(int(s[1:]))
-        if s.startswith("K"):
-            body = s[1:]
-            minus = body.endswith("MINUS")
-            if minus:
-                body = body[: -len("MINUS")]
-            t, _, r = body.partition("_")
-            return (complete_minus if minus else complete)(int(t), int(r) if r else 3)
-        if s.startswith("M") and s[1:].split("_")[0].isdigit():
-            t, _, r = s[1:].partition("_")
-            return matching(int(t), int(r) if r else 3)
-        return named(s)
-    except (ValueError, IndexError) as exc:
-        raise SystemExit(f"unknown pattern {name!r}: {exc}")
+    """The graph file at ``name`` if that path exists, else the construction
+    :func:`~hyperlag.hypergraph.named` reads from it."""
+    return load(name) if os.path.exists(name) else named(name)
 
 
 def _print_graph(g: Hypergraph, args, comment: str | None = None) -> None:
@@ -152,11 +129,7 @@ def cmd_compress(args) -> int:
     g = load(args.input)
     before = maximize(g, config)
     if args.loop is not None:
-        try:
-            out = left_compress_loop(g, args.loop, config=config)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        out = left_compress_loop(g, args.loop, config=config)
     else:
         if args.i is None or args.j is None:
             print("error: single compression needs --i and --j", file=sys.stderr)
@@ -170,8 +143,6 @@ def cmd_compress(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    from .hypergraph import extension
-
     g = load(args.input)
     out = extension(g)
     _print_graph(out, args, comment="extension closing all uncovered pairs")
@@ -179,26 +150,9 @@ def cmd_extend(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    kind = args.kind.upper().replace("-", "MINUS")
-    p = args.params
-    try:
-        if kind == "K":
-            g = complete(int(p[0]), int(p[1]) if len(p) > 1 else 3)
-        elif kind in ("KMINUS", "KM"):
-            g = complete_minus(int(p[0]), int(p[1]) if len(p) > 1 else 3)
-        elif kind == "P":
-            g = linear_path(int(p[0]))
-        elif kind == "M":
-            g = matching(int(p[0]), int(p[1]) if len(p) > 1 else 3)
-        elif kind == "T" and p:
-            m, r, n = int(p[0]), int(p[1]), int(p[2])
-            g = turan_blowup(m, r, n)
-            print(f"# balanced blowup edge count t = {turan_count(m, r, n)}")
-        else:
-            g = named(kind)
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = named(" ".join([args.kind, *args.params]))
+    if args.kind.upper() == "T":
+        print(f"# balanced blowup edge count t = {len(g.edges)}")
     _print_graph(g, args)
     return EXIT_OK
 
@@ -281,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
                     writes=True)
     p.add_argument("input")
 
-    p = _subcommand(sub, "construct", cmd_construct, "write a named construction: K t [r] | "
-                    "Kminus t [r] | P t | M t [r] | T m r n | T2|F1|F2|F3|F5", writes=True)
+    p = _subcommand(sub, "construct", cmd_construct, "write a named construction: P t | K t [r] | "
+                    "K- t [r] | M t [r] | T m r n | T2|F1|F2|F3|F5, fused or in words",
+                    writes=True)
     p.add_argument("kind")
     p.add_argument("params", nargs="*")
 

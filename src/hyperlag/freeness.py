@@ -18,7 +18,7 @@ from .hypergraph import (
     link_diff,
     relabel,
 )
-from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, densify, maximize
+from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, closed_form, densify, maximize
 
 
 @dataclass(frozen=True)
@@ -345,7 +345,7 @@ def contains_core(g: Hypergraph, pattern: Hypergraph, p: int) -> bool:
 # dense and left-compressed rewriting
 
 
-_K8_FLOOR = comb(8, 3) / 8**3 - 0.005
+_K8_FLOOR = closed_form("K", 8).value - 0.005
 
 
 def left_compress_loop(g: Hypergraph, t: int,

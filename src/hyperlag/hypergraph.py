@@ -12,6 +12,7 @@ after construction; every operator below is a pure function.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from math import comb
 
@@ -148,15 +149,6 @@ _NAMED: dict[str, tuple[int, tuple[Edge, ...]]] = {
     # a central triple {1,2,3} with one pendant edge at each of its vertices
     "F3": (9, ((1, 2, 3), (1, 4, 5), (2, 6, 7), (3, 8, 9))),
 }
-
-
-def named(name: str) -> Hypergraph:
-    """Small named 3-graphs: T2, F5, F1, F2, F3."""
-    key = name.replace("_", "").upper()
-    if key in _NAMED:
-        n, edges = _NAMED[key]
-        return Hypergraph(3, n, edges)
-    raise ValueError(f"unknown named graph {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +305,58 @@ def extension(f: Hypergraph) -> Hypergraph:
         nxt += f.r - 2
         edges.append(tuple(sorted((a, b) + fresh)))
     return Hypergraph(f.r, nxt - 1, tuple(sorted(set(edges))))
+
+
+# ---------------------------------------------------------------------------
+# construction names
+
+
+# family: (constructor, fewest parameters, most parameters)
+_FAMILIES = {
+    "P": (linear_path, 1, 1),
+    "K": (complete, 1, 2),
+    "K-": (complete_minus, 1, 2),
+    "M": (matching, 1, 2),
+    "T": (turan_blowup, 3, 3),
+}
+# a family letter, then integer parameters; K may carry a minus marker
+# (-, ^-, MINUS, or M right after the K) before or after its first one
+_SPEC = re.compile(r"([KPMT])(MINUS|M|\^?-)?[\s_]*(\d+)(?:[\s_]*(MINUS|\^?-))?((?:[\s_]+\d+)*)[\s_]*")
+
+
+def named(spec: str) -> Hypergraph:
+    """The one reader of construction names, case-insensitive.
+
+    A fixed graph of ``_NAMED``: T2, F5, F1, F2, F3, where ``_`` and spaces
+    are ignored.  An exact name wins, so T2 is never read as a blowup.
+    Otherwise a family letter and its integer parameters:
+
+    - ``P<t>``: :func:`linear_path`;
+    - ``K<t>[_r]``: :func:`complete`, r = 3 by default;
+    - ``K<t>-[_r]``, also spelt ``K<t>^-``, ``K<t>MINUS``, ``K-<t>``,
+      ``KMINUS<t>`` or ``KM<t>``: :func:`complete_minus`;
+    - ``M<t>[_r]``: :func:`matching`;
+    - ``T<m>_<r>_<n>``: :func:`turan_blowup`.
+
+    Parameters are fused to the family (``K6_4``) or separated from it by
+    ``_`` or spaces (``K_6_4``, ``K 6 4``, ``Kminus 6 3``, ``T 3 3 7``);
+    parameters after the first are separated from each other.  Raises
+    ValueError on anything else, a wrong parameter count included.
+    """
+    s = spec.strip().upper()
+    key = re.sub(r"[\s_]", "", s)
+    if key in _NAMED:
+        n, edges = _NAMED[key]
+        return Hypergraph(3, n, edges)
+    m = _SPEC.fullmatch(s)
+    if m is None or (m[2] and m[4]) or (m[1] != "K" and (m[2] or m[4])):
+        raise ValueError(f"unknown construction {spec!r}")
+    family = m[1] + ("-" if m[2] or m[4] else "")
+    build, least, most = _FAMILIES[family]
+    params = [int(p) for p in (m[3], *re.findall(r"\d+", m[5]))]
+    if not least <= len(params) <= most:
+        raise ValueError(f"wrong number of parameters for {family} in {spec!r}")
+    return build(*params)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ from .hypergraph import (
     named,
     new,
 )
-from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, maximize, upper_bound
+from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, closed_form, maximize, upper_bound
 
 CHECKPOINT_VERSION = 6
 # enumerate_all walks 2^C(n, r) edge sets; past this many r-sets it refuses
@@ -106,9 +106,7 @@ class SearchStats:
     symmetry_cuts: int = 0
 
     def to_json(self) -> dict:
-        return {"nodes": self.nodes, "leaves": self.leaves,
-                "pruned": self.pruned, "bound_cuts": self.bound_cuts,
-                "symmetry_cuts": self.symmetry_cuts}
+        return asdict(self)
 
 
 class _ColexDFS:
@@ -623,14 +621,6 @@ def turan_number(n: int, forbidden, max_nodes: int | None = None,
 # density evidence
 
 
-def _pattern_graph(name: str) -> Hypergraph:
-    if name in ("P2", "P3", "P4"):
-        return linear_path(int(name[1]))
-    if name == "T2":
-        return named("T2")
-    raise ValueError(f"density evidence supports P2, T2, P3, P4; got {name!r}")
-
-
 @dataclass(frozen=True)
 class DensityReport:
     space: dict
@@ -684,7 +674,9 @@ class DensityRun(_ColexDFS):
                  config: OptimizerConfig = DEFAULT_CONFIG):
         if mode not in ("left_compressed", "all"):
             raise ValueError(f"mode must be left_compressed or all, got {mode!r}")
-        pat = _pattern_graph(pattern)
+        if pattern not in ("P2", "T2", "P3", "P4"):
+            raise ValueError(f"density evidence supports P2, T2, P3, P4; got {pattern!r}")
+        pat = named(pattern)
         super().__init__(n, 3, mode == "left_compressed")
         self.pattern = pattern
         self.mode = mode
@@ -693,7 +685,8 @@ class DensityRun(_ColexDFS):
         self.clique = complete(self.clique_order, 3)
         # the grower tests a linear path that fits on [n]; the matcher tests
         # anything else, and refuses a pattern too large for [n] at once
-        self._path_length = int(pattern[1]) if pattern[0] == "P" and pat.n <= n else None
+        t = len(pat.edges)
+        self._path_length = t if pat == linear_path(t) and pat.n <= n else None
         self._pattern = pat
         # (value, edges); edges is None until a survivor is optimized
         self.best_plain: tuple[float, tuple | None] = (-1.0, None)
@@ -774,7 +767,7 @@ class DensityRun(_ColexDFS):
     def result(self) -> DensityReport:
         val = self.best_plain[0]
         cval = self.best_cfree[0]
-        lam_complete = comb(self.clique_order, 3) / self.clique_order**3
+        lam_complete = closed_form("K", self.clique_order).value
         return DensityReport(
             space=self.space_descriptor(),
             counts={"nodes": self.stats.nodes, "survivors": self.stats.leaves,

@@ -8,7 +8,16 @@ import pytest
 
 from hyperlag.cli import main, pattern_by_name
 from hyperlag.hgio import emit_hg, load
-from hyperlag.hypergraph import complete, complete_minus, linear_path, matching, named
+from hyperlag.hypergraph import (
+    _NAMED,
+    Hypergraph,
+    complete,
+    complete_minus,
+    linear_path,
+    matching,
+    named,
+    turan_blowup,
+)
 from hyperlag.lagrangian import OptimizerConfig
 from hyperlag.search import DensityRun, TuranRun, canonical_form, checkpoint_save
 
@@ -45,8 +54,60 @@ def test_pattern_resolver():
     assert pattern_by_name("K5_4") == complete(5, 4)
     assert pattern_by_name("M2") == matching(2, 3)
     assert pattern_by_name("F5") == named("F5")
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError):
         pattern_by_name("Q9")
+
+
+def _fixed(name):
+    n, edges = _NAMED[name]
+    return Hypergraph(3, n, edges)
+
+
+# spelling, its word form for construct, and the graph its constructor
+# builds; K6-_4 is the K<t>-_r form of the README
+GRAMMAR = [
+    ("P4", ["P", "4"], linear_path(4)),
+    ("K6", ["K", "6"], complete(6)),
+    ("K6_4", ["K", "6", "4"], complete(6, 4)),
+    ("k6_4", ["k", "6", "4"], complete(6, 4)),
+    ("K6-", ["K-", "6"], complete_minus(6)),
+    ("K6^-", ["K6^-"], complete_minus(6)),
+    ("K4MINUS", ["Kminus", "4"], complete_minus(4)),
+    ("Kminus 6 3", ["Kminus", "6", "3"], complete_minus(6, 3)),
+    ("KM 6", ["KM", "6"], complete_minus(6)),
+    ("K6-_4", ["K-", "6", "4"], complete_minus(6, 4)),
+    ("M2_4", ["M", "2", "4"], matching(2, 4)),
+    ("T 3 3 7", ["T", "3", "3", "7"], turan_blowup(3, 3, 7)),
+    ("T2", ["T2"], _fixed("T2")),
+    ("t2", ["t2"], _fixed("T2")),
+    ("F1", ["F1"], _fixed("F1")),
+    ("F2", ["F2"], _fixed("F2")),
+    ("F3", ["F3"], _fixed("F3")),
+    ("F5", ["F5"], _fixed("F5")),
+]
+
+
+@pytest.mark.parametrize("spelling, words, expected", GRAMMAR, ids=[row[0] for row in GRAMMAR])
+def test_one_grammar_reads_every_spelling(spelling, words, expected, tmp_path, capsys):
+    assert named(spelling) == expected
+    assert pattern_by_name(spelling) == expected
+    out = tmp_path / "g.hg"
+    assert main(["construct", *words, "--out", str(out)]) == 0
+    assert load(out) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["turan", "--n", "5", "--forbid", "Q9"],
+    ["check", "{p3}", "--free-of", "Q9"],
+    ["construct", "K", "two", "3"],
+    ["construct", "K"],
+    ["compress", "{p3}", "--loop", "3"],
+], ids=["turan-forbid", "check-free-of", "construct-word", "construct-no-params", "compress-loop"])
+def test_input_errors_exit_one_with_an_error_line(argv, tmp_path, capsys):
+    p3 = tmp_path / "p3.hg"
+    p3.write_text(emit_hg(linear_path(3)))
+    assert main([a.format(p3=p3) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_lambda_certified_exit_zero(tmp_path, capsys):

@@ -4,8 +4,9 @@ a name from the package cannot break a script unnoticed.  Every name the
 benchmark's span tracer wraps exists, and the matcher it wraps is the one
 the searches call, since a missing or bypassed one would make its
 metrics read 0 silently.  Every function and class of the package is
-reached from outside tests, every JSON schema is used, and no module
-imports a name it does not use."""
+reached from outside tests, every JSON schema is used, no module
+imports a name it does not use, and neither the command line nor the
+searches read graph names themselves."""
 
 import ast
 import importlib
@@ -114,6 +115,22 @@ def test_no_module_imports_a_name_it_does_not_use():
                 continue
             unused += [f"{path.relative_to(ROOT)}: {name}" for name in names if name not in used]
     assert unused == []
+
+
+# calls that would mean a second reader of graph names beside
+# hypergraph.named: method name and the first arguments that give it away
+NAME_PARSING_CALLS = {"replace": {"-"}, "partition": {"_"}, "startswith": {"K", "M", "P"}}
+
+
+@pytest.mark.parametrize("name", ["cli.py", "search.py"])
+def test_no_second_reader_of_graph_names(name):
+    tree = ast.parse((ROOT / "src" / "hyperlag" / name).read_text())
+    found = [f"line {node.lineno}: .{node.func.attr}({node.args[0].value!r})"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.args and isinstance(node.args[0], ast.Constant)
+             and node.args[0].value in NAME_PARSING_CALLS.get(node.func.attr, ())]
+    assert found == []
 
 
 def test_every_schema_is_validated_or_referenced():
