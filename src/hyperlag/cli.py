@@ -180,7 +180,7 @@ def cmd_turan(args) -> int:
 
 
 def cmd_density(args) -> int:
-    rep = density_evidence(args.pattern.upper(), args.n, args.mode, _optimizer(args),
+    rep = density_evidence(args.pattern, args.n, args.mode, _optimizer(args),
                            max_nodes=args.max_nodes, max_seconds=args.max_seconds,
                            checkpoint=args.checkpoint)
     _note_checkpoint(args, rep.status == "exact", rep.counts["nodes"])

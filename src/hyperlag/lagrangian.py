@@ -46,7 +46,7 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph, equivalence_classes, induced
+from .hypergraph import Hypergraph, complete, complete_minus, equivalence_classes, induced, named
 
 __all__ = [
     "WeightVector",
@@ -659,30 +659,34 @@ def closed_form(name: str, t: int | None = None, r: int = 3) -> ClosedForm:
     """Known exact optima for complete and near-complete graphs, plus the
     block bound for the completion of the 9-vertex pendant-star family.
 
-    Names: "K" (needs t, r), "K4_minus", "K6_minus", "K8_minus",
-    "F3_completion_bound".
+    Names: "K" with t (and r), "F3_completion_bound", or any name that
+    :func:`~hyperlag.hypergraph.named` reads as a complete graph K_t^r or
+    as K_4^-, K_6^- or K_8^- (3-uniform), however it is spelt.  Raises
+    ValueError for any other name or graph.
     """
-    key = name.replace("-", "_minus").replace("^", "").upper()
-    if key == "K":
+    if name.upper() == "K":
         if t is None:
             raise ValueError("closed_form('K') needs t")
         return ClosedForm(comb(t, r) / t**r, ((t, 1.0 / t),))
-    if key == "K4_MINUS":
-        # one free vertex weight a, three symmetric weights b; 3ab^2 with a+3b=1
-        return ClosedForm(4.0 / 81.0, ((1, 1.0 / 3.0), (3, 2.0 / 9.0)))
-    if key == "K6_MINUS":
-        # a^3 - 3a^2 + a at its critical point a = (3 - sqrt 6)/3
-        a = (3.0 - math.sqrt(6.0)) / 3.0
-        return ClosedForm(a**3 - 3 * a**2 + a, ((3, a), (3, (1 - 3 * a) / 3)))
-    if key == "K8_MINUS":
-        a = (4.0 - math.sqrt(13.0)) / 3.0
-        return ClosedForm((5 * a**3 - 20 * a**2 + 5 * a) / 3.0, ((5, a), (3, (1 - 5 * a) / 3)))
-    if key == "F3_COMPLETION_BOUND":
+    if name.upper() == "F3_COMPLETION_BOUND":
         # blocks: 3 hub vertices at weight x, 6 pendant vertices at weight y
         y = (math.sqrt(873.0) - 15.0) / 162.0
         x = (1.0 - 6.0 * y) / 3.0
         return ClosedForm(x**3 + 8 * y**3 + 18 * x**2 * y + 45 * x * y**2, ((3, x), (6, y)))
-    raise ValueError(f"unknown closed form {name!r}")
+    g = named(name)
+    if g == complete(g.n, g.r):
+        return closed_form("K", g.n, g.r)
+    if g.r == 3 and g.n in (4, 6, 8) and g == complete_minus(g.n):
+        if g.n == 4:
+            # one free vertex weight a, three symmetric weights b; 3ab^2 with a+3b=1
+            return ClosedForm(4.0 / 81.0, ((1, 1.0 / 3.0), (3, 2.0 / 9.0)))
+        if g.n == 6:
+            # a^3 - 3a^2 + a at its critical point a = (3 - sqrt 6)/3
+            a = (3.0 - math.sqrt(6.0)) / 3.0
+            return ClosedForm(a**3 - 3 * a**2 + a, ((3, a), (3, (1 - 3 * a) / 3)))
+        a = (4.0 - math.sqrt(13.0)) / 3.0
+        return ClosedForm((5 * a**3 - 20 * a**2 + 5 * a) / 3.0, ((5, a), (3, (1 - 5 * a) / 3)))
+    raise ValueError(f"no closed form for {name!r}")
 
 
 # ---------------------------------------------------------------------------

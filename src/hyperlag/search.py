@@ -33,6 +33,13 @@ the symmetry cut spares it.  So x* is reached as a leaf.  The leaf tests
 a finished run has the values, statuses and canonical witness classes of
 the uncut search; only the counts differ.
 
+Down-set density runs also skip tests, without cutting anything: by the
+restriction lemma (see :class:`DensityRun`) a down-set contains a pattern
+H exactly when its part inside [v(H)] does, so no position past the
+r-sets of [v(H)] is tested for H, and the reference clique is read off
+the included positions.  A skipped test is one that would have accepted,
+so no count changes.
+
 The DFS decision list is the whole search state: include is always tried
 before exclude, so a token list reconstructs the frontier exactly.  That
 is what checkpoints serialize; resuming replays the tokens and produces
@@ -48,6 +55,7 @@ import itertools
 import json
 import os
 import time
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from math import comb
 
@@ -65,6 +73,8 @@ from .hypergraph import (
 from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, closed_form, maximize, upper_bound
 
 CHECKPOINT_VERSION = 6
+# the patterns a density run supports, by canonical name
+_DENSITY_PATTERNS = ("P2", "T2", "P3", "P4")
 # enumerate_all walks 2^C(n, r) edge sets; past this many r-sets it refuses
 _ENUMERATE_ALL_MAX_BITS = 24
 
@@ -196,9 +206,6 @@ class _ColexDFS:
         pass
 
     # engine ----------------------------------------------------------
-    def _include_allowed(self, k: int) -> bool:
-        return self.missing is None or self.missing[k] == 0
-
     def _lex_smaller(self, x: list[int]) -> bool:
         """Is the decided prefix ``x`` lex-smaller than its image under some
         adjacent transposition?  For each transposition the pairs (a, b) are
@@ -666,6 +673,31 @@ class DensityRun(_ColexDFS):
     not optimized, since its value could not have replaced either best.
     So screening changes no value, argmax graph or status, only the counts
     (``optimized`` + ``screened`` is the count without it).
+
+    In down-set mode the pattern and clique tests look only inside
+    [v(H)], by the restriction lemma (after Frankl, "The shifting
+    technique in extremal set theory", 1987): a down-set G contains a
+    graph H exactly when G restricted to [v(H)] does.  Proof: send the
+    vertex set of a copy of H in G to [v(H)] by the order-preserving
+    bijection.  Each edge goes to an r-set it dominates, which lies in G
+    and inside [v(H)], so the image is a copy of H there.  In colex order
+    the r-sets of [h] are exactly the first C(h, 3) positions, and every
+    graph a test asks about is a down-set: the included edges with a
+    position k whose lower covers are all included.  So:
+
+    - The include test accepts every k >= C(v(H), 3) untested: G + k is
+      H-free exactly when its part inside [v(H)], which is G's and so
+      H-free, is.
+    - The leaf scan tries those free positions first, and a path test
+      below them grows the path in the included edges inside [v(H)]
+      only, the first ``bisect_left(included, span)`` host masks.
+    - The reference clique K_{v(H)-1} is read off the first
+      C(v(H)-1, 3) positions: the graph has it when all of them are
+      included, and a candidate k creates it when k is the one missing.
+
+    Every skipped test is one the lemma proves would give the same
+    answer, so no count changes.  Full mode tests every position on the
+    whole host.
     """
 
     kind = "density"
@@ -674,11 +706,13 @@ class DensityRun(_ColexDFS):
                  config: OptimizerConfig = DEFAULT_CONFIG):
         if mode not in ("left_compressed", "all"):
             raise ValueError(f"mode must be left_compressed or all, got {mode!r}")
-        if pattern not in ("P2", "T2", "P3", "P4"):
-            raise ValueError(f"density evidence supports P2, T2, P3, P4; got {pattern!r}")
         pat = named(pattern)
+        name = next((s for s in _DENSITY_PATTERNS if named(s) == pat), None)
+        if name is None:
+            raise ValueError(f"density evidence supports {', '.join(_DENSITY_PATTERNS)}; "
+                             f"got {pattern!r}")
         super().__init__(n, 3, mode == "left_compressed")
-        self.pattern = pattern
+        self.pattern = name
         self.mode = mode
         self.config = config
         self.clique_order = pat.n - 1
@@ -688,6 +722,9 @@ class DensityRun(_ColexDFS):
         t = len(pat.edges)
         self._path_length = t if pat == linear_path(t) and pat.n <= n else None
         self._pattern = pat
+        # positions from _span on need no pattern test; in full mode none
+        self._span = min(comb(pat.n, 3), self.M) if self.downset else self.M
+        self._clique_span = comb(self.clique_order, 3)
         # (value, edges); edges is None until a survivor is optimized
         self.best_plain: tuple[float, tuple | None] = (-1.0, None)
         self.best_cfree: tuple[float, tuple | None] = (-1.0, None)
@@ -699,8 +736,13 @@ class DensityRun(_ColexDFS):
                 "mode": self.mode, "config": asdict(self.config)}
 
     def include_accept(self, k: int) -> bool:
+        if k >= self._span:
+            return True
         if self._path_length is not None:
-            return not creates_linear_path(self.host.masks, self.masks[k], self._path_length)
+            inside = self.host.masks
+            if self.included and self.included[-1] >= self._span:   # at a leaf only
+                inside = inside[:bisect_left(self.included, self._span)]
+            return not creates_linear_path(inside, self.masks[k], self._path_length)
         return not self._creates(k, (self._pattern,))
 
     def _screen(self, g: Hypergraph, plain: bool, cfree: bool) -> bool:
@@ -726,17 +768,27 @@ class DensityRun(_ColexDFS):
             self.best_cfree = (value, edges)
 
     def on_leaf(self) -> None:
-        has_clique = _contains_edges(self.host, self.clique) is not None
+        if self.downset:
+            # how many positions of the clique's r-sets are not included
+            gap = self._clique_span - bisect_left(self.included, self._clique_span)
+            has_clique = gap == 0
+        else:
+            has_clique = _contains_edges(self.host, self.clique) is not None
+        decisions, missing = self.decisions, self.missing
         ext_plain = False
         ext_cfree = False
-        for k in range(self.M):
-            if self.decisions[k] or not self._include_allowed(k) or not self.include_accept(k):
+        # the positions that need no test first
+        for k in itertools.chain(range(self._span, self.M), range(self._span)):
+            if decisions[k] or (missing is not None and missing[k]) or not self.include_accept(k):
                 continue
             ext_plain = True
             if has_clique:
                 break
             # no clique yet, so any clique in the extension contains ground[k]
-            ext_cfree = not self._creates(k, (self.clique,))
+            if self.downset:
+                ext_cfree = gap > 1 or k >= self._clique_span
+            else:
+                ext_cfree = not self._creates(k, (self.clique,))
             if ext_cfree:
                 break
         cfree = not has_clique and not ext_cfree

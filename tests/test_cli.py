@@ -287,6 +287,20 @@ def test_density_unknown_pattern_exit_one(capsys):
     assert "P2, T2, P3, P4; got 'P5'" in capsys.readouterr().err
 
 
+def test_density_pattern_is_read_like_every_other_name(capsys):
+    # the pattern goes through hypergraph.named, and the report names it
+    # canonically, so every spelling of P3 prints the same report
+    outs = []
+    for spelling in ("P3", "P_3", "p 3"):
+        assert main(["density", "--pattern", spelling, "--n", "6", "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["space"]["pattern"] == "P3"
+    # a graph the run does not support is refused whatever it is called
+    assert main(["density", "--pattern", "K4-", "--n", "5"]) == 1
+    assert "P2, T2, P3, P4; got 'K4-'" in capsys.readouterr().err
+
+
 def test_density_checkpoint_resume_matches_uninterrupted(tmp_path, capsys):
     argv = ["density", "--pattern", "P3", "--n", "7", "--json"]
     assert main(argv) == 0

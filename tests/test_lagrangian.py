@@ -537,6 +537,22 @@ def test_closed_forms():
         closed_form("K5_minus")
 
 
+def test_closed_form_reads_names_like_named():
+    # every spelling hypergraph.named reads as K6^- gives the one value
+    spellings = ["K6-", "K6^-", "K6MINUS", "Kminus6", "KM6", "K6_minus", "k-6"]
+    assert {closed_form(s).value for s in spellings} == {closed_form("K6_minus").value}
+    assert closed_form("K6") == closed_form("K", 6)
+    assert closed_form("K 5 4") == closed_form("K", 5, r=4)
+    assert closed_form("K4^-") == closed_form("K4_minus")
+    assert closed_form("KM8") == closed_form("K8_minus")
+    # a graph with no closed form, and a name that is no graph
+    for name in ("K5-", "K6-_4", "P3", "F5", "Q9"):
+        with pytest.raises(ValueError):
+            closed_form(name)
+    with pytest.raises(ValueError, match="needs t"):
+        closed_form("K")
+
+
 def test_f3_completion_bound_matches_direct_optimization():
     # the 72-edge graph: complete on [9] minus every edge through one of
     # the pendant pairs (4,5), (6,7), (8,9) and a further pendant vertex

@@ -48,13 +48,17 @@ def test_span_tracer_sees_the_matcher_in_searches():
     tracer = spans.Tracer()
     tracer.install()
     try:
-        tracer.phase("density", lambda: density_evidence("P3", 7))
+        # a full-space run tests the clique with the matcher; a down-set
+        # run reads it off the included positions and only grows paths
+        tracer.phase("density", lambda: density_evidence("P2", 6, "all"))
         tracer.phase("turan", lambda: turan_number(6, [named("F5")]))
+        tracer.phase("paths", lambda: density_evidence("P3", 7))
     finally:
         tracer.uninstall()
     matcher = tracer._ids["freeness._contains_edges"]
+    grower = tracer._ids["freeness.creates_linear_path"]
     for label, lo, hi in tracer.phases:
-        assert matcher in tracer.name[lo:hi], label
+        assert (grower if label == "paths" else matcher) in tracer.name[lo:hi], label
 
 
 # Top-level names no code outside tests reaches, each with its reason.

@@ -1,8 +1,10 @@
+import functools
 import itertools
 import json
 import random
 import time
 import types
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hyperlag.hypergraph import (
     Hypergraph,
     complete,
     complete_minus,
+    induced,
     is_left_compressed,
     linear_path,
     lower_covers,
@@ -636,6 +639,144 @@ def test_one_maximize_call_per_optimized_survivor(monkeypatch):
     calls.clear()
     rep = density_evidence("P2", 6, "all")
     assert len(calls) == rep.counts["optimized"]
+
+
+# ---------------------------------------------------------------------------
+# the restriction lemma
+
+
+class _Unrestricted:
+    """The down-set run without the restriction lemma: every candidate is
+    tested on the whole host, and the clique by the matcher.  The oracle
+    for the lemma's three uses in :class:`DensityRun`."""
+
+    def include_accept(self, k):
+        if self._path_length is not None:
+            return not creates_linear_path(self.host.masks, self.masks[k], self._path_length)
+        return not self._creates(k, (self._pattern,))
+
+    def on_leaf(self):
+        has_clique = search_mod._contains_edges(self.host, self.clique) is not None
+        ext_plain = False
+        ext_cfree = False
+        for k in range(self.M):
+            if self.decisions[k] or self.missing[k] or not self.include_accept(k):
+                continue
+            ext_plain = True
+            if has_clique:
+                break
+            ext_cfree = not self._creates(k, (self.clique,))
+            if ext_cfree:
+                break
+        cfree = not has_clique and not ext_cfree
+        if not ext_plain or cfree:
+            self._optimize(self.included_edges(), not ext_plain, cfree)
+
+
+class UnrestrictedDensityRun(_Unrestricted, DensityRun):
+    pass
+
+
+# n from v(H) - 1 to v(H) + 2, and P4 up to n = 10
+RESTRICTION_CASES = [(p, n) for p, v in (("P2", 5), ("T2", 4), ("P3", 7), ("P4", 9))
+                     for n in range(v - 1, min(v + 2, 10) + 1)]
+
+
+@pytest.mark.parametrize("pattern,n", RESTRICTION_CASES)
+def test_restriction_lemma_matches_unrestricted_oracle(pattern, n):
+    fast = density_evidence(pattern, n).to_json()
+    assert fast == UnrestrictedDensityRun(pattern, n).execute().to_json()
+    assert fast["status"] == "exact"
+
+
+@functools.lru_cache(maxsize=None)
+def _downsets(n):
+    out = []
+    enumerate_left_compressed(n, 3, visit=out.append)
+    return tuple(out)
+
+
+def _same_inside(g, h):
+    """Does g contain h exactly when g restricted to [v(h)] does?"""
+    return (contains(g, h) is None) == (contains(induced(g, range(1, h.n + 1)), h) is None)
+
+
+@pytest.mark.parametrize("name", ["P2", "T2", "P3", "K4-", "F5"])
+def test_restriction_lemma_on_every_downset_of_eight(name):
+    h = named(name)
+    downsets = _downsets(8)
+    assert len(downsets) == 2431
+    for edges in downsets:
+        assert _same_inside(Hypergraph(3, 8, edges), h), edges
+
+
+def _downset_closure(seeds):
+    out = set()
+    stack = list(seeds)
+    while stack:
+        e = stack.pop()
+        if e not in out:
+            out.add(e)
+            stack.extend(lower_covers(e))
+    return tuple(sorted(out))
+
+
+def test_restriction_lemma_for_p4_beyond_nine():
+    # every down-set on [9] is its own restriction to [v(P4)] = [9], so the
+    # lemma is checked on down-sets on [10] and [11], each the closure of a
+    # few random r-sets, and on both sides of it: with edges past [9] and
+    # without, containing P4 and free of it
+    rnd = random.Random(9)
+    h = linear_path(4)
+    seen = set()
+    for _ in range(150):
+        n = rnd.choice((10, 11))
+        seeds = [tuple(sorted(rnd.sample(range(1, n + 1), 3))) for _ in range(rnd.randint(1, 3))]
+        g = Hypergraph(3, n, _downset_closure(seeds))
+        assert is_left_compressed(g)
+        assert _same_inside(g, h), g.edges
+        seen.add((contains(g, h) is None, max(map(max, g.edges)) > 9))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_path_tests_stop_at_the_span_and_no_leaf_tests_the_clique(monkeypatch):
+    # P3 spans 7 vertices, so on [11] the r-sets of [7], the first C(7, 3)
+    # positions, are the only ones a path test may see or be made for
+    span = comb(7, 3)
+    run = DensityRun("P3", 11)
+    index = {m: k for k, m in enumerate(run.masks)}
+    tested = set()
+    grow = search_mod.creates_linear_path
+
+    def recording(masks, new_mask, t):
+        tested.add(index[new_mask])
+        assert all(index[m] < span for m in masks)
+        return grow(masks, new_mask, t)
+
+    matched = []
+    match = search_mod._contains_edges
+
+    def matching_(host, pattern):
+        matched.append(pattern)
+        return match(host, pattern)
+
+    monkeypatch.setattr(search_mod, "creates_linear_path", recording)
+    monkeypatch.setattr(search_mod, "_contains_edges", matching_)
+    assert run.execute().counts["nodes"] == 63356
+    assert 0 < max(tested) < span
+    assert matched == []
+    # no search reaches position span - 1, {5, 6, 7}: a down-set holding it
+    # holds every r-set of [7], so a P3.  So the boundary is pinned on the
+    # finished run, whose host is empty: a span one smaller or one larger
+    # fails here
+    assert run.included == []
+    tested.clear()
+    assert run.include_accept(span - 1) and tested == {span - 1}
+    assert run.include_accept(span) and tested == {span - 1}
+    # T2 goes through the matcher, but the clique never does
+    t2 = DensityRun("T2", 7)
+    t2.execute()
+    assert matched and all(p == named("T2") for p in matched)
 
 
 def test_density_p3_eleven_pinned_report():
