@@ -9,6 +9,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .hypergraph import (
     Hypergraph,
@@ -70,8 +71,30 @@ def _pattern_order(pattern: Hypergraph) -> list[int]:
     return ordered
 
 
+class _Plan(NamedTuple):
+    """A pattern's search plan (see :func:`_plan`).  Every field but
+    ``order`` is indexed by position, and an edge is stored as a tuple of
+    positions."""
+
+    order: tuple  # the pattern's vertices in search order
+    degrees: tuple  # the pattern degree of each position's vertex
+    ready: tuple  # edges whose last vertex sits at the position
+    carried: tuple  # edges one vertex short before and after the position
+    fresh: tuple  # edges the position leaves one vertex short
+    below: tuple  # earlier positions whose host vertex must be lower
+    boundary: tuple  # None, or the earlier positions the search from here reads
+
+
+def _boundary(cuts: set, below) -> tuple:
+    """Per position i: for a cut (no edge has positions both below i and
+    at or above i), the positions p < i named in ``below[j]`` for some
+    j >= i, in increasing order; None elsewhere."""
+    return tuple(tuple(sorted({p for ps in below[i:] for p in ps if p < i})) if i in cuts else None
+                 for i in range(len(below)))
+
+
 @functools.lru_cache(maxsize=256)
-def _plan(r: int, n: int, edges: tuple) -> tuple:
+def _plan(r: int, n: int, edges: tuple) -> _Plan:
     """The search plan of a pattern, built once: its vertices in
     ``_pattern_order``, their degrees, and per position the edges whose
     last vertex sits there ("ready") and the edges left with exactly one
@@ -80,7 +103,7 @@ def _plan(r: int, n: int, edges: tuple) -> tuple:
     stored as the positions of its placed vertices, less this one for a
     fresh edge.
 
-    Last, per position j, the positions p < j whose host vertex must have
+    Then, per position j, the positions p < j whose host vertex must have
     a lower id than j's ("below"): the symmetry-breaking conditions of
     Grochow & Kellis (RECOMB 2007) over the stabilizer chain of the
     pattern's automorphism group (McKay & Piperno, 2014).  Let G_p be the
@@ -106,12 +129,26 @@ def _plan(r: int, n: int, edges: tuple) -> tuple:
     The orbits come from ``_search`` itself, embedding the pattern into
     itself with ``order[:p]`` pinned and position p pinned to each later
     vertex of its degree; an edge-preserving injection of a pattern into
-    itself is an automorphism."""
+    itself is an automorphism.
+
+    Last, the component boundaries ("boundary").  ``_pattern_order``
+    places each connected component of the pattern in one contiguous
+    block, so a disconnected pattern has cuts: positions i > 0 where
+    ``order[i:]`` is a union of whole components, that is where no edge
+    has positions on both sides.  At a cut the field holds the positions
+    p < i that some ``below[j]`` with j >= i names (for P2 + P2 the
+    centre of the first path; for P1 + P3 none); elsewhere it is None.
+    Ready, carried and fresh edges never cross a component, so the search
+    from a cut reads only the used host vertices, the fixed allowed masks
+    and completion map, and the images of those positions: whether it
+    succeeds is a function of that state, which ``_search`` remembers
+    when it fails."""
     order = _pattern_order(Hypergraph(r, n, edges))
     pos = {v: i for i, v in enumerate(order)}
     host = _Host(n, r, edges)
     completions, deg = host.completions, host.deg
     ready, carried, fresh = ([[] for _ in range(n)] for _ in range(3))
+    cuts = set(range(1, n))
     for e in edges:
         ps = sorted(pos[v] for v in e)
         ready[ps[-1]].append(tuple(ps[:-1]))
@@ -119,9 +156,11 @@ def _plan(r: int, n: int, edges: tuple) -> tuple:
             fresh[ps[-2]].append(tuple(ps[:-2]))
             for i in range(ps[-2] + 1, ps[-1]):
                 carried[i].append(tuple(ps[:-1]))
+        cuts.difference_update(range(ps[0] + 1, ps[-1] + 1))
     pdeg = tuple(deg[v] for v in order)
-    plan = (tuple(order), pdeg, *(tuple(map(tuple, lists)) for lists in (ready, carried, fresh)))
-    free = plan + (((),) * n,)  # no order constraints while finding them
+    unordered = ((),) * n  # no order constraints while finding them
+    free = _Plan(tuple(order), pdeg, *(tuple(map(tuple, lists)) for lists in (ready, carried, fresh)),
+                 unordered, _boundary(cuts, unordered))
     same = {d: sum(1 << v for v in order if deg[v] == d) for d in set(pdeg)}
     below = [[] for _ in range(n)]
     reach = [0] * n  # per position, the later positions it must map below
@@ -139,7 +178,8 @@ def _plan(r: int, n: int, edges: tuple) -> tuple:
             reach[p] |= 1 << j | reach[j]
             if not implied >> j & 1:
                 below[j].append(p)
-    return plan + (tuple(map(tuple, below)),)
+    below = tuple(map(tuple, below))
+    return free._replace(below=below, boundary=_boundary(cuts, below))
 
 
 class _Host:
@@ -194,7 +234,7 @@ class _Host:
             deg[v] -= 1
 
 
-def _search(plan: tuple, completions: dict[int, int], allowed: list[int]):
+def _search(plan: _Plan, completions: dict[int, int], allowed: list[int]):
     """The first embedding, following ``plan``, that maps position i into
     ``allowed[i]`` and every pattern edge onto an edge of ``completions``:
     the host vertex bit of each position, or None.
@@ -203,14 +243,34 @@ def _search(plan: tuple, completions: dict[int, int], allowed: list[int]):
     each of its ready edges and lie above the vertices of its "below"
     positions; a placement must leave every edge with one unplaced vertex
     an unused completion.  Candidates are tried lowest id first, so
-    embeddings are visited in lexicographic order of their host ids."""
-    _, _, ready, carried, fresh, below = plan
+    embeddings are visited in lexicographic order of their host ids.
+
+    At a component boundary i (see ``_plan``) the search records, for this
+    call only, each state -- the used vertices and the images of the
+    boundary's positions -- whose subtree failed, and fails at once when it
+    meets that state again.  The subtree below a boundary reads nothing
+    else, so it would fail again; a state is recorded only after it failed,
+    so the memo changes neither the first witness nor a miss.  A state is
+    ``used`` followed by those images, each shifted in by the bit length
+    L of ``used``; an image lies inside ``used``, so the state has bit
+    length L times one more than the number of images, which fixes L and
+    so every part: distinct states stay distinct, for any host size.  A
+    connected pattern has no boundary and keeps no memo."""
+    _, _, ready, carried, fresh, below, boundary = plan
     k = len(ready)
     img = [0] * k  # the host vertex bit placed at each position
+    failed = {}  # per boundary position, the states whose subtree failed
 
     def extend(i: int, used: int) -> bool:
         if i == k:
             return True
+        refs = boundary[i]
+        if refs is not None:
+            state, width = used, used.bit_length()
+            for p in refs:
+                state = state << width | img[p]
+            if state in failed.get(i, ()):
+                return False
         cand = allowed[i] & ~used
         for p in below[i]:
             cand &= -(img[p] << 1)
@@ -243,6 +303,8 @@ def _search(plan: tuple, completions: dict[int, int], allowed: list[int]):
                 img[i] = low
                 if extend(i + 1, now):
                     return True
+        if refs is not None:
+            failed.setdefault(i, set()).add(state)
         return False
 
     return img if extend(0, 0) else None
@@ -260,14 +322,17 @@ def _contains_edges(host: _Host, pattern: Hypergraph):
     per automorphism class of the pattern, the lex-least one among them
     included (the ``_plan`` docstring has the argument), so they change
     neither that witness nor a miss; they only spare the search the
-    repeats of a failing partial map under the pattern's automorphisms."""
+    repeats of a failing partial map under the pattern's automorphisms.
+    Nor does the memo at the boundaries of a disconnected pattern (see
+    ``_search``), which spares it the repeats of a failing search for the
+    later components."""
     if pattern.n > host.n:
         return None
     plan = _plan(pattern.r, pattern.n, pattern.edges)
-    img = _search(plan, host.completions, [host.deg_masks[d] for d in plan[1]])
+    img = _search(plan, host.completions, [host.deg_masks[d] for d in plan.degrees])
     if img is None:
         return None
-    return EmbeddingMap(tuple(sorted((p, img[i].bit_length() - 1) for i, p in enumerate(plan[0]))))
+    return EmbeddingMap(tuple(sorted((p, img[i].bit_length() - 1) for i, p in enumerate(plan.order))))
 
 
 def contains(g: Hypergraph, pattern: Hypergraph):
@@ -278,8 +343,13 @@ def contains(g: Hypergraph, pattern: Hypergraph):
     witness is the first embedding in that order.  Of each class of
     embeddings that differ by an automorphism of the pattern, the search
     visits only one, which for the first witness is that witness itself
-    (see ``_plan``), so misses cost one search per class.  The host is
-    built once per call; searches keep theirs across nodes."""
+    (see ``_plan``), so misses cost one search per class.  For a
+    disconnected pattern the search remembers each failed search for its
+    later components by the host vertices the earlier ones use (and the
+    images the order constraints read), and does not repeat it: a
+    subtree that failed once fails again, so witnesses and misses are
+    those of the search without the memo.  The host is built once per
+    call; searches keep theirs across nodes."""
     if g.r != pattern.r:
         raise ValueError(f"uniformity mismatch: host r={g.r}, pattern r={pattern.r}")
     return _contains_edges(_Host(g.n, g.r, g.edges), pattern)

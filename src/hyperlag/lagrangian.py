@@ -571,27 +571,39 @@ def _try_rational_snap(g: Hypergraph, x: np.ndarray, value: float, support):
     """Snap weights to small rationals and verify stationarity exactly.
     Returns (exact_value, exact_weights) or None.  The 1e-6 gate only
     proposes a candidate (a point left inside a face of maximizers sits a
-    few 1e-8 off its vertex); the checks after it are exact."""
+    few 1e-8 off its vertex); the checks after it are exact, in integers.
+    With L the lcm of the snapped denominators and a_v = L w_v, the value
+    is num / L^r for num the sum over edges of the product of the a_v,
+    and the partial at v is gnum_v / L^(r-1) for gnum_v the sum over edges
+    through v of the product of the other a_u; so the partial equals r
+    times the value exactly when gnum_v L = r num."""
     snapped = []
     for w in x:
         fr = Fraction(float(w)).limit_denominator(3150)
         if abs(float(fr) - float(w)) > 1e-6:
             return None
         snapped.append(fr)
-    if sum(snapped, Fraction(0)) != 1:
+    scale = math.lcm(*(w.denominator for w in snapped))
+    a = [w.numerator * (scale // w.denominator) for w in snapped]
+    if sum(a) != scale:
         return None
-    if any(w < 0 for w in snapped):
+    if any(c < 0 for c in a):
         return None
-    exact_val = evaluate(g, snapped)
+    num = 0
+    gnum = [0] * g.n
+    for e in g.edges:
+        num += math.prod(a[v - 1] for v in e)
+        for v in e:
+            gnum[v - 1] += math.prod(a[u - 1] for u in e if u != v)
+    exact_val = Fraction(num, scale ** g.r)
     if float(exact_val) < value - 1e-9:
         return None
-    grads = gradient(g, snapped)
-    target = g.r * exact_val
-    for v in range(1, g.n + 1):
-        if snapped[v - 1] > 0:
-            if grads[v - 1] != target:
+    target = g.r * num
+    for v in range(g.n):
+        if a[v] > 0:
+            if gnum[v] * scale != target:
                 return None
-        elif grads[v - 1] > target:
+        elif gnum[v] * scale > target:
             return None
     return exact_val, tuple(snapped)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import types
 from math import comb
 
@@ -156,7 +157,7 @@ def test_f1_f2_witnesses_unchanged_without_symmetry_breaking(monkeypatch):
     rnd = random.Random(2024)
     patterns = (named("F1"), named("F2"))
     for pat in patterns:
-        assert any(_plan(pat.r, pat.n, pat.edges)[-1])
+        assert any(_plan(pat.r, pat.n, pat.edges).below)
     hosts = []
     for i in range(30):
         base = random_hypergraph(rnd, 10, p=rnd.uniform(0.02, 0.2))
@@ -165,7 +166,8 @@ def test_f1_f2_witnesses_unchanged_without_symmetry_breaking(monkeypatch):
         hosts.append(new(3, 10, sorted(set(base.edges) | planted)))
     found = [[contains(g, pat) for pat in patterns] for g in hosts]
     # the same searches with the plan's symmetry-breaking conditions removed
-    monkeypatch.setattr(freeness, "_plan", lambda r, n, edges: _plan(r, n, edges)[:-1] + (((),) * n,))
+    # (so its boundaries read no earlier position)
+    monkeypatch.setattr(freeness, "_plan", lambda r, n, edges: _unordered(_plan(r, n, edges)))
     plain = [[contains(g, pat) for pat in patterns] for g in hosts]
     assert found == plain
     assert all(found[i][i % 2] is not None for i in range(30))
@@ -175,13 +177,20 @@ def test_f1_f2_witnesses_unchanged_without_symmetry_breaking(monkeypatch):
             assert w is None or w.verify(pat, g)
 
 
+def _unordered(plan):
+    """The plan with no symmetry-breaking conditions: what ``_plan``
+    would build with every ``below`` list empty."""
+    return plan._replace(below=((),) * len(plan.order),
+                         boundary=tuple(None if refs is None else () for refs in plan.boundary))
+
+
 def _brute_constraints(pattern):
     """The plan's symmetry-breaking pairs (p, j) from the automorphism
     group found by trying every permutation: for each position p of the
     plan's order, the positions j of the other vertices in the orbit of
     ``order[p]`` under the automorphisms fixing ``order[:p]`` pointwise,
     then the transitive reduction of all those pairs."""
-    order = _plan(pattern.r, pattern.n, pattern.edges)[0]
+    order = _plan(pattern.r, pattern.n, pattern.edges).order
     pos = {v: i for i, v in enumerate(order)}
     es = {frozenset(e) for e in pattern.edges}
     group = [image for image in itertools.permutations(range(1, pattern.n + 1))
@@ -201,7 +210,7 @@ def _brute_constraints(pattern):
 
 
 def _plan_constraints(pattern):
-    below = _plan(pattern.r, pattern.n, pattern.edges)[-1]
+    below = _plan(pattern.r, pattern.n, pattern.edges).below
     return {(p, j) for j, ps in enumerate(below) for p in ps}
 
 
@@ -228,6 +237,116 @@ def test_plan_constraints_match_brute_force_on_random_patterns(data):
     pool = list(itertools.combinations(range(1, pn + 1), r))
     pattern = new(r, pn, data.draw(st.lists(st.sampled_from(pool), max_size=len(pool))))
     assert _plan_constraints(pattern) == _brute_constraints(pattern)
+
+
+# P1 + P1 + P1, P2 + P2, P1 + P3, and a star (three edges through the pair
+# {1, 2}) plus an edge: disconnected patterns, so their plans have boundaries
+DISCONNECTED_PATTERNS = {
+    "M3": matching(3), "F1": named("F1"), "F2": named("F2"),
+    "star+edge": new(3, 8, [(1, 2, 3), (1, 2, 4), (1, 2, 5), (6, 7, 8)]),
+}
+
+
+def test_disconnected_patterns_have_the_expected_boundaries():
+    boundary = {name: _plan(p.r, p.n, p.edges).boundary for name, p in DISCONNECTED_PATTERNS.items()}
+    # the second P2 of F1 must place its centre above the first one's
+    assert {i: refs for i, refs in enumerate(boundary["F1"]) if refs is not None} == {5: (0,)}
+    # the edge of F2 follows its P3 and is not isomorphic to any part of it
+    assert {i: refs for i, refs in enumerate(boundary["F2"]) if refs is not None} == {7: ()}
+    assert [i for i, refs in enumerate(boundary["M3"]) if refs is not None] == [3, 6]
+    for pat in (linear_path(4), complete(5, 3), named("F5"), LINEAR_STAR_3):
+        assert _plan(pat.r, pat.n, pat.edges).boundary == (None,) * pat.n
+
+
+def _plan_without_memo(r, n, edges):
+    return _plan(r, n, edges)._replace(boundary=(None,) * n)
+
+
+def _extend_calls(fn):
+    """The result of ``fn()`` and how many ``extend`` frames it entered."""
+    calls = [0]
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_name == "extend":
+            calls[0] += 1
+
+    sys.settrace(trace)
+    try:
+        out = fn()
+    finally:
+        sys.settrace(None)
+    return out, calls[0]
+
+
+def test_boundary_memo_changes_no_result(monkeypatch):
+    rnd = random.Random(23)
+    hosts = []
+    for i in range(160):
+        n = 6 + i % 5
+        base = random_hypergraph(rnd, n, p=rnd.uniform(0.05, 0.5))
+        pat = list(DISCONNECTED_PATTERNS.values())[i % 4]
+        edges = set(base.edges)
+        if pat.n <= n and i % 3 == 0:
+            image = rnd.sample(range(1, n + 1), pat.n)
+            edges |= {tuple(sorted(image[v - 1] for v in e)) for e in pat.edges}
+        hosts.append(new(3, n, sorted(edges)))
+    found = [[contains(g, pat) for pat in DISCONNECTED_PATTERNS.values()] for g in hosts]
+    # the same searches with no boundary, so with no memo
+    monkeypatch.setattr(freeness, "_plan", _plan_without_memo)
+    plain = [[contains(g, pat) for pat in DISCONNECTED_PATTERNS.values()] for g in hosts]
+    assert found == plain
+    for k, pat in enumerate(DISCONNECTED_PATTERNS.values()):
+        column = [row[k] for row in found]
+        assert any(w is None for w in column) and any(w is not None for w in column)
+        for g, w in zip(hosts, column):
+            assert w is None or w.verify(pat, g)
+
+
+def test_boundary_memo_shortens_an_f2_miss(monkeypatch):
+    # a covering-pairs P4-free 3-graph on 10 vertices has no F2
+    g = covers_pairs_path_free(random.Random(961), 10, 4)
+    f2 = named("F2")
+    found, memo = _extend_calls(lambda: contains(g, f2))
+    monkeypatch.setattr(freeness, "_plan", _plan_without_memo)
+    plain, no_memo = _extend_calls(lambda: contains(g, f2))
+    assert found is None and plain is None
+    assert memo < no_memo
+
+
+def _brute_boundary(pattern):
+    """The plan's boundary from the pattern's connected components: at each
+    position i > 0 whose suffix of the plan's order is a union of whole
+    components, the earlier positions that the "below" lists of the
+    suffix name; None elsewhere."""
+    plan = _plan(pattern.r, pattern.n, pattern.edges)
+    comp = {v: {v} for v in range(1, pattern.n + 1)}
+    for e in pattern.edges:
+        merged = set().union(*(comp[v] for v in e))
+        for v in merged:
+            comp[v] = merged
+    out = []
+    for i in range(pattern.n):
+        rest = set(plan.order[i:])
+        if i == 0 or any(comp[v] - rest for v in rest):
+            out.append(None)
+        else:
+            out.append(tuple(sorted({p for j in range(i, pattern.n) for p in plan.below[j] if p < i})))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_plan_boundary_matches_components(data):
+    r = data.draw(st.sampled_from((2, 3)))
+    edges, n = [], 0
+    for _ in range(data.draw(st.integers(1, 3))):
+        size = data.draw(st.integers(r, 4))
+        pool = list(itertools.combinations(range(n + 1, n + size + 1), r))
+        edges += data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool)))
+        n += size
+    image = data.draw(st.permutations(range(1, n + 1)))
+    pattern = new(r, n, [tuple(sorted(image[v - 1] for v in e)) for e in set(edges)])
+    assert _plan(pattern.r, pattern.n, pattern.edges).boundary == _brute_boundary(pattern)
 
 
 def test_embedding_map_rejects_collisions():

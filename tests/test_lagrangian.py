@@ -19,6 +19,7 @@ from hyperlag.hypergraph import (
     equivalence_classes,
     matching,
     new,
+    turan_blowup,
 )
 from hyperlag import lagrangian
 from hyperlag.lagrangian import (
@@ -215,6 +216,66 @@ def test_rational_snap_inside_a_face_of_maximizers():
     res = maximize(g)
     assert res.mode == "rational-certified"
     assert res.exact_value == Fraction(1, 16)
+
+
+def _fraction_snap(g, x, value, support):
+    """The rational snap with every check made in Fractions: the exactness
+    oracle for ``lagrangian._try_rational_snap``, which makes the same
+    checks in integers."""
+    snapped = []
+    for w in x:
+        fr = Fraction(float(w)).limit_denominator(3150)
+        if abs(float(fr) - float(w)) > 1e-6:
+            return None
+        snapped.append(fr)
+    if sum(snapped, Fraction(0)) != 1:
+        return None
+    if any(w < 0 for w in snapped):
+        return None
+    exact_val = evaluate(g, snapped)
+    if float(exact_val) < value - 1e-9:
+        return None
+    grads = gradient(g, snapped)
+    target = g.r * exact_val
+    for v in range(1, g.n + 1):
+        if snapped[v - 1] > 0:
+            if grads[v - 1] != target:
+                return None
+        elif grads[v - 1] > target:
+            return None
+    return exact_val, tuple(snapped)
+
+
+def test_rational_snap_agrees_with_the_fraction_oracle():
+    rnd = random.Random(13)
+    graphs = [complete(3, 3), complete(5, 3), complete(7, 3), complete(5, 2), complete(4, 4),
+              complete_minus(6, 3), turan_blowup(4, 3, 8), turan_blowup(3, 2, 7),
+              new(3, 6, list(complete(4, 3).edges) + [(4, 5, 6)]),  # optimum 0 on 5 and 6
+              new(3, 6, [(1, 2, 3), (1, 2, 4)]),  # 5 and 6 on no edge
+              new(2, 3, [(1, 2)])]  # (-1/2, 0, 3/2) is stationary
+    graphs += [random_hypergraph(rnd, rnd.randint(4, 8), r=rnd.choice((2, 3))) for _ in range(12)]
+    outcomes = []
+    for g in graphs:
+        res = maximize(g)
+        points = [res.weighting.as_floats()]
+        for _ in range(6):
+            support = rnd.sample(range(g.n), rnd.randint(1, g.n))
+            points.append([1 / len(support) if v in support else 0.0 for v in range(g.n)])
+            counts = [rnd.randint(0, 4) for _ in range(g.n)]
+            if sum(counts):
+                points.append([c / sum(counts) for c in counts])
+            points.append(random_simplex_point(rnd, g.n))
+        points.append([w * 1.01 for w in points[0]])  # off the simplex
+        points.append([0.0] * (g.n - 2) + [0.5, 0.51])  # off it, stationary where they span no edge
+        points.append([-0.5, 0.0, 1.5] + [0.0] * (g.n - 3))  # a negative weight
+        for x in points:
+            value = float(evaluate(g, list(x))) if min(x) >= 0 else 0.0
+            for claimed in (value, value + 1e-6):  # the second is above the snapped value
+                args = (g, np.array(x), claimed, ())
+                got = lagrangian._try_rational_snap(*args)
+                assert got == _fraction_snap(*args), (g, x, claimed)
+                outcomes.append(got is not None)
+    assert 20 < sum(outcomes) < len(outcomes) - 100
 
 
 def test_certification_starts_never_supply_the_optimum():
