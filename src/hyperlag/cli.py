@@ -16,6 +16,7 @@ unreadable name included, exits 1 through :func:`main` with one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -211,7 +212,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.passed else EXIT_UNCERTIFIED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for the
+    process: building it takes a few milliseconds, and parsing leaves it
+    as it was."""
     ap = argparse.ArgumentParser(prog="hyperlag",
                                  description="Hypergraph Lagrangians and Turan-type searches")
     sub = ap.add_subparsers(dest="command", required=True)

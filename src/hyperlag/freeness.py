@@ -47,9 +47,9 @@ class EmbeddingMap:
         return {"assignment": {str(p): h for p, h in self.assignment}}
 
 
-def _pattern_order(pattern: Hypergraph) -> list[int]:
+def _pattern_order(pattern: Hypergraph, anchor: tuple = ()) -> list[int]:
     # most-constrained first: highest degree seeds, then vertices sharing
-    # edges with already-ordered ones
+    # edges with already-ordered ones; the anchor's vertices come first
     deg = {v: 0 for v in range(1, pattern.n + 1)}
     for e in pattern.edges:
         for v in e:
@@ -59,7 +59,8 @@ def _pattern_order(pattern: Hypergraph) -> list[int]:
     while len(ordered) < pattern.n:
         best = None
         best_key = None
-        for v in range(1, pattern.n + 1):
+        pool = anchor if len(ordered) < len(anchor) else range(1, pattern.n + 1)
+        for v in pool:
             if v in placed:
                 continue
             attach = sum(1 for e in pattern.edges if v in e and any(u in placed for u in e))
@@ -94,9 +95,10 @@ def _boundary(cuts: set, below) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(r: int, n: int, edges: tuple) -> _Plan:
+def _plan(r: int, n: int, edges: tuple, anchor: tuple = ()) -> _Plan:
     """The search plan of a pattern, built once: its vertices in
-    ``_pattern_order``, their degrees, and per position the edges whose
+    ``_pattern_order`` (the vertices of ``anchor``, a pattern edge or
+    nothing, first), their degrees, and per position the edges whose
     last vertex sits there ("ready") and the edges left with exactly one
     unplaced vertex once it is placed -- those that already were
     ("carried") and those it brings to that state ("fresh").  An edge is
@@ -131,6 +133,20 @@ def _plan(r: int, n: int, edges: tuple) -> _Plan:
     vertex of its degree; an edge-preserving injection of a pattern into
     itself is an automorphism.
 
+    An anchored plan (see :func:`_anchor_plans`) serves a search whose
+    anchor positions, the first r, may take only the vertices of one host
+    edge, so it keeps only the embeddings that map the anchor onto that
+    edge.  Its conditions come from the same chain over the anchor's
+    setwise stabilizer A in place of the whole group: the self-embeddings
+    keep the anchor positions inside the anchor, and an injection that
+    maps the anchor into itself maps it onto itself.  The argument above
+    holds for A word for word, because A keeps every position's allowed
+    set.  An s in A sends a position to one of the same degree, and an
+    anchor position to an anchor position, so f o s maps each position
+    into the same allowed set as f: the embeddings a search may take are
+    a union of classes under A.  (For p >= r the pinned ``order[:p]``
+    holds the anchor, so there A's chain is the whole group's.)
+
     Last, the component boundaries ("boundary").  ``_pattern_order``
     places each connected component of the pattern in one contiguous
     block, so a disconnected pattern has cuts: positions i > 0 where
@@ -143,7 +159,7 @@ def _plan(r: int, n: int, edges: tuple) -> _Plan:
     and completion map, and the images of those positions: whether it
     succeeds is a function of that state, which ``_search`` remembers
     when it fails."""
-    order = _pattern_order(Hypergraph(r, n, edges))
+    order = _pattern_order(Hypergraph(r, n, edges), anchor)
     pos = {v: i for i, v in enumerate(order)}
     host = _Host(n, r, edges)
     completions, deg = host.completions, host.deg
@@ -162,14 +178,18 @@ def _plan(r: int, n: int, edges: tuple) -> _Plan:
     free = _Plan(tuple(order), pdeg, *(tuple(map(tuple, lists)) for lists in (ready, carried, fresh)),
                  unordered, _boundary(cuts, unordered))
     same = {d: sum(1 << v for v in order if deg[v] == d) for d in set(pdeg)}
+    inside = sum(1 << v for v in anchor)
+    # per position, the images a self-embedding may give it: the vertices
+    # of its degree, inside the anchor for an anchor position
+    mine = [same[d] & inside if i < len(anchor) else same[d] for i, d in enumerate(pdeg)]
     below = [[] for _ in range(n)]
     reach = [0] * n  # per position, the later positions it must map below
     for p in reversed(range(n)):
-        allowed = [1 << v for v in order[:p]] + [0] + [same[d] for d in pdeg[p + 1:]]
+        allowed = [1 << v for v in order[:p]] + [0] + mine[p + 1:]
         orbit = []
         for j in range(p + 1, n):
-            allowed[p] = 1 << order[j]
-            if pdeg[j] == pdeg[p] and _search(free, completions, allowed) is not None:
+            allowed[p] = 1 << order[j] & mine[p]
+            if allowed[p] and _search(free, completions, allowed) is not None:
                 orbit.append(j)
         implied = 0
         for j in orbit:
@@ -310,7 +330,42 @@ def _search(plan: _Plan, completions: dict[int, int], allowed: list[int]):
     return img if extend(0, 0) else None
 
 
-def _contains_edges(host: _Host, pattern: Hypergraph):
+def _allowed(plan: _Plan, host: _Host, through) -> list[int]:
+    """Per position of ``plan``, the host vertices of at least its degree;
+    with an edge ``through``, only its vertices for the first r positions,
+    the anchor's."""
+    allowed = [host.deg_masks[d] for d in plan.degrees]
+    if through is not None:
+        inside = 0
+        for v in through:
+            inside |= 1 << v
+        for i in range(len(through)):
+            allowed[i] &= inside
+    return allowed
+
+
+@functools.lru_cache(maxsize=256)
+def _anchor_plans(r: int, n: int, edges: tuple) -> tuple:
+    """One anchored ``_plan`` per orbit of the pattern's edges under its
+    automorphism group, anchored at the orbit's first edge in ``edges``.
+
+    The orbits come from ``_search``, as the plans' conditions do: an edge
+    b lies in the orbit of a representative a when the pattern embeds into
+    itself along a's plan with the anchor mapped onto b, since an
+    edge-preserving injection of a pattern into itself is an automorphism.
+    The plan's conditions keep such an embedding when one exists: the
+    embeddings that map a onto b are a union of classes under a's
+    stabilizer (see ``_plan``)."""
+    pattern = _Host(n, r, edges)
+    plans: list[_Plan] = []
+    for b in edges:
+        if all(_search(plan, pattern.completions, _allowed(plan, pattern, b)) is None
+               for plan in plans):
+            plans.append(_plan(r, n, edges, b))
+    return tuple(plans)
+
+
+def _contains_edges(host: _Host, pattern: Hypergraph, through=None):
     """Backtracking embedding search of pattern into ``host``: ``_search``
     following the pattern's cached ``_plan``, with each position allowed
     the host vertices of at least its degree.  The host is read, never
@@ -325,14 +380,29 @@ def _contains_edges(host: _Host, pattern: Hypergraph):
     repeats of a failing partial map under the pattern's automorphisms.
     Nor does the memo at the boundaries of a disconnected pattern (see
     ``_search``), which spares it the repeats of a failing search for the
-    later components."""
+    later components.
+
+    With ``through``, an edge of ``host``, the search looks only for the
+    copies that map some pattern edge onto it, and returns one or None: it
+    follows each plan of :func:`_anchor_plans` with the anchor's positions
+    allowed only the edge's vertices.  A copy maps some edge a' onto
+    ``through``, a' = s(a) for an automorphism s and a representative a,
+    and then the copy composed with s maps a onto it; so one plan per
+    orbit finds every copy there is.  Which copy it returns is not fixed
+    beyond that.  On a host that was pattern-free before ``through`` was
+    added, this is a hit exactly when the whole-host search is."""
     if pattern.n > host.n:
         return None
-    plan = _plan(pattern.r, pattern.n, pattern.edges)
-    img = _search(plan, host.completions, [host.deg_masks[d] for d in plan.degrees])
-    if img is None:
-        return None
-    return EmbeddingMap(tuple(sorted((p, img[i].bit_length() - 1) for i, p in enumerate(plan.order))))
+    if through is None:
+        plans = (_plan(pattern.r, pattern.n, pattern.edges),)
+    else:
+        plans = _anchor_plans(pattern.r, pattern.n, pattern.edges)
+    for plan in plans:
+        img = _search(plan, host.completions, _allowed(plan, host, through))
+        if img is not None:
+            return EmbeddingMap(tuple(sorted((p, img[i].bit_length() - 1)
+                                             for i, p in enumerate(plan.order))))
+    return None
 
 
 def contains(g: Hypergraph, pattern: Hypergraph):

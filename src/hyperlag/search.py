@@ -235,13 +235,20 @@ class _ColexDFS:
 
     def _creates(self, k: int, patterns) -> bool:
         """Does including ground edge k give the host a copy of one of
-        ``patterns``?  The edge is added, the matcher run and the edge
-        taken back.  On a host free of them every copy found uses the
-        edge."""
+        ``patterns``?  The edge is added, the matcher run anchored at it
+        and the edge taken back.
+
+        Precondition: the host is free of every one of ``patterns`` before
+        the add, so a copy in the host with the edge must use the edge, and
+        the anchored search, which finds exactly the copies through it, is
+        a hit exactly when the whole-host search would be.  Every caller
+        keeps it: a Turan or density include test asks about a host whose
+        every edge passed the same test, and the full-mode clique test at
+        a leaf runs only once the leaf was found free of the clique."""
         e = self.ground[k]
         self.host.add(e)
         try:
-            return any(_contains_edges(self.host, p) is not None for p in patterns)
+            return any(_contains_edges(self.host, p, through=e) is not None for p in patterns)
         finally:
             self.host.remove(e)
 
@@ -561,7 +568,10 @@ class TuranRun(_ColexDFS):
     forbidden graph, over every edge set on [n] in colex order.  The bound
     is the current count plus all undecided edges; ties with the best are
     explored so all extremal witnesses are collected, one canonical form
-    per isomorphism class."""
+    per isomorphism class.  A leaf that ties the best keeps only its
+    edges; they are canonicalized when the run reports them, in
+    :meth:`result` and :meth:`to_state`, since a later rise of the best
+    would drop them unread."""
 
     kind = "turan"
 
@@ -578,7 +588,9 @@ class TuranRun(_ColexDFS):
         super().__init__(n, r, False)
         self.forbidden = forbidden
         self.best = -1
-        self.witness_edges: set[tuple] = set()
+        # the edges of every leaf that ties the best so far, canonicalized
+        # only when reported: a rise of the best drops them all
+        self.ties: list[tuple] = []
 
     def space_descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n, "r": self.r,
@@ -594,23 +606,27 @@ class TuranRun(_ColexDFS):
         cnt = len(self.included)
         if cnt > self.best:
             self.best = cnt
-            self.witness_edges = set()
+            self.ties = []
         if cnt == self.best:
-            g = canonical_form(Hypergraph(self.r, self.n, self.included_edges()))
-            self.witness_edges.add(g.edges)
+            self.ties.append(self.included_edges())
+
+    def _witness_edges(self) -> list[tuple]:
+        """The canonical forms' edges of the tying leaves, one per
+        isomorphism class, in increasing order."""
+        return sorted({canonical_form(Hypergraph(self.r, self.n, w)).edges for w in self.ties})
 
     # state -------------------------------------------------------------
     def to_state(self) -> dict:
         return {**super().to_state(), "best": self.best,
-                "witnesses": sorted([list(map(list, w)) for w in self.witness_edges])}
+                "witnesses": [list(map(list, w)) for w in self._witness_edges()]}
 
     def load_state(self, state: dict) -> None:
         super().load_state(state)
         self.best = state["best"]
-        self.witness_edges = {tuple(tuple(e) for e in w) for w in state["witnesses"]}
+        self.ties = [tuple(tuple(e) for e in w) for w in state["witnesses"]]
 
     def result(self) -> TuranResult:
-        witnesses = tuple(Hypergraph(self.r, self.n, w) for w in sorted(self.witness_edges))
+        witnesses = tuple(Hypergraph(self.r, self.n, w) for w in self._witness_edges())
         status = "exact" if self.finished else "lower_bound"
         return TuranResult(self.n, self.forbidden, max(self.best, 0), witnesses, status, self.stats)
 

@@ -184,21 +184,33 @@ def _unordered(plan):
                          boundary=tuple(None if refs is None else () for refs in plan.boundary))
 
 
-def _brute_constraints(pattern):
-    """The plan's symmetry-breaking pairs (p, j) from the automorphism
-    group found by trying every permutation: for each position p of the
-    plan's order, the positions j of the other vertices in the orbit of
-    ``order[p]`` under the automorphisms fixing ``order[:p]`` pointwise,
-    then the transitive reduction of all those pairs."""
-    order = _plan(pattern.r, pattern.n, pattern.edges).order
-    pos = {v: i for i, v in enumerate(order)}
+def _automorphisms(pattern):
+    """Every automorphism of the pattern, as a dict, by trying each
+    permutation that keeps the vertex degrees."""
+    deg = {v: sum(v in e for e in pattern.edges) for v in range(1, pattern.n + 1)}
+    classes = [[v for v in deg if deg[v] == d] for d in sorted(set(deg.values()))]
     es = {frozenset(e) for e in pattern.edges}
-    group = [image for image in itertools.permutations(range(1, pattern.n + 1))
-             if all(frozenset(image[v - 1] for v in e) in es for e in pattern.edges)]
+    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
+        s = {v: w for c, image in zip(classes, images) for v, w in zip(c, image)}
+        if all(frozenset(s[v] for v in e) in es for e in es):
+            yield s
+
+
+def _brute_constraints(pattern, anchor=()):
+    """The plan's symmetry-breaking pairs (p, j) from the automorphism
+    group found by trying every degree-keeping permutation, or from the
+    setwise stabilizer of ``anchor`` in it for the plan anchored there:
+    for each position p of the plan's order, the positions j of the other
+    vertices in the orbit of ``order[p]`` under the group's elements
+    fixing ``order[:p]`` pointwise, then the transitive reduction of all
+    those pairs."""
+    order = _plan(pattern.r, pattern.n, pattern.edges, anchor).order
+    pos = {v: i for i, v in enumerate(order)}
+    group = [s for s in _automorphisms(pattern) if {s[v] for v in anchor} == set(anchor)]
     pairs = set()
     for p, v in enumerate(order):
-        stab = [s for s in group if all(s[u - 1] == u for u in order[:p])]
-        pairs |= {(p, pos[s[v - 1]]) for s in stab if s[v - 1] != v}
+        stab = [s for s in group if all(s[u] == u for u in order[:p])]
+        pairs |= {(p, pos[s[v]]) for s in stab if s[v] != v}
     closure = set(pairs)
     while True:
         more = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
@@ -347,6 +359,90 @@ def test_plan_boundary_matches_components(data):
     image = data.draw(st.permutations(range(1, n + 1)))
     pattern = new(r, n, [tuple(sorted(image[v - 1] for v in e)) for e in set(edges)])
     assert _plan(pattern.r, pattern.n, pattern.edges).boundary == _brute_boundary(pattern)
+
+
+# the patterns of the anchored search's tests; F1 and F2 are disconnected,
+# so their searches pass component boundaries
+ANCHORED_PATTERNS = {
+    "K4-": complete_minus(4), "F5": named("F5"), "T2": named("T2"), "M2": matching(2),
+    "K6": complete(6, 3), **{f"P{t}": linear_path(t) for t in (2, 3, 4)},
+    "F1": named("F1"), "F2": named("F2"),
+}
+
+
+def _pattern_free_host(rnd, n, pattern):
+    """A host on [n] free of the pattern and a further r-set e: the
+    r-sets in a random order, each kept when it makes no copy, until a
+    random number of them was tried; then e is a random r-set not kept."""
+    pool = list(itertools.combinations(range(1, n + 1), pattern.r))
+    rnd.shuffle(pool)
+    host = _Host(n, pattern.r)
+    tried = rnd.randrange(len(pool) + 1)
+    kept = []
+    for e in pool[:tried]:
+        host.add(e)
+        if _contains_edges(host, pattern) is None:
+            kept.append(e)
+        else:
+            host.remove(e)
+    left = [e for e in pool if e not in kept]
+    return kept, rnd.choice(left)
+
+
+@pytest.mark.parametrize("name", sorted(ANCHORED_PATTERNS))
+def test_anchored_search_agrees_with_the_whole_host_search(name):
+    pattern = ANCHORED_PATTERNS[name]
+    rnd = random.Random(sum(map(ord, name)))
+    hits = misses = 0
+    for i in range(30):
+        n = pattern.n + i % 2
+        edges, e = _pattern_free_host(rnd, n, pattern)
+        host = _Host(n, pattern.r, [*edges, e])
+        anchored = _contains_edges(host, pattern, through=e)
+        whole = _contains_edges(host, pattern)
+        assert (anchored is None) == (whole is None)
+        if anchored is None:
+            misses += 1
+            continue
+        hits += 1
+        g = new(pattern.r, n, [*edges, e])
+        assert anchored.verify(pattern, g)
+        m = anchored.as_dict()
+        assert e in {tuple(sorted(m[v] for v in f)) for f in pattern.edges}
+    assert hits and misses
+
+
+ORBIT_PATTERNS = {**ANCHORED_PATTERNS, **DISCONNECTED_PATTERNS, "linear-3-star": LINEAR_STAR_3,
+                  "edge+P2": EDGE_PLUS_P2, "2-(6,3,2)": DESIGN_6_3_2, "K4-r2-minus": complete_minus(4, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_PATTERNS))
+def test_anchor_plans_cover_each_edge_orbit_once(name):
+    pattern = ORBIT_PATTERNS[name]
+    plans = freeness._anchor_plans(pattern.r, pattern.n, pattern.edges)
+    anchors = [frozenset(plan.order[:pattern.r]) for plan in plans]
+    group = list(_automorphisms(pattern))
+    orbits = {frozenset(frozenset(s[v] for v in e) for s in group) for e in pattern.edges}
+    assert sorted(sum(a in orbit for a in anchors) for orbit in orbits) == [1] * len(orbits)
+    for plan, anchor in zip(plans, anchors):
+        assert plan == _plan(pattern.r, pattern.n, pattern.edges, tuple(sorted(anchor)))
+
+
+def test_anchor_plan_counts():
+    counts = {name: len(freeness._anchor_plans(p.r, p.n, p.edges))
+              for name, p in ANCHORED_PATTERNS.items()}
+    assert counts == {"K4-": 1, "F5": 2, "T2": 1, "M2": 1, "K6": 1, "P2": 1, "P3": 2, "P4": 2,
+                      "F1": 1, "F2": 3}
+
+
+@pytest.mark.parametrize("name", sorted(ANCHORED_PATTERNS))
+def test_anchored_plan_constraints_match_the_anchor_stabilizer(name):
+    pattern = ANCHORED_PATTERNS[name]
+    for anchor in pattern.edges:
+        plan = _plan(pattern.r, pattern.n, pattern.edges, anchor)
+        assert set(plan.order[:pattern.r]) == set(anchor)
+        got = {(p, j) for j, ps in enumerate(plan.below) for p in ps}
+        assert got == _brute_constraints(pattern, anchor)
 
 
 def test_embedding_map_rejects_collisions():

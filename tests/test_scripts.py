@@ -61,6 +61,20 @@ def test_span_tracer_sees_the_matcher_in_searches():
         assert (grower if label == "paths" else matcher) in tracer.name[lo:hi], label
 
 
+def test_searches_reach_the_matcher_only_through_contains_edges():
+    # the tracer wraps search._contains_edges; a search that called the
+    # matcher's parts itself would make its metrics miss those calls
+    tree = ast.parse((ROOT / "src" / "hyperlag" / "freeness.py").read_text())
+    parts = {stmt.name for stmt in tree.body
+             if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")} - {"_contains_edges"}
+    assert {"_search", "_plan", "_anchor_plans"} <= parts
+    search = ast.parse((ROOT / "src" / "hyperlag" / "search.py").read_text())
+    used = _names(search) | {alias.name for node in ast.walk(search)
+                             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_contains_edges" in used
+    assert sorted(used & parts) == []
+
+
 # Top-level names no code outside tests reaches, each with its reason.
 REACHED_ONLY_BY_TESTS = {
     "isomorphic": "public API: graph comparison up to relabelling, on canonical_form",

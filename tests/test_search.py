@@ -756,9 +756,9 @@ def test_path_tests_stop_at_the_span_and_no_leaf_tests_the_clique(monkeypatch):
     matched = []
     match = search_mod._contains_edges
 
-    def matching_(host, pattern):
+    def matching_(host, pattern, **anchor):
         matched.append(pattern)
-        return match(host, pattern)
+        return match(host, pattern, **anchor)
 
     monkeypatch.setattr(search_mod, "creates_linear_path", recording)
     monkeypatch.setattr(search_mod, "_contains_edges", matching_)
@@ -919,6 +919,37 @@ def test_derived_state_matches_a_rebuild_at_every_node(make, tmp_path):
     checked.load_state(json.loads(path.read_text())["state"])
     _assert_derived_state(checked)
     assert checked.execute().to_json() == full
+
+
+PRECONDITION_RUNS = {
+    "turan-F5": lambda: TuranRun(6, [named("F5")]),
+    "turan-K4-": lambda: TuranRun(6, [complete_minus(4)]),
+    "turan-F5+M2": lambda: TuranRun(6, [named("F5"), matching(2)]),
+    "density-T2-all": lambda: DensityRun("T2", 6, "all"),
+    "density-P2-all": lambda: DensityRun("P2", 6, "all"),
+}
+
+
+@pytest.mark.parametrize("name", list(PRECONDITION_RUNS))
+def test_every_creates_call_meets_its_precondition(monkeypatch, name):
+    # the host is free of every pattern before the add, so the anchored
+    # answer is the whole-host search's on the host with the edge
+    calls = []
+    creates = search_mod._ColexDFS._creates
+
+    def checked(self, k, patterns):
+        assert all(search_mod._contains_edges(self.host, p) is None for p in patterns)
+        got = creates(self, k, patterns)
+        self.host.add(self.ground[k])
+        whole = any(search_mod._contains_edges(self.host, p) is not None for p in patterns)
+        self.host.remove(self.ground[k])
+        assert got == whole
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(search_mod._ColexDFS, "_creates", checked)
+    PRECONDITION_RUNS[name]().execute()
+    assert True in calls and False in calls
 
 
 @given(st.sampled_from([2, 3]), st.integers(4, 8), st.integers(0, 10**6))
