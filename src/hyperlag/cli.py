@@ -1,9 +1,13 @@
 """Command-line surface.
 
 One tool in subcommand style.  A subcommand accepts only the flags it
-reads: ``--out`` where it writes a graph, the budgets and ``--checkpoint``
-where it searches.  The optimizer's defaults are ``DEFAULT_CONFIG``'s,
-and the seed in effect is always printed so every run can be reproduced.
+reads: the optimizer settings (``--seed --restarts --kkt-tol``) where it
+optimizes, ``--out`` where it writes a graph, the budgets and
+``--checkpoint`` where it searches.  The one exception is ``turan``'s
+``--seed``, accepted and ignored so that existing command lines keep
+working.  The optimizer's defaults are ``DEFAULT_CONFIG``'s, and a
+subcommand that optimizes reports the seed in effect so its run can be
+reproduced.
 Graph names (``construct``, ``check --free-of``, ``turan --forbid``) are
 read by :func:`~hyperlag.hypergraph.named` alone, fused (``K6_4``) or in
 words (``K 6 4``); ``check`` and ``turan`` also take a graph file's path.
@@ -35,15 +39,17 @@ EXIT_UNCERTIFIED = 2
 EXIT_CAPPED = 3
 
 
-def _subcommand(sub, name: str, fn, help: str, writes: bool = False,
+def _subcommand(sub, name: str, fn, help: str, optimizes: bool = False, writes: bool = False,
                 searches: bool = False) -> argparse.ArgumentParser:
-    """Add a subcommand with the common flags, ``--out`` if it ``writes`` a
-    graph, and the budgets and ``--checkpoint`` if it ``searches``."""
+    """Add a subcommand with ``--json``, the optimizer settings if it
+    ``optimizes``, ``--out`` if it ``writes`` a graph, and the budgets and
+    ``--checkpoint`` if it ``searches``."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(fn=fn)
-    p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
-    p.add_argument("--restarts", type=int, default=DEFAULT_CONFIG.restarts)
-    p.add_argument("--kkt-tol", type=float, default=DEFAULT_CONFIG.kkt_tol)
+    if optimizes:
+        p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
+        p.add_argument("--restarts", type=int, default=DEFAULT_CONFIG.restarts)
+        p.add_argument("--kkt-tol", type=float, default=DEFAULT_CONFIG.kkt_tol)
     p.add_argument("--json", action="store_true")
     if writes:
         p.add_argument("--out", type=str, default=None, help="write the result graph to this file")
@@ -221,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Hypergraph Lagrangians and Turan-type searches")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = _subcommand(sub, "lambda", cmd_lambda, "maximize the edge polynomial of a graph file")
+    p = _subcommand(sub, "lambda", cmd_lambda, "maximize the edge polynomial of a graph file",
+                    optimizes=True)
     p.add_argument("input")
 
     p = _subcommand(sub, "check", cmd_check, "test containment of named or file patterns")
@@ -229,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--free-of", nargs="+", required=True)
 
     p = _subcommand(sub, "compress", cmd_compress,
-                    "single compression or the dense+left-compressed loop", writes=True)
+                    "single compression or the dense+left-compressed loop", optimizes=True,
+                    writes=True)
     p.add_argument("input")
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
@@ -250,16 +258,21 @@ def build_parser() -> argparse.ArgumentParser:
                     searches=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forbid", nargs="+", required=True)
+    # the search optimizes nothing; the flag stays so existing command
+    # lines that pass it keep working
+    p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed, help="accepted; has no effect")
     p.add_argument("--compare-m", type=int, default=None,
                    help="also print the balanced blowup count with this many classes")
 
     p = _subcommand(sub, "density", cmd_density,
-                    "enumerate pattern-free graphs and report the largest Lagrangian", searches=True)
+                    "enumerate pattern-free graphs and report the largest Lagrangian",
+                    optimizes=True, searches=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", default="left_compressed", choices=["left_compressed", "all"])
 
-    p = _subcommand(sub, "verify", cmd_verify, "run the bundled verification suite")
+    p = _subcommand(sub, "verify", cmd_verify, "run the bundled verification suite",
+                    optimizes=True)
     p.add_argument("--only", nargs="+", choices=list(GROUPS), default=None)
 
     return ap

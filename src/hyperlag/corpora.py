@@ -1,9 +1,12 @@
-"""Seeded generators for property-test corpora.
+"""Seeded generators for property-test corpora, and the nine-vertex
+family behind the length-4 path evidence.
 
-The sampled families here back the bulk structural checks: covering-pairs
-path-free graphs, and dense left-compressed path-free graphs on nine
-vertices.  Generators are deterministic given their seed and are part of
-the tested surface.
+The seeded generators back the bulk structural checks: random graphs and
+simplex points, and covering-pairs path-free graphs.  They are
+deterministic given their seed and are part of the tested surface.
+:func:`covering_path4_free_9` is no sample: it lists every
+left-compressed 3-graph on [9] that covers its pairs and has no linear
+path of 4 edges, and ``verify`` checks each member.
 """
 
 from __future__ import annotations
@@ -12,14 +15,14 @@ import functools
 import itertools
 import random
 
-from .hypergraph import Hypergraph, is_left_compressed, linear_path, lower_covers, new
-from .freeness import contains, creates_linear_path
+from .hypergraph import Hypergraph, new
+from .freeness import creates_linear_path
 from .lagrangian import OptimizerConfig, is_dense
+from .search import enumerate_left_compressed
 
 _GEN_OPT = OptimizerConfig(restarts=12, iterations=250)
-# attempts before a generator gives up on its seed stream
+# attempts before covers_pairs_path_free gives up on its seed stream
 _COVERING_TRIES = 400
-_PATH4_SAMPLE_TRIES = 200
 
 
 def random_simplex_point(rnd: random.Random, n: int) -> list[float]:
@@ -86,60 +89,57 @@ def covers_pairs_path_free(rnd: random.Random, n: int, t: int) -> Hypergraph:
     raise RuntimeError(f"could not build a covering-pairs length-{t}-path-free graph on {n} vertices")
 
 
-def _downset_closure(seeds, lo: int) -> set[tuple[int, int, int]]:
-    """Dominance closure of seed triples among the triples whose least
-    vertex is at least ``lo``."""
-    out: set[tuple[int, int, int]] = set()
-    stack = [tuple(sorted(s)) for s in seeds]
-    while stack:
-        e = stack.pop()
-        if e not in out:
-            out.add(e)
-            stack.extend(c for c in lower_covers(e) if c[0] >= lo)
-    return out
-
-
 def full_star(n: int) -> Hypergraph:
     """All triples through vertex 1."""
     return new(3, n, [(1, a, b) for a, b in itertools.combinations(range(2, n + 1), 2)])
 
 
-@functools.lru_cache(maxsize=4096)
-def _path4_sample_accepted(edges: tuple) -> bool:
-    """The verdict of :func:`left_compressed_dense_path4_free_9` on a
-    candidate on [9]: free of the linear path of 4 edges, left-compressed
-    and dense.  It depends only on the edge set and draws no randomness,
-    and the candidate space is small, so draws repeat and hit the cache."""
-    g = Hypergraph(3, 9, edges)
-    return (contains(g, linear_path(4)) is None and is_left_compressed(g)
-            and is_dense(g, _GEN_OPT))
+@functools.cache
+def covering_path4_free_9() -> tuple[Hypergraph, ...]:
+    """Every left-compressed 3-graph on [9] that covers its pairs and has
+    no linear path of 4 edges, in the order the enumeration visits them.
+    There are 9.
+
+    These are the graphs that matter for λ on [9]: an optimal weighting
+    of least support covers its pairs (Frankl & Rödl, "Hypergraphs do not
+    jump", Combinatorica 1984).  A left-compressed G on [9] covers its
+    pairs exactly when it holds {1, 8, 9}.  The pair {8, 9}
+    lies in some edge {a, 8, 9}, which dominates {1, 8, 9}; and {1, 8, 9}
+    dominates every triple through vertex 1, so G holds the full star,
+    which covers every pair.  So G is the star plus a set D of triples of
+    [2..9].  A lower cover of a triple of D either holds 1, and is a star
+    edge, or lies in [2..9] and so in D: moved down one vertex, D is a
+    down-set on [8], and every such down-set gives a left-compressed G.
+
+    So :func:`~hyperlag.search.enumerate_left_compressed` on [8], shifted
+    up one, visits every candidate D once.  Its prune cuts an include
+    whose edge, added to the star and the edges included so far, creates
+    a linear path of 4 edges.  A path once present stays in every
+    superset, so the prune is monotone and cuts only graphs that hold
+    one, and every visited graph is path-free."""
+    star = full_star(9)
+    star_masks = [sum(1 << v for v in e) for e in star.edges]
+
+    def mask(e) -> int:   # a triple of [8] moved up one, onto [2..9]
+        return sum(1 << (v + 1) for v in e)
+
+    found = []
+    enumerate_left_compressed(
+        8, 3,
+        prune=lambda edges, e: creates_linear_path(star_masks + [mask(f) for f in edges], mask(e), 4),
+        visit=lambda edges: found.append(
+            new(3, 9, list(star.edges) + [tuple(v + 1 for v in f) for f in edges])))
+    return tuple(found)
+
+
+@functools.cache
+def _dense_covering_path4_free_9() -> tuple[Hypergraph, ...]:
+    return tuple(g for g in covering_path4_free_9() if is_dense(g, _GEN_OPT))
 
 
 def left_compressed_dense_path4_free_9(rnd: random.Random) -> Hypergraph:
     """A dense, left-compressed 3-graph on exactly 9 vertices with no
-    linear path of 4 edges.
-
-    Any covering-pairs left-compressed graph on [9] contains the full star
-    at vertex 1, so candidates are the star plus a dominance-closed family
-    of low triples avoiding vertex 1; candidates failing path-freeness,
-    left-compression, or strict density are rejected.
-    """
-    star = full_star(9)
-    for _try in range(_PATH4_SAMPLE_TRIES):
-        # Low triples through vertex 2 close downward into triples through
-        # vertex 2 again, and those absorb into the two-apex family, which
-        # stays path-free; spread-out seeds almost always get rejected, so
-        # they are drawn rarely.
-        seeds = []
-        for _ in range(rnd.randint(0, 4)):
-            b, c = sorted(rnd.sample(range(3, 10), 2))
-            seeds.append((2, b, c))
-        if rnd.random() < 0.30:
-            seeds.append((3, 4, 5))
-        if rnd.random() < 0.10:
-            seeds.append(tuple(sorted(rnd.sample(range(2, 10), 3))))
-        extras = _downset_closure(seeds, 2)
-        g = new(3, 9, list(star.edges) + sorted(extras))
-        if _path4_sample_accepted(g.edges):
-            return g
-    raise RuntimeError("could not build a dense left-compressed path-free sample")
+    linear path of 4 edges: a uniform draw from the dense members of
+    :func:`covering_path4_free_9`.  A dense graph covers its pairs
+    (Frankl & Rödl), so these are all such graphs."""
+    return rnd.choice(_dense_covering_path4_free_9())

@@ -278,13 +278,25 @@ class _ColexDFS:
         return True
 
     def replay(self, tokens: list[int]) -> None:
-        """Set the decision list to ``tokens`` and rebuild the derived state."""
+        """Set the decision list to ``tokens`` and rebuild the derived state.
+
+        Each include is made only where the run could have made it: with
+        every lower cover included (down-set mode) and ``include_accept``
+        passing on the edges included before it.  By induction the host
+        is then free of the run's patterns before every include test, as
+        :meth:`_creates` requires.  An include the run would have refused
+        raises :class:`CheckpointError`."""
         self.decisions = []
         self.included: list[int] = []           # ground indices, ascending
         self.missing = [len(c) for c in self.cover_idx] if self.downset else None
         self.host = _Host(self.n, self.r)
         for d, tok in enumerate(tokens):
             if tok == 1:
+                e = self.ground[d]
+                if self.missing is not None and self.missing[d]:
+                    raise CheckpointError(f"checkpoint includes {e} without all its lower covers")
+                if not self.include_accept(d):
+                    raise CheckpointError(f"checkpoint includes {e}, which the include test refuses")
                 self._apply_include(d)
             self.decisions.append(tok)
 
@@ -958,8 +970,9 @@ def checkpoint_resume(path, expect_space: dict | None = None):
     :class:`SearchStats` fields, whose values are not of the types
     ``checkpoint.schema.json`` gives them, whose stored edges do not fit
     the run (see :func:`_fits`), whose running bests no run could hold
-    (see :func:`_reachable_best`), or whose decisions are not 0/1 tokens
-    at most as many as the ground set has."""
+    (see :func:`_reachable_best`), whose decisions are not 0/1 tokens at
+    most as many as the ground set has, or whose decisions include an edge
+    the run would have refused (see :meth:`_ColexDFS.replay`)."""
     with open(path) as fh:
         payload = json.load(fh)
     _require_fields("parts", payload, ("version", "space", "state"))

@@ -26,6 +26,7 @@ from .hypergraph import (
     compress,
     covers_pairs,
     extension,
+    is_left_compressed,
     linear_path,
     named,
     new,
@@ -263,7 +264,6 @@ def check_path3_density(config: OptimizerConfig) -> list[CheckResult]:
 
 
 def check_path4_evidence(config: OptimizerConfig) -> list[CheckResult]:
-    count = 1000
     out = []
     k8 = complete(8, 3)
     res8 = maximize(k8, config)
@@ -271,34 +271,34 @@ def check_path4_evidence(config: OptimizerConfig) -> list[CheckResult]:
     out.append(CheckResult("path4-evidence", "lower-bound-8", lower_ok,
                            {"six_lambda": 6 * res8.value, "expected": 21.0 / 32.0}))
 
-    rnd = random.Random(config.seed + 303)
+    # each member must be what the family claims to be and stay under
+    # both caps
     cap_all = 7.0 / 64.0 + 1e-9
     cap_free = max(2.0 / 27.0, 1250.0 / 11907.0) + 1e-7
-    value_cache: dict = {}
-    bad_all = 0
-    bad_free = 0
-    worst = 0.0
     t0 = time.perf_counter()
-    for _ in range(count):
-        g = corpora.left_compressed_dense_path4_free_9(rnd)
-        if g.edges not in value_cache:
-            # a K_8^3 sits on one of the nine 8-subsets: test each directly,
-            # so the check does not rest on the matcher it also exercises
-            es = g.edge_set()
-            has_k8 = any(all(e in es for e in itertools.combinations(vs, 3))
-                         for vs in itertools.combinations(range(1, g.n + 1), 8))
-            value_cache[g.edges] = (maximize(g, config).value, has_k8)
-        lam, has_k8 = value_cache[g.edges]
-        worst = max(worst, lam)
-        if lam > cap_all:
-            bad_all += 1
-        if not has_k8 and lam > cap_free:
-            bad_free += 1
+    family = corpora.covering_path4_free_9()
+    members = []
+    for g in family:
+        # a K_8^3 sits on one of the nine 8-subsets: test each directly,
+        # so the check does not rest on the matcher it also exercises
+        es = g.edge_set()
+        has_k8 = any(all(e in es for e in itertools.combinations(vs, 3))
+                     for vs in itertools.combinations(range(1, g.n + 1), 8))
+        lam = maximize(g, config).value
+        members.append({
+            "non_star_edges": [list(e) for e in g.edges if e[0] != 1],
+            "lambda": lam,
+            "has_k8": has_k8,
+            "passed": (contains(g, linear_path(4)) is None and is_left_compressed(g)
+                       and covers_pairs(g) and lam <= cap_all
+                       and (has_k8 or lam <= cap_free)),
+        })
     elapsed = time.perf_counter() - t0
-    out.append(CheckResult("path4-evidence", f"sampled-nine-{count}",
-                           bad_all == 0 and bad_free == 0,
-                           {"over_global_cap": bad_all, "over_clique_free_cap": bad_free,
-                            "largest_lambda": worst, "distinct_samples": len(value_cache),
+    out.append(CheckResult("path4-evidence", "covering-nine-exhaustive",
+                           len(family) == 9 and all(m["passed"] for m in members),
+                           {"members": members, "family_size": len(family),
+                            "largest_lambda": max(m["lambda"] for m in members),
+                            "cap": cap_all, "clique_free_cap": cap_free,
                             "elapsed_s": elapsed}))
     return out
 

@@ -95,8 +95,8 @@ def test_c09a_path4_lower_bound():
     _accept("path4-evidence", "lower-bound-8")
 
 
-def test_c09b_path4_nine_vertex_samples():
-    _accept("path4-evidence", "sampled-nine-1000")
+def test_c09b_path4_nine_vertex_family():
+    _accept("path4-evidence", "covering-nine-exhaustive")
 
 
 def test_c10_clique_with_pendant_fan():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperlag.cli import main, pattern_by_name
+from hyperlag.cli import build_parser, main, pattern_by_name
 from hyperlag.hgio import emit_hg, load
 from hyperlag.hypergraph import (
     _NAMED,
@@ -348,12 +349,37 @@ def test_turan_checkpoint_resume_matches_uninterrupted(tmp_path, capsys):
     ["lambda", "g.hg", "--out", "x.hg"],
     ["check", "g.hg", "--free-of", "P3", "--max-nodes", "5"],
     ["verify", "--checkpoint", "c.json"],
-], ids=["lambda-out", "check-max-nodes", "verify-checkpoint"])
+    ["check", "g.hg", "--free-of", "P3", "--seed", "1"],
+    ["check", "g.hg", "--free-of", "P3", "--restarts", "2"],
+    ["extend", "g.hg", "--kkt-tol", "1e-6"],
+    ["extend", "g.hg", "--seed", "1"],
+    ["construct", "K", "6", "--restarts", "2"],
+    ["construct", "K", "6", "--seed", "1"],
+    ["turan", "--n", "5", "--forbid", "F5", "--restarts", "2"],
+    ["turan", "--n", "5", "--forbid", "F5", "--kkt-tol", "1e-6"],
+], ids=["lambda-out", "check-max-nodes", "verify-checkpoint", "check-seed", "check-restarts",
+        "extend-kkt-tol", "extend-seed", "construct-restarts", "construct-seed",
+        "turan-restarts", "turan-kkt-tol"])
 def test_flags_a_subcommand_never_reads_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_turan_accepts_a_seed_that_changes_nothing(capsys):
+    argv = ["turan", "--n", "5", "--forbid", "F5", "--json"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--seed", "7"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_the_command_line_has_41_flags():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [a.option_strings[0] for p in sub.choices.values() for a in p._actions
+             if a.option_strings and a.option_strings[0] != "-h"]
+    assert len(flags) == 41
 
 
 def test_verify_subset_json(capsys):

@@ -1,14 +1,15 @@
 import random
 
 from hyperlag.corpora import (
+    covering_path4_free_9,
     covers_pairs_path_free,
     full_star,
     left_compressed_dense_path4_free_9,
     random_hypergraph,
     random_simplex_point,
 )
-from hyperlag.freeness import contains, creates_linear_path
-from hyperlag.hypergraph import covers_pairs, is_left_compressed, linear_path
+from hyperlag.freeness import contains
+from hyperlag.hypergraph import covers_pairs, is_left_compressed, linear_path, new
 from hyperlag.search import enumerate_left_compressed
 
 
@@ -61,30 +62,34 @@ def test_dense_lc_path4_free_sample_contract():
         assert set(full_star(9).edges) <= set(g.edges)
 
 
+def test_covering_path4_free_9_equals_a_brute_force_filter():
+    # every down-set on [8] with no prune, moved up one onto [2..9] and
+    # added to a star built here, kept when the whole-graph matcher finds
+    # no length-4 path: the family must be exactly these
+    star = [(1, a, b) for a in range(2, 10) for b in range(a + 1, 10)]
+    downsets = []
+    enumerate_left_compressed(8, 3, visit=downsets.append)
+    assert len(downsets) == 2431
+    oracle = set()
+    for d in downsets:
+        g = new(3, 9, star + [tuple(v + 1 for v in e) for e in d])
+        if contains(g, linear_path(4)) is None:
+            oracle.add(g.edges)
+    family = covering_path4_free_9()
+    assert len(family) == len(oracle) == 9
+    assert {g.edges for g in family} == oracle
+    for g in family:
+        assert g.n == 9 and covers_pairs(g) and is_left_compressed(g)
+
+
 def test_dense_lc_path4_free_sampler_reaches_the_whole_family():
-    # the family of candidate extras is exhaustively enumerable: down-sets
-    # of triples avoiding vertex 1 whose union with the star stays free of
-    # the length-4 path; the sampler must draw only from it
-    star = full_star(9)
-    star_masks = [sum(1 << v for v in e) for e in star.edges]
-
-    def mask(e):  # a triple of [8] moved up one, onto [2..9]
-        return sum(1 << (v + 1) for v in e)
-
-    found = []
-    enumerate_left_compressed(
-        8, 3,
-        prune=lambda edges, e: creates_linear_path(star_masks + [mask(f) for f in edges], mask(e), 4),
-        visit=lambda edges: found.append(frozenset(tuple(v + 1 for v in f) for f in edges)))
-    family = set(found)
-    assert len(family) == 9  # exhaustively small space
-
+    # the sampler draws only the dense members of the family, and all of
+    # them: exactly three
+    family = {g.edges for g in covering_path4_free_9()}
     rnd = random.Random(3)
     seen = set()
     for _ in range(60):
         g = left_compressed_dense_path4_free_9(rnd)
-        extras = frozenset(e for e in g.edges if 1 not in e)
-        assert extras in family
-        seen.add(extras)
-    # the dense sub-family has exactly three members and all get sampled
+        assert g.edges in family
+        seen.add(g.edges)
     assert len(seen) == 3

@@ -1,12 +1,9 @@
-"""Each script under ``scripts/`` loads (only its imports run, since its
-entry point is guarded by ``__name__``) and defines ``main``, so removing
-a name from the package cannot break a script unnoticed.  Every name the
-benchmark's span tracer wraps exists, and the matcher it wraps is the one
-the searches call, since a missing or bypassed one would make its
-metrics read 0 silently.  Every function and class of the package is
-reached from outside tests, every JSON schema is used, no module
-imports a name it does not use, and neither the command line nor the
-searches read graph names themselves."""
+"""Every name the benchmark's span tracer wraps exists, and the matcher
+it wraps is the one the searches call, since a missing or bypassed one
+would make its metrics read 0 silently.  Every function and class of
+the package is reached from outside tests, every JSON schema is used,
+no module imports a name it does not use, and neither the command line
+nor the searches read graph names themselves."""
 
 import ast
 import importlib
@@ -17,19 +14,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _load(path):
-    spec = importlib.util.spec_from_file_location(f"scripts_{path.stem}", path)
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
-def test_script_loads_and_defines_main(path):
-    assert callable(_load(path).main)
 
 
 def test_span_tracer_targets_resolve():
@@ -100,7 +91,6 @@ def _names(node) -> set[str]:
 def test_every_package_definition_is_reached_outside_tests():
     package = ROOT / "src" / "hyperlag"
     files = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
-    files += SCRIPTS
     files += [p for p in sorted((ROOT / "bench").rglob("*.py")) if "tests" not in p.parts]
     defined, uses = [], []
     for path in files:
@@ -119,7 +109,7 @@ def test_every_package_definition_is_reached_outside_tests():
 def test_no_module_imports_a_name_it_does_not_use():
     # the package's __init__ imports only to re-export
     files = [p for p in sorted((ROOT / "src" / "hyperlag").glob("*.py")) if p.name != "__init__.py"]
-    files += sorted((ROOT / "tests").glob("*.py")) + SCRIPTS
+    files += sorted((ROOT / "tests").glob("*.py"))
     unused = []
     for path in files:
         tree = ast.parse(path.read_text())

@@ -1143,6 +1143,45 @@ def test_checkpoint_refuses_decision_tokens_other_than_0_1(tmp_path):
     _refused(path, payload, "tokens of 0 or 1")
 
 
+def test_checkpoint_refuses_an_include_the_turan_run_would_refuse(tmp_path):
+    # every triple of [5] holds F5: unchecked, the run resumed to an
+    # exact 10 with a K_5^3 witness.  {1, 2, 5} is the first that makes
+    # one, with {1, 3, 4} and {2, 3, 4}
+    path = tmp_path / "t.json"
+    payload = _paused_turan_payload(path)
+    payload["state"]["decisions"] = [1] * 10
+    _refused(path, payload, r"includes \(1, 2, 5\), which the include test refuses")
+
+
+def test_checkpoint_refuses_an_include_without_its_lower_covers(tmp_path):
+    # position 5 is {1, 3, 5}, whose lower covers {1, 3, 4} and {1, 2, 5}
+    # are excluded: unchecked, the run resumed to an exact report
+    path = tmp_path / "c.json"
+    checkpoint_save(DensityRun("P3", 8), path)
+    payload = json.loads(path.read_text())
+    payload["state"]["decisions"] = [0] * 5 + [1]
+    _refused(path, payload, r"includes \(1, 3, 5\) without all its lower covers")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DensityRun("P3", 7),
+    lambda: DensityRun("P4", 10),
+    lambda: TuranRun(7, (named("F5"),)),
+], ids=["P3-7", "P4-10", "turan-F5-7"])
+def test_checkpoint_replay_accepts_a_genuine_midrun_state(tmp_path, make):
+    # replaying through the include tests accepts what the run itself
+    # saved, and the resumed report is the uninterrupted one, byte for byte
+    full = make()
+    want = json.dumps(full.execute().to_json())
+    path = tmp_path / "c.json"
+    for pause in (full.stats.nodes // 3, 2 * full.stats.nodes // 3):
+        paused = make()
+        assert not paused.run(max_nodes=pause)
+        assert 1 in paused.decisions
+        checkpoint_save(paused, path)
+        assert json.dumps(checkpoint_resume(path).execute().to_json()) == want
+
+
 def _density_payload(path):
     checkpoint_save(DensityRun("P2", 5, "all"), path)
     return json.loads(path.read_text())
