@@ -7,7 +7,8 @@ optimizes, ``--out`` where it writes a graph, the budgets and
 ``--seed``, accepted and ignored so that existing command lines keep
 working.  The optimizer's defaults are ``DEFAULT_CONFIG``'s, and a
 subcommand that optimizes reports the seed in effect so its run can be
-reproduced.
+reproduced.  Under ``--json`` stdout is exactly one JSON document, and
+every line meant for a reader goes to stderr.
 Graph names (``construct``, ``check --free-of``, ``turan --forbid``) are
 read by :func:`~hyperlag.hypergraph.named` alone, fused (``K6_4``) or in
 words (``K 6 4``); ``check`` and ``turan`` also take a graph file's path.
@@ -79,13 +80,19 @@ def pattern_by_name(name: str) -> Hypergraph:
     return load(name) if os.path.exists(name) else named(name)
 
 
+def _say(args, line: str) -> None:
+    """Print a line for the reader: on stderr under ``--json``, so that
+    stdout stays one JSON document."""
+    print(line, file=sys.stderr if args.json else sys.stdout)
+
+
 def _print_graph(g: Hypergraph, args, comment: str | None = None) -> None:
     if args.out:
         save(g, args.out, comment)
-        print(f"wrote {args.out} ({len(g.edges)} edges on {g.n} vertices)")
-    elif args.json:
+        _say(args, f"wrote {args.out} ({len(g.edges)} edges on {g.n} vertices)")
+    if args.json:
         print(json.dumps(to_json_obj(g)))
-    else:
+    elif not args.out:
         sys.stdout.write(emit_hg(g, comment))
 
 
@@ -143,8 +150,8 @@ def cmd_compress(args) -> int:
             return EXIT_INPUT
         out = compress(g, args.i, args.j)
     after = maximize(out, config)
-    print(f"seed: {args.seed}")
-    print(f"lambda before: {before.value!r}  after: {after.value!r}")
+    _say(args, f"seed: {args.seed}")
+    _say(args, f"lambda before: {before.value!r}  after: {after.value!r}")
     _print_graph(out, args)
     return EXIT_OK
 
@@ -159,7 +166,7 @@ def cmd_extend(args) -> int:
 def cmd_construct(args) -> int:
     g = named(" ".join([args.kind, *args.params]))
     if args.kind.upper() == "T":
-        print(f"# balanced blowup edge count t = {len(g.edges)}")
+        _say(args, f"# balanced blowup edge count t = {len(g.edges)}")
     _print_graph(g, args)
     return EXIT_OK
 

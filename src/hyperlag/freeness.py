@@ -49,26 +49,29 @@ class EmbeddingMap:
 
 def _pattern_order(pattern: Hypergraph, anchor: tuple = ()) -> list[int]:
     # most-constrained first: highest degree seeds, then vertices sharing
-    # edges with already-ordered ones; the anchor's vertices come first
-    deg = {v: 0 for v in range(1, pattern.n + 1)}
-    for e in pattern.edges:
+    # edges with already-ordered ones; the anchor's vertices come first.
+    # attach[v] counts the edges at v that hold an ordered vertex
+    n = pattern.n
+    deg = [0] * (n + 1)
+    incident: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, e in enumerate(pattern.edges):
         for v in e:
             deg[v] += 1
+            incident[v].append(i)
+    attach = [0] * (n + 1)
+    reached = [False] * len(pattern.edges)
     ordered: list[int] = []
     placed: set[int] = set()
-    while len(ordered) < pattern.n:
-        best = None
-        best_key = None
-        pool = anchor if len(ordered) < len(anchor) else range(1, pattern.n + 1)
-        for v in pool:
-            if v in placed:
-                continue
-            attach = sum(1 for e in pattern.edges if v in e and any(u in placed for u in e))
-            key = (attach, deg[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
+    while len(ordered) < n:
+        pool = anchor if len(ordered) < len(anchor) else range(1, n + 1)
+        best = max((v for v in pool if v not in placed), key=lambda v: (attach[v], deg[v], -v))
         ordered.append(best)
         placed.add(best)
+        for i in incident[best]:
+            if not reached[i]:
+                reached[i] = True
+                for u in pattern.edges[i]:
+                    attach[u] += 1
     return ordered
 
 
@@ -94,25 +97,52 @@ def _boundary(cuts: set, below) -> tuple:
                  for i in range(len(below)))
 
 
+def _free_plan(pattern: Hypergraph, anchor: tuple = ()) -> _Plan:
+    """The search plan of ``pattern`` without symmetry-breaking conditions:
+    its vertices in ``_pattern_order`` (the vertices of ``anchor`` first),
+    their degrees, and per position the edges whose last vertex sits there
+    ("ready") and the edges left with exactly one unplaced vertex once it
+    is placed -- those that already were ("carried") and those it brings
+    to that state ("fresh").  An edge is stored as the positions of its
+    placed vertices, less this one for a fresh edge.  Every ``below`` is
+    empty, so ``boundary`` is () at each component cut and None elsewhere.
+
+    The plan serves any allowed sets: :func:`_plan` finds the pattern's
+    orbits with it, and a pinned search (see :func:`_contains_edges`)
+    follows it with the pinned vertices as ``anchor``.  Nothing caches
+    it; ``_plan`` caches only the plan it builds from it."""
+    r, n, edges = pattern.r, pattern.n, pattern.edges
+    order = _pattern_order(pattern, anchor)
+    pos = {v: i for i, v in enumerate(order)}
+    deg = [0, *pattern.degrees()]
+    ready, carried, fresh = ([[] for _ in range(n)] for _ in range(3))
+    cuts = set(range(1, n))
+    for e in edges:
+        ps = sorted(pos[v] for v in e)
+        ready[ps[-1]].append(tuple(ps[:-1]))
+        if r > 1:
+            fresh[ps[-2]].append(tuple(ps[:-2]))
+            for i in range(ps[-2] + 1, ps[-1]):
+                carried[i].append(tuple(ps[:-1]))
+        cuts.difference_update(range(ps[0] + 1, ps[-1] + 1))
+    unordered = ((),) * n
+    return _Plan(tuple(order), tuple(deg[v] for v in order),
+                 *(tuple(map(tuple, lists)) for lists in (ready, carried, fresh)),
+                 unordered, _boundary(cuts, unordered))
+
+
 @functools.lru_cache(maxsize=256)
 def _plan(r: int, n: int, edges: tuple, anchor: tuple = ()) -> _Plan:
-    """The search plan of a pattern, built once: its vertices in
-    ``_pattern_order`` (the vertices of ``anchor``, a pattern edge or
-    nothing, first), their degrees, and per position the edges whose
-    last vertex sits there ("ready") and the edges left with exactly one
-    unplaced vertex once it is placed -- those that already were
-    ("carried") and those it brings to that state ("fresh").  An edge is
-    stored as the positions of its placed vertices, less this one for a
-    fresh edge.
-
-    Then, per position j, the positions p < j whose host vertex must have
-    a lower id than j's ("below"): the symmetry-breaking conditions of
-    Grochow & Kellis (RECOMB 2007) over the stabilizer chain of the
-    pattern's automorphism group (McKay & Piperno, 2014).  Let G_p be the
-    automorphisms fixing ``order[:p]`` pointwise.  For every other vertex
-    ``order[j]`` in the G_p-orbit of ``order[p]`` an embedding f must have
-    f(order[p]) < f(order[j]); only the transitive reduction of these
-    pairs is stored, and the search enforces the rest through it.
+    """The search plan of a pattern, built once: :func:`_free_plan` with
+    ``anchor`` a pattern edge or nothing, and then, per position j, the
+    positions p < j whose host vertex must have a lower id than j's
+    ("below"): the symmetry-breaking conditions of Grochow & Kellis
+    (RECOMB 2007) over the stabilizer chain of the pattern's automorphism
+    group (McKay & Piperno, 2014).  Let G_p be the automorphisms fixing
+    ``order[:p]`` pointwise.  For every other vertex ``order[j]`` in the
+    G_p-orbit of ``order[p]`` an embedding f must have f(order[p]) <
+    f(order[j]); only the transitive reduction of these pairs is stored,
+    and the search enforces the rest through it.
 
     Soundness.  Order embeddings lexicographically by their host ids in
     pattern order, and call f and f o s, for s an automorphism, one class.
@@ -159,25 +189,11 @@ def _plan(r: int, n: int, edges: tuple, anchor: tuple = ()) -> _Plan:
     and completion map, and the images of those positions: whether it
     succeeds is a function of that state, which ``_search`` remembers
     when it fails."""
-    order = _pattern_order(Hypergraph(r, n, edges), anchor)
-    pos = {v: i for i, v in enumerate(order)}
-    host = _Host(n, r, edges)
-    completions, deg = host.completions, host.deg
-    ready, carried, fresh = ([[] for _ in range(n)] for _ in range(3))
-    cuts = set(range(1, n))
-    for e in edges:
-        ps = sorted(pos[v] for v in e)
-        ready[ps[-1]].append(tuple(ps[:-1]))
-        if r > 1:
-            fresh[ps[-2]].append(tuple(ps[:-2]))
-            for i in range(ps[-2] + 1, ps[-1]):
-                carried[i].append(tuple(ps[:-1]))
-        cuts.difference_update(range(ps[0] + 1, ps[-1] + 1))
-    pdeg = tuple(deg[v] for v in order)
-    unordered = ((),) * n  # no order constraints while finding them
-    free = _Plan(tuple(order), pdeg, *(tuple(map(tuple, lists)) for lists in (ready, carried, fresh)),
-                 unordered, _boundary(cuts, unordered))
-    same = {d: sum(1 << v for v in order if deg[v] == d) for d in set(pdeg)}
+    free = _free_plan(Hypergraph(r, n, edges), anchor)
+    order, pdeg = free.order, free.degrees
+    completions = _Host(n, r, edges).completions
+    cuts = {i for i, refs in enumerate(free.boundary) if refs is not None}
+    same = {d: sum(1 << v for v, dv in zip(order, pdeg) if dv == d) for d in set(pdeg)}
     inside = sum(1 << v for v in anchor)
     # per position, the images a self-embedding may give it: the vertices
     # of its degree, inside the anchor for an anchor position
@@ -365,12 +381,15 @@ def _anchor_plans(r: int, n: int, edges: tuple) -> tuple:
     return tuple(plans)
 
 
-def _contains_edges(host: _Host, pattern: Hypergraph, through=None):
+def _contains_edges(host: _Host, pattern: Hypergraph, through=None, pin=None):
     """Backtracking embedding search of pattern into ``host``: ``_search``
     following the pattern's cached ``_plan``, with each position allowed
     the host vertices of at least its degree.  The host is read, never
     changed, so a search can keep one up to date edge by edge and call
-    this at every node without a rebuild.
+    this at every node without a rebuild.  Returns the raw image, the host
+    vertex bit of each position of the plan that found it, or None;
+    :func:`contains` turns a whole-host image into an ``EmbeddingMap``,
+    and every other caller only asks whether there is one.
 
     The witness is the first embedding in pattern order and increasing
     host id.  The plan's symmetry-breaking conditions keep one embedding
@@ -390,9 +409,25 @@ def _contains_edges(host: _Host, pattern: Hypergraph, through=None):
     and then the copy composed with s maps a onto it; so one plan per
     orbit finds every copy there is.  Which copy it returns is not fixed
     beyond that.  On a host that was pattern-free before ``through`` was
-    added, this is a hit exactly when the whole-host search is."""
+    added, this is a hit exactly when the whole-host search is.
+
+    With ``pin``, a dict from pattern vertices to host vertices, the search
+    looks only for the embeddings that map each pinned vertex to its host
+    vertex.  It follows :func:`_free_plan` with the pinned vertices first,
+    built for this call and cached nowhere, so a one-off pattern (a graph
+    ``canonical_form`` embeds into itself) evicts no plan from ``_plan``'s
+    cache.  The conditions of ``_plan`` would be wrong here: they keep one
+    embedding per class f, f o s, which is sound only when the allowed
+    sets are unions of such classes, and pinning a vertex that some
+    automorphism moves breaks that."""
     if pattern.n > host.n:
         return None
+    if pin is not None:
+        plan = _free_plan(pattern, tuple(pin))
+        allowed = _allowed(plan, host, None)
+        for i, v in enumerate(plan.order[:len(pin)]):
+            allowed[i] &= 1 << pin[v]
+        return _search(plan, host.completions, allowed)
     if through is None:
         plans = (_plan(pattern.r, pattern.n, pattern.edges),)
     else:
@@ -400,8 +435,7 @@ def _contains_edges(host: _Host, pattern: Hypergraph, through=None):
     for plan in plans:
         img = _search(plan, host.completions, _allowed(plan, host, through))
         if img is not None:
-            return EmbeddingMap(tuple(sorted((p, img[i].bit_length() - 1)
-                                             for i, p in enumerate(plan.order))))
+            return img
     return None
 
 
@@ -422,7 +456,11 @@ def contains(g: Hypergraph, pattern: Hypergraph):
     call; searches keep theirs across nodes."""
     if g.r != pattern.r:
         raise ValueError(f"uniformity mismatch: host r={g.r}, pattern r={pattern.r}")
-    return _contains_edges(_Host(g.n, g.r, g.edges), pattern)
+    img = _contains_edges(_Host(g.n, g.r, g.edges), pattern)
+    if img is None:
+        return None
+    order = _plan(pattern.r, pattern.n, pattern.edges).order
+    return EmbeddingMap(tuple(sorted((p, b.bit_length() - 1) for p, b in zip(order, img))))
 
 
 def is_free(g: Hypergraph, pattern: Hypergraph) -> bool:

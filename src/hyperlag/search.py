@@ -465,6 +465,29 @@ def canonical_form(g: Hypergraph) -> Hypergraph:
       completion is above the bound, and a node is cut when its bound is
       not above the best labelling found so far.  Ties are cut too, since
       a completion equal to the best gives the same form.
+    - The automorphism cut.  A node's children are explored in
+      descending order of bound, and a child x is skipped when an
+      explored sibling y has the same bound and some automorphism s of g
+      fixes every labelled vertex and maps y to x.  Composing with the
+      inverse of s maps the labellings below y one to one onto those
+      below x: it keeps labels 1..k on the labelled vertices, moves label
+      k+1 from y to x, and, as s maps edges onto edges, keeps the set of
+      labelled edges.  So the best labelling below x is the best below y,
+      which the search has already taken into the best so far.  Such
+      siblings always have equal bounds, since the bound reads only the
+      label sets the edges hold, and s carries those of y's partial
+      labelling onto x's.  So testing only siblings of equal bound loses
+      no cut, and spares a graph whose equal-bound siblings are rare, an
+      asymmetric one above all, the tests.  The test asks the matcher
+      whether g embeds into itself with each labelled vertex pinned to
+      itself and y pinned to x, since an edge-preserving injection of g
+      into itself is an automorphism.  McKay and Piperno find their
+      automorphisms at leaves of equal value instead, but the incumbent
+      cut removes every node whose bound only ties the best, so a leaf
+      equal to the best labelling is never reached and no two equal
+      leaves ever show up.  On the 2-(6,3,2) design, vertex-transitive
+      with singleton classes, the cut takes the search from 159 nodes to
+      7 with 10 tests.
 
     There is no size cap.
     """
@@ -479,16 +502,17 @@ def canonical_form(g: Hypergraph) -> Hypergraph:
             incident[v].append(e)
     cls = {v: c[0] for c in equivalence_classes(g).classes for v in c}
     part = dict.fromkeys(g.edges, ())
-    best = _extend_labelling(g, bit, incident, cls, part, [], 0)
+    best = _extend_labelling(g, bit, incident, cls, part, _Host(n, r, g.edges), [], 0)
     return Hypergraph(r, n, tuple(s for s in sets if best & bit[s]))
 
 
 def _extend_labelling(g: Hypergraph, bit: dict, incident: dict, cls: dict, part: dict,
-                      order: list, best: int) -> int:
+                      host: _Host, order: list, best: int) -> int:
     """Give out label k+1 (k = len(order)) in every way :func:`canonical_form`'s
     search allows below the node that gave labels 1..k to ``order``.
     ``part`` maps each edge to the labels its vertices hold so far, in
-    ascending order.  Returns the larger of ``best`` and the indicator
+    ascending order; ``host`` is g in the matcher's form, for the
+    automorphism tests.  Returns the larger of ``best`` and the indicator
     integer of the best completion."""
     k = len(order)
     if k == g.n:
@@ -505,15 +529,29 @@ def _extend_labelling(g: Hypergraph, bit: dict, incident: dict, cls: dict, part:
             children.append((_completion_bound(g, bit, part, k + 1), x))
             _take_label(incident[x], part)
     children.sort(reverse=True)
+    explored = []
     for bound, x in children:
         if bound <= best:
             break
+        if any(b == bound and _maps_to(g, host, order, y, x) for b, y in explored):
+            continue
+        explored.append((bound, x))
         _give_label(incident[x], part, k + 1)
         order.append(x)
-        best = _extend_labelling(g, bit, incident, cls, part, order, best)
+        best = _extend_labelling(g, bit, incident, cls, part, host, order, best)
         order.pop()
         _take_label(incident[x], part)
     return best
+
+
+def _maps_to(g: Hypergraph, host: _Host, order: list, y: int, x: int) -> bool:
+    """Whether some automorphism of g fixes ``order`` pointwise and maps y
+    to x: whether g embeds into itself (``host``) with those vertices
+    pinned, since an edge-preserving injection of g into itself is an
+    automorphism."""
+    pin = {v: v for v in order}
+    pin[y] = x
+    return _contains_edges(host, g, pin=pin) is not None
 
 
 def _give_label(edges, part: dict, label: int) -> None:

@@ -367,7 +367,9 @@ def check_turan_machinery(config: OptimizerConfig) -> list[CheckResult]:
 
 
 def check_forbidden_configs(config: OptimizerConfig) -> list[CheckResult]:
+    # F1 and F2 have ten vertices, so every host has at least ten
     count = 200
+    n_range = [10, 11]
     rnd = random.Random(config.seed + 404)
     f1 = named("F1")
     f2 = named("F2")
@@ -375,7 +377,7 @@ def check_forbidden_configs(config: OptimizerConfig) -> list[CheckResult]:
     hits_f2 = 0
     t0 = time.perf_counter()
     for i in range(count):
-        n = 9 + (i % 2)
+        n = n_range[0] + i % 2
         g = corpora.covers_pairs_path_free(rnd, n, 4)
         if contains(g, f1) is not None:
             hits_f1 += 1
@@ -385,7 +387,7 @@ def check_forbidden_configs(config: OptimizerConfig) -> list[CheckResult]:
     return [CheckResult("forbidden-configs", f"sampled-{count}",
                         hits_f1 == 0 and hits_f2 == 0,
                         {"f1_embeddings": hits_f1, "f2_embeddings": hits_f2,
-                         "elapsed_s": elapsed})]
+                         "n_range": n_range, "hosts": count, "elapsed_s": elapsed})]
 
 
 _CHECKS = {

@@ -254,6 +254,37 @@ def test_construct_variants(tmp_path, capsys):
     assert main(["construct", "K", "two", "3"]) == 1
 
 
+# one command line per subcommand, and the writers again with --out; {g}
+# is a graph file, {out} a path to write
+JSON_RUNS = [
+    ["lambda", "{g}"],
+    ["check", "{g}", "--free-of", "P2", "T2"],
+    ["compress", "{g}", "--i", "1", "--j", "2"],
+    ["compress", "{g}", "--i", "1", "--j", "2", "--out", "{out}"],
+    ["extend", "{g}"],
+    ["extend", "{g}", "--out", "{out}"],
+    ["construct", "T", "3", "3", "6"],
+    ["construct", "T", "3", "3", "6", "--out", "{out}"],
+    ["turan", "--n", "5", "--forbid", "F5"],
+    ["density", "--pattern", "P2", "--n", "5"],
+    ["verify", "--only", "closed-forms"],
+]
+
+
+def test_json_runs_cover_every_subcommand():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in JSON_RUNS} == set(sub.choices)
+
+
+@pytest.mark.parametrize("argv", JSON_RUNS, ids=" ".join)
+def test_json_stdout_is_one_json_document(argv, tmp_path, capsys):
+    g = tmp_path / "g.hg"
+    g.write_text(emit_hg(named("F5")))
+    out = tmp_path / "out.hg"
+    main([a.format(g=g, out=out) for a in argv] + ["--json"])
+    json.loads(capsys.readouterr().out)
+
+
 def test_turan_command_with_comparison(capsys):
     code = main(["turan", "--n", "5", "--forbid", "F5", "--compare-m", "4", "--json"])
     payload = json.loads(capsys.readouterr().out)

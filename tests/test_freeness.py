@@ -76,6 +76,26 @@ def test_contains_invariant_under_relabeling():
         assert (contains(g, pat) is None) == (contains(h, pat) is None)
 
 
+def _as_embedding(order, img):
+    """The ``EmbeddingMap`` of a raw image from ``_contains_edges``: the
+    host vertex bit of each position of a plan with this ``order``."""
+    return EmbeddingMap(tuple(sorted((p, b.bit_length() - 1) for p, b in zip(order, img))))
+
+
+def _rescanning_pattern_order(pattern, anchor=()):
+    """Reference for ``_pattern_order``: at each step, rescan every edge to
+    count, per unordered vertex, the edges it shares with ordered ones,
+    and take the vertex of most such edges, then highest degree, then
+    lowest id, from the anchor while it lasts."""
+    deg = {v: sum(v in e for e in pattern.edges) for v in range(1, pattern.n + 1)}
+    ordered = []
+    while len(ordered) < pattern.n:
+        pool = anchor if len(ordered) < len(anchor) else range(1, pattern.n + 1)
+        ordered.append(max((v for v in pool if v not in ordered), key=lambda v: (
+            sum(1 for e in pattern.edges if v in e and any(u in ordered for u in e)), deg[v], -v)))
+    return ordered
+
+
 def _first_embedding(n, edges, pattern):
     """Brute-force oracle: the first injective map, with pattern vertices
     taken in _pattern_order and host ids increasing, that sends every
@@ -125,6 +145,16 @@ def _host_and_pattern(draw):
     return n, tuple(sorted(edges)), pattern
 
 
+@settings(max_examples=300, deadline=None)
+@given(_host_and_pattern(), st.randoms(use_true_random=False))
+def test_pattern_order_matches_the_rescanning_reference(case, rnd):
+    _, _, pattern = case
+    some = tuple(rnd.sample(range(1, pattern.n + 1), rnd.randint(1, pattern.n)))
+    anchors = [(), *pattern.edges[:2], some]
+    for anchor in anchors:
+        assert _pattern_order(pattern, anchor) == _rescanning_pattern_order(pattern, anchor)
+
+
 def host_from_scratch(n, r, edges):
     """The matcher's host format (see ``freeness._Host``) built field by
     field from its definition."""
@@ -150,7 +180,8 @@ def test_matcher_agrees_with_brute_force_first_witness(case):
     oracle = _first_embedding(n, edges, pattern)
     assert (found is None) == (oracle is None)
     if found is not None:
-        assert found.as_dict() == oracle
+        order = _plan(pattern.r, pattern.n, pattern.edges).order
+        assert _as_embedding(order, found).as_dict() == oracle
 
 
 def test_f1_f2_witnesses_unchanged_without_symmetry_breaking(monkeypatch):
@@ -406,9 +437,12 @@ def test_anchored_search_agrees_with_the_whole_host_search(name):
             continue
         hits += 1
         g = new(pattern.r, n, [*edges, e])
-        assert anchored.verify(pattern, g)
-        m = anchored.as_dict()
-        assert e in {tuple(sorted(m[v] for v in f)) for f in pattern.edges}
+        # the image is in the order of the anchored plan that found it
+        maps = [_as_embedding(plan.order, anchored)
+                for plan in freeness._anchor_plans(pattern.r, pattern.n, pattern.edges)]
+        assert any(w.verify(pattern, g)
+                   and e in {tuple(sorted(w.as_dict()[v] for v in f)) for f in pattern.edges}
+                   for w in maps)
     assert hits and misses
 
 
@@ -443,6 +477,49 @@ def test_anchored_plan_constraints_match_the_anchor_stabilizer(name):
         assert set(plan.order[:pattern.r]) == set(anchor)
         got = {(p, j) for j, ps in enumerate(plan.below) for p in ps}
         assert got == _brute_constraints(pattern, anchor)
+
+
+@st.composite
+def _graph_and_pin(draw):
+    """A graph on at most 7 vertices and a pin: a permutation s restricted
+    to some vertices.  Half the time the edges are closed under s first,
+    so s is an automorphism and the pin extends to one."""
+    r = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(r, 7))
+    pool = list(itertools.combinations(range(1, n + 1), r))
+    edges = set(draw(st.lists(st.sampled_from(pool), max_size=len(pool))))
+    s = dict(zip(range(1, n + 1), draw(st.permutations(range(1, n + 1)))))
+    if draw(st.booleans()):
+        todo = list(edges)
+        while todo:
+            f = tuple(sorted(s[v] for v in todo.pop()))
+            if f not in edges:
+                edges.add(f)
+                todo.append(f)
+    pinned = draw(st.lists(st.integers(1, n), unique=True))
+    return new(r, n, sorted(edges)), {v: s[v] for v in pinned}
+
+
+def _extends_to_automorphism(g, pin):
+    es = set(g.edges)
+    for perm in itertools.permutations(range(1, g.n + 1)):
+        if all(perm[v - 1] == w for v, w in pin.items()) and all(
+                tuple(sorted(perm[v - 1] for v in e)) in es for e in g.edges):
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_pin())
+def test_pinned_self_embedding_agrees_with_brute_force(case):
+    g, pin = case
+    found = _contains_edges(_Host(g.n, g.r, g.edges), g, pin=pin)
+    assert (found is not None) == _extends_to_automorphism(g, pin)
+    if found is not None:
+        order = freeness._free_plan(g, tuple(pin)).order
+        w = _as_embedding(order, found)
+        assert w.verify(g, g)
+        assert all(w.as_dict()[v] == x for v, x in pin.items())
 
 
 def test_embedding_map_rejects_collisions():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlag.freeness import contains, creates_linear_path, is_free
+from hyperlag.corpora import random_hypergraph
+from hyperlag.freeness import _plan, contains, creates_linear_path, is_free
 import hyperlag.search as search_mod
 from hyperlag.hypergraph import (
     Hypergraph,
@@ -242,6 +243,54 @@ def test_canonical_form_matches_brute_force_on_families(g):
     assert canonical_form(g) == form
     for seed in range(3):
         assert canonical_form(_shuffled(g, seed)) == form
+
+
+def test_canonical_form_prunes_the_design_by_its_automorphisms(monkeypatch):
+    # vertex-transitive, with singleton weight-exchangeable classes: 159
+    # labelling nodes without the automorphism tests, 7 with them
+    calls = 0
+    extend = search_mod._extend_labelling
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return extend(*args)
+
+    monkeypatch.setattr(search_mod, "_extend_labelling", counted)
+    assert canonical_form(DESIGN_6_3_2) == brute_canonical_form(DESIGN_6_3_2)
+    assert calls <= 12
+
+
+def test_an_automorphism_test_that_always_answers_yes_breaks_canonical_form(monkeypatch):
+    # the pruning rests on the test's answer: a sibling skipped without a
+    # real automorphism can hold the best labelling
+    monkeypatch.setattr(search_mod, "_maps_to", lambda *args: True)
+    assert any(canonical_form(g) != brute_canonical_form(g) for g in SMALL_FAMILIES)
+
+
+def test_canonical_form_leaves_the_plan_cache_alone(monkeypatch):
+    # the automorphism tests follow plans built per call, so canonicalizing
+    # many one-off graphs evicts no pattern plan a search keeps cached
+    rnd = random.Random(26)
+    graphs = {}
+    while len(graphs) < 300:
+        g = random_hypergraph(rnd, rnd.randint(4, 7), rnd.choice((2, 3)))
+        graphs[(g.r, g.n, g.edges)] = g
+    tests = 0
+    match = search_mod._contains_edges
+
+    def counted(*args, **kwargs):
+        nonlocal tests
+        tests += 1
+        return match(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "_contains_edges", counted)
+    before = _plan.cache_info()
+    for g in graphs.values():
+        canonical_form(g)
+    after = _plan.cache_info()
+    assert tests > 0
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 @st.composite
