@@ -24,52 +24,59 @@ class HgParseError(ValueError):
 
 
 def parse_hg(text: str) -> Hypergraph:
+    """Read the text format.  Each edge line is checked against the header
+    as it is read, so an error names the line and column it is at."""
     lines = text.splitlines()
-    header = None
-    header_no = 0
+    r = n = None
     edges = []
     for no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if header is None:
-            header = line
-            header_no = no
+        if r is None:
+            r, n = _parse_header(line, no)
             continue
         verts = []
         col = 1
         for tok in raw.split():
             col = raw.index(tok, col - 1) + 1
             try:
-                verts.append(int(tok))
+                v = int(tok)
             except ValueError:
                 raise HgParseError(f"expected a vertex id, got {tok!r}", no, col)
+            if not 1 <= v <= n:
+                raise HgParseError(f"vertex {v} is outside [1, {n}]", no, col)
+            if v in verts:
+                raise HgParseError(f"vertex {v} repeats in this edge", no, col)
+            verts.append(v)
             col += len(tok)
-        edges.append((no, verts))
-    if header is None:
+        if len(verts) != r:
+            raise HgParseError(f"edge has {len(verts)} vertices, expected {r}", no)
+        edges.append(verts)
+    if r is None:
         raise HgParseError("missing header line 'r=<int> n=<int>'", max(1, len(lines)))
-    parts = header.split()
+    return new(r, n, edges)
+
+
+def _parse_header(line: str, no: int) -> tuple[int, int]:
     vals = {}
     col = 1
-    for part in parts:
+    for part in line.split():
         if "=" not in part:
-            raise HgParseError(f"malformed header field {part!r}", header_no, col)
+            raise HgParseError(f"malformed header field {part!r}", no, col)
         key, _, sval = part.partition("=")
         try:
             vals[key] = int(sval)
         except ValueError:
-            raise HgParseError(f"header field {part!r} is not an integer", header_no, col)
+            raise HgParseError(f"header field {part!r} is not an integer", no, col)
         col += len(part) + 1
     if "r" not in vals or "n" not in vals:
-        raise HgParseError("header must define both r= and n=", header_no)
+        raise HgParseError("header must define both r= and n=", no)
     try:
-        return new(vals["r"], vals["n"], [vs for _, vs in edges])
+        new(vals["r"], vals["n"], ())
     except ValueError as exc:
-        bad = str(exc)
-        for no, vs in edges:
-            if all(str(v) in bad for v in vs):
-                raise HgParseError(bad, no) from exc
-        raise HgParseError(bad, header_no) from exc
+        raise HgParseError(str(exc), no) from exc
+    return vals["r"], vals["n"]
 
 
 def emit_hg(g: Hypergraph, comment: str | None = None) -> str:
@@ -89,7 +96,7 @@ def to_json_obj(g: Hypergraph) -> dict:
 
 def from_json_obj(obj) -> Hypergraph:
     try:
-        return new(int(obj["r"]), int(obj["n"]), [tuple(e) for e in obj["edges"]])
+        return new(obj["r"], obj["n"], [tuple(e) for e in obj["edges"]])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"hypergraph JSON needs fields r, n, edges: {exc}") from exc
 

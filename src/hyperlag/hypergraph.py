@@ -78,20 +78,26 @@ class Hypergraph:
 
 def new(r: int, n: int, edges) -> Hypergraph:
     """Validate and canonicalize: duplicate edges collapse, unsorted input
-    is sorted.  Raises ValueError naming the offending edge."""
+    is sorted.  r, n and the vertex ids must be integers, not booleans or
+    floats.  Raises ValueError naming the offending edge."""
+    for what, x in (("uniformity", r), ("vertex count", n)):
+        if type(x) is not int:
+            raise ValueError(f"{what} must be an integer, got {x!r}")
     if r < 2:
         raise ValueError(f"uniformity must be >= 2, got {r}")
     canon = set()
     for e in edges:
-        e = tuple(sorted(e))
-        if len(e) != r:
-            raise ValueError(f"edge {_fmt_edge(e)} has {len(e)} distinct vertices, expected {r}")
+        e = tuple(e)
         for v in e:
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise ValueError(f"edge {_fmt_edge(e)}: vertex ids must be positive integers")
             if v > n:
                 raise ValueError(f"edge {_fmt_edge(e)}: vertex {v} > n={n}")
-        canon.add(e)
+        if len(set(e)) != len(e):
+            raise ValueError(f"edge {_fmt_edge(e)} repeats a vertex")
+        if len(e) != r:
+            raise ValueError(f"edge {_fmt_edge(e)} has {len(e)} vertices, expected {r}")
+        canon.add(tuple(sorted(e)))
     return Hypergraph(r, n, tuple(sorted(canon)))
 
 

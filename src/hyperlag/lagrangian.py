@@ -539,7 +539,6 @@ class OptimumResult:
     certified: bool
     seed: int
     exact_value: Fraction | None = None
-    exact_weights: tuple[Fraction, ...] | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -644,7 +643,6 @@ def maximize(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG) -> Optimum
 
     mode = "float"
     exact_value = None
-    exact_weights = None
     if certified:
         snap = _try_rational_snap(g, x, value, support)
         if snap is not None:
@@ -654,7 +652,7 @@ def maximize(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG) -> Optimum
             x = np.array([float(w) for w in exact_weights])
     wv = WeightVector(tuple(float(w) for w in x))
     return OptimumResult(value, wv, support, kkt, config.restarts, mode, certified,
-                         config.seed, exact_value, exact_weights)
+                         config.seed, exact_value)
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,14 @@ so no count changes.
 
 The DFS decision list is the whole search state: include is always tried
 before exclude, so a token list reconstructs the frontier exactly.  That
-is what checkpoints serialize; resuming replays the tokens and produces
-bit-identical final results.  Everything else the DFS keeps across nodes
-(the included edges, the counts of missing lower covers and the host the
-matcher searches) is derived from the included edges, updated on each
-include and undo, and rebuilt by :meth:`_ColexDFS.replay`.
+is what checkpoints serialize, with the counts and the graphs a run has
+found (Turan witnesses, density running bests) and nothing a run can
+recompute from them; resuming replays each stored graph and then the
+tokens through the run's own tests and produces bit-identical final
+results.  Everything else the DFS keeps across nodes (the included edges,
+the counts of missing lower covers and the host the matcher searches) is
+derived from the included edges, updated on each include and undo, and
+rebuilt by :meth:`_ColexDFS.replay`.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .hypergraph import (
 )
 from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, closed_form, maximize, upper_bound
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 # the patterns a density run supports, by canonical name
 _DENSITY_PATTERNS = ("P2", "T2", "P3", "P4")
 # enumerate_all walks 2^C(n, r) edge sets; past this many r-sets it refuses
@@ -299,6 +302,21 @@ class _ColexDFS:
                     raise CheckpointError(f"checkpoint includes {e}, which the include test refuses")
                 self._apply_include(d)
             self.decisions.append(tok)
+
+    def _replay_graph(self, edges: list) -> Hypergraph:
+        """Check a graph a checkpoint stores with the run's own tests: the
+        :class:`~hyperlag.hypergraph.Hypergraph` constructor that ``edges``
+        are sorted distinct r-sets of [n], then :meth:`replay` of their
+        indicator vector that the run could have included each one.  Leaves
+        the derived state that of the graph, so a caller replays its own
+        decisions last."""
+        try:
+            g = Hypergraph(self.r, self.n, tuple(map(tuple, edges)))
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint graph does not fit the run: {exc}") from exc
+        stored = g.edge_set()
+        self.replay([int(e in stored) for e in self.ground])
+        return g
 
     def run(self, max_nodes: int | None = None, max_seconds: float | None = None) -> bool:
         """Drive the DFS to completion; False means a budget stopped it.
@@ -667,13 +685,17 @@ class TuranRun(_ColexDFS):
 
     # state -------------------------------------------------------------
     def to_state(self) -> dict:
-        return {**super().to_state(), "best": self.best,
+        return {**super().to_state(),
                 "witnesses": [list(map(list, w)) for w in self._witness_edges()]}
 
     def load_state(self, state: dict) -> None:
+        """The best count is the witnesses' common size, -1 with none."""
+        sizes = sorted({len(w) for w in state["witnesses"]})
+        if len(sizes) > 1:
+            raise CheckpointError(f"checkpoint witnesses have unequal sizes {sizes}")
+        self.ties = [self._replay_graph(w).edges for w in state["witnesses"]]
+        self.best = sizes[0] if sizes else -1
         super().load_state(state)
-        self.best = state["best"]
-        self.ties = [tuple(tuple(e) for e in w) for w in state["witnesses"]]
 
     def result(self) -> TuranResult:
         witnesses = tuple(Hypergraph(self.r, self.n, w) for w in self._witness_edges())
@@ -864,20 +886,28 @@ class DensityRun(_ColexDFS):
     # state ---------------------------------------------------------------
     def to_state(self) -> dict:
         def best(b):
-            return [b[0], None if b[1] is None else list(map(list, b[1]))]
+            return None if b[1] is None else list(map(list, b[1]))
 
         return {**super().to_state(), "evaluated": self.evaluated, "screened": self.screened,
                 "best_plain": best(self.best_plain), "best_cfree": best(self.best_cfree)}
 
-    def load_state(self, state: dict) -> None:
-        def best(b):
-            return (b[0], None if b[1] is None else tuple(tuple(e) for e in b[1]))
+    def _load_best(self, edges) -> tuple[float, tuple | None]:
+        """A running best from its stored edges, replayed through the run's
+        tests, with the value of the call :meth:`_optimize` made."""
+        if edges is None:
+            return (-1.0, None)
+        g = self._replay_graph(edges)
+        return (maximize(g, self.config).value, g.edges)
 
-        super().load_state(state)
+    def load_state(self, state: dict) -> None:
+        self.best_cfree = self._load_best(state["best_cfree"])
+        if self.best_cfree[1] is not None and _contains_edges(self.host, self.clique) is not None:
+            raise CheckpointError(
+                f"checkpoint best_cfree holds the reference clique K_{self.clique_order}")
+        self.best_plain = self._load_best(state["best_plain"])
         self.evaluated = state["evaluated"]
         self.screened = state["screened"]
-        self.best_plain = best(state["best_plain"])
-        self.best_cfree = best(state["best_cfree"])
+        super().load_state(state)
 
     def _argmax(self, best) -> Hypergraph | None:
         return None if best[1] is None else canonical_form(Hypergraph(3, self.n, best[1]))
@@ -964,37 +994,12 @@ def _is_edges(x) -> bool:
         isinstance(e, list) and all(type(v) is int and v >= 1 for v in e) for e in x)
 
 
-def _fits(edges: list, n: int, r: int) -> bool:
-    """Are ``edges`` distinct r-sets of [n], each written and all listed in
-    increasing order, as a run stores them?"""
-    es = [tuple(e) for e in edges]
-    return (all(len(e) == r and list(e) == sorted(set(e)) and all(1 <= v <= n for v in e)
-                for e in es)
-            and all(a < b for a, b in zip(es, es[1:])))
-
-
-def _is_running_best(x) -> bool:
-    return (isinstance(x, list) and len(x) == 2 and type(x[0]) in (int, float)
-            and (x[1] is None or _is_edges(x[1])))
-
-
-def _reachable_best(best, n: int) -> bool:
-    """Could a density run on [n] hold the running best ``best``: -1 with
-    no edges before any survivor is optimized, else a value at most the
-    proved bound of :func:`~hyperlag.lagrangian.upper_bound` on the
-    Lagrangian of its edges, which no ``maximize`` value exceeds?"""
-    value, edges = best
-    if edges is None:
-        return value == -1
-    return value <= upper_bound(Hypergraph(3, n, tuple(map(tuple, edges))), value)
-
-
-# the value each state field must hold, as checkpoint.schema.json states it
+# the value each state field other than decisions and stats must hold, as
+# checkpoint.schema.json states it; the graphs are then replayed on load
 _STATE_VALUES = {
-    "best": lambda x: type(x) is int and x >= -1,
     "witnesses": lambda x: isinstance(x, list) and all(map(_is_edges, x)),
     "evaluated": _is_count, "screened": _is_count,
-    "best_plain": _is_running_best, "best_cfree": _is_running_best,
+    **dict.fromkeys(("best_plain", "best_cfree"), lambda x: x is None or _is_edges(x)),
 }
 
 
@@ -1004,13 +1009,12 @@ def checkpoint_resume(path, expect_space: dict | None = None):
     on a space that describes no run (a missing key, an unknown pattern or
     mode, a malformed forbidden graph) or is not exactly the space of the
     run it rebuilds (an unknown key, another ``r``); and on a state that
-    lacks a field of the run's kind, whose stats are not exactly the
-    :class:`SearchStats` fields, whose values are not of the types
-    ``checkpoint.schema.json`` gives them, whose stored edges do not fit
-    the run (see :func:`_fits`), whose running bests no run could hold
-    (see :func:`_reachable_best`), whose decisions are not 0/1 tokens at
-    most as many as the ground set has, or whose decisions include an edge
-    the run would have refused (see :meth:`_ColexDFS.replay`)."""
+    does not hold exactly the fields of the run's kind, whose stats are not
+    exactly the :class:`SearchStats` fields, whose values are not of the
+    types ``checkpoint.schema.json`` gives them, or whose decisions are not
+    0/1 tokens at most as many as the ground set has; and on a stored graph
+    or decision list the run itself would refuse (see the ``load_state``
+    methods)."""
     with open(path) as fh:
         payload = json.load(fh)
     _require_fields("parts", payload, ("version", "space", "state"))
@@ -1044,26 +1048,12 @@ def checkpoint_resume(path, expect_space: dict | None = None):
             f"checkpoint space {space!r} is not that of the run it rebuilds, "
             f"{run.space_descriptor()!r}")
     state = payload["state"]
-    missing = sorted(set(run.to_state()) - set(state if isinstance(state, dict) else ()))
-    if missing:
-        raise CheckpointError(f"checkpoint state lacks {missing}")
+    _require_fields("state fields", state, run.to_state())
     _require_fields("stats fields", state["stats"], (f.name for f in fields(SearchStats)))
     bad = [f"stats.{k}" for k, v in sorted(state["stats"].items()) if not _is_count(v)]
     bad += [k for k in run.to_state() if k in _STATE_VALUES and not _STATE_VALUES[k](state[k])]
     if bad:
         raise CheckpointError(f"checkpoint state values {bad} are malformed")
-    stored = ([("witnesses", w) for w in state["witnesses"]] if kind == "turan" else
-              [(k, state[k][1]) for k in ("best_plain", "best_cfree") if state[k][1] is not None])
-    bad = sorted({k for k, edges in stored if not _fits(edges, run.n, run.r)})
-    if bad:
-        raise CheckpointError(
-            f"checkpoint state edges in {bad} are not sorted distinct {run.r}-sets of [1, {run.n}]")
-    bests = ("best_plain", "best_cfree") if kind == "density" else ()
-    bad = [k for k in bests if not _reachable_best(state[k], run.n)]
-    if bad:
-        raise CheckpointError(
-            f"checkpoint running bests {bad} are not -1 with no edges, nor at most "
-            f"a proved bound on the Lagrangian of their edges")
     decisions = state["decisions"]
     if (not isinstance(decisions, list) or len(decisions) > run.M
             or any(t not in (0, 1) for t in decisions)):

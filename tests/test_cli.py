@@ -147,6 +147,19 @@ def test_lambda_parse_error_exit_one(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("obj,match", [
+    ({"r": 3, "n": 4.9, "edges": [[1, 2, 3]]}, "vertex count must be an integer, got 4.9"),
+    ({"r": "3", "n": 4, "edges": [[1, 2, 3]]}, "uniformity must be an integer, got '3'"),
+    ({"r": 3, "n": 4, "edges": [[True, 2, 3]]}, "vertex ids must be positive integers"),
+], ids=["float-n", "string-r", "boolean-vertex"])
+def test_lambda_refuses_json_numbers_that_are_not_integers(tmp_path, capsys, obj, match):
+    # each was read as an integer: n = 4, r = 3, vertex 1
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    assert main(["lambda", str(path)]) == 1
+    assert match in capsys.readouterr().err
+
+
 def test_lambda_uncertified_exit_two(tmp_path):
     # an irrational optimum cannot land on an exactly stationary float
     # point, so an absurd tolerance leaves it uncertified
@@ -236,6 +249,12 @@ def test_checkpoints_validate(tmp_path):
         checkpoint_save(DensityRun("P2", 5), path)
         payload = json.loads(path.read_text())
         payload["space"]["config"]["support_rows"] = 8
+        with pytest.raises(jsonschema.ValidationError):
+            _validate(payload, "checkpoint.schema.json")
+        # and a state field a run derives, such as a version 6 best count
+        checkpoint_save(TuranRun(5, (named("F5"),)), path)
+        payload = json.loads(path.read_text())
+        payload["state"]["best"] = -1
         with pytest.raises(jsonschema.ValidationError):
             _validate(payload, "checkpoint.schema.json")
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperlag.hgio import HgParseError, emit_hg, from_json_obj, load, parse_hg, save, to_json_obj
-from hyperlag.hypergraph import Hypergraph, complete, linear_path
+from hyperlag.hypergraph import Hypergraph, complete, linear_path, new
 
 
 @st.composite
@@ -68,3 +68,30 @@ def test_writer_emits_canonical_sorted_form(tmp_path):
     text = emit_hg(g)
     lines = [l for l in text.splitlines() if not l.startswith(("#", "r="))]
     assert lines == sorted(lines)
+
+
+def test_parse_blames_the_line_and_column_of_a_bad_edge():
+    # the first two lines are fine; vertex 33 is on line 3, column 5
+    with pytest.raises(HgParseError, match=r"line 3, column 5: vertex 33 is outside \[1, 7\]"):
+        parse_hg("r=3 n=7\n1 2 3\n1 2 33\n")
+
+
+def test_parse_blames_a_repeated_vertex_where_it_repeats():
+    with pytest.raises(HgParseError, match=r"line 3, column 5: vertex 2 repeats in this edge"):
+        parse_hg("r=3 n=7\n\n1 2 2\n")
+
+
+def test_parse_blames_an_edge_of_the_wrong_size_on_its_line():
+    with pytest.raises(HgParseError, match=r"line 3, column 1: edge has 4 vertices, expected 3"):
+        parse_hg("r=3 n=7\n1 2 3\n1 2 3 4\n")
+
+
+def test_parse_blames_a_header_new_refuses_on_the_header_line():
+    with pytest.raises(HgParseError, match=r"line 2, column 1: uniformity must be >= 2"):
+        parse_hg("# r too small\nr=1 n=4\n1\n")
+
+
+@pytest.mark.parametrize("edge", [(1, 2, 3, 3), (1, 1, 2)])
+def test_new_says_an_edge_repeats_a_vertex(edge):
+    with pytest.raises(ValueError, match=r"repeats a vertex"):
+        new(3, 5, [edge])

@@ -5,11 +5,13 @@ import random
 import time
 import types
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperlag.cli import main
 from hyperlag.corpora import random_hypergraph
 from hyperlag.freeness import _plan, contains, creates_linear_path, is_free
 import hyperlag.search as search_mod
@@ -871,9 +873,8 @@ def test_deadline_stops_a_long_downset_run():
 
 
 def _fake_maximize(g, config):
-    # the budget tests exercise the engine, not the optimizer; the value is
-    # the edge polynomial at the uniform weighting, at most the Lagrangian,
-    # so a resume does not refuse the running bests it leads to
+    # the budget tests exercise the engine, not the optimizer; a resume
+    # recomputes its running bests' values with this same stand-in
     return types.SimpleNamespace(value=len(g.edges) / g.n**3)
 
 
@@ -1096,8 +1097,9 @@ def test_checkpoint_keeps_every_setting(tmp_path):
 
     # a version 3 file carries the heaps and knobs this version no longer
     # has, a version 4 file the deleted support-enumeration size, a
-    # version 5 file no screened count
-    for version in (3, 4, 5):
+    # version 5 file no screened count, a version 6 file the values a
+    # version 7 run derives from its graphs
+    for version in (3, 4, 5, 6):
         payload["version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="version"):
@@ -1158,15 +1160,24 @@ def test_checkpoint_refuses_stats_with_an_unknown_field(tmp_path):
 def test_checkpoint_refuses_state_missing_a_field(tmp_path):
     path = tmp_path / "t.json"
     payload = _paused_turan_payload(path)
-    del payload["state"]["best"]
-    _refused(path, payload, r"lacks \['best'\]")
+    del payload["state"]["witnesses"]
+    _refused(path, payload, "state fields")
     checkpoint_save(DensityRun("P2", 5, "all"), path)
     saved = path.read_text()
     # a version 5 density state has no screened count
-    for field in ("evaluated", "screened"):
+    for field in ("evaluated", "screened", "best_plain"):
         payload = json.loads(saved)
         del payload["state"][field]
-        _refused(path, payload, rf"lacks \['{field}'\]")
+        _refused(path, payload, "state fields")
+
+
+def test_checkpoint_refuses_state_with_an_unknown_field(tmp_path):
+    # a version 6 turan state stores its best count, which a version 7
+    # run derives from its witnesses
+    path = tmp_path / "t.json"
+    payload = _paused_turan_payload(path)
+    payload["state"]["best"] = 10
+    _refused(path, payload, "state fields")
 
 
 def test_checkpoint_refuses_decisions_past_the_ground_set(tmp_path):
@@ -1245,19 +1256,20 @@ def _density_payload(path):
     ("turan", lambda p: {**p, "state": {**p["state"],
                                         "stats": {**p["state"]["stats"], "nodes": "x"}}},
      r"\['stats.nodes'\]"),
-    ("turan", lambda p: {**p, "state": {**p["state"], "best": "x"}}, r"\['best'\]"),
+    ("turan", lambda p: {**p, "state": {**p["state"], "best": "x"}}, "state fields"),
     ("density", lambda p: {**p, "state": {**p["state"], "evaluated": "x"}}, r"\['evaluated'\]"),
     ("density", lambda p: {**p, "state": {**p["state"], "best_plain": [0.9, [[1, 2, 3]]]}},
-     r"running bests \['best_plain'\]"),
+     r"\['best_plain'\]"),
     ("density", lambda p: {**p, "state": {**p["state"], "best_cfree": [0.5, None]}},
-     r"running bests \['best_cfree'\]"),
+     r"\['best_cfree'\]"),
 ], ids=["top-level-array", "stats-list", "witnesses-int", "best-plain-int", "stats-nodes-str",
         "best-str", "evaluated-str", "best-plain-above-bound", "best-cfree-value-without-edges"])
 def test_checkpoint_refuses_malformed_state_values(tmp_path, kind, edit, match):
-    # unchecked, each but the last two would raise a raw AttributeError or
-    # TypeError, on load or later in the resumed run; the last two would
-    # resume to a report with a value no survivor has (0.9 for an edge
-    # whose Lagrangian is 1/27) or with no argmax for its value
+    # unchecked, each but the last three would raise a raw AttributeError or
+    # TypeError, on load or later in the resumed run.  A version 7 state has
+    # no best count and no running-best values: they are derived on load, so
+    # the last three are refused as fields that do not exist or values that
+    # are not edges or null
     path = tmp_path / "c.json"
     payload = _paused_turan_payload(path) if kind == "turan" else _density_payload(path)
     _refused(path, edit(payload), match)
@@ -1279,12 +1291,122 @@ def test_checkpoint_refuses_edges_that_do_not_fit_the_run(tmp_path, kind, field,
     # the resumed run's result() raises a raw ValueError
     path = tmp_path / "c.json"
     payload = _paused_turan_payload(path) if kind == "turan" else _density_payload(path)
-    payload["state"][field] = [edges] if kind == "turan" else [0.9, edges]
-    _refused(path, payload, rf"edges in \['{field}'\]")
+    payload["state"][field] = [edges] if kind == "turan" else edges
+    _refused(path, payload, "graph does not fit the run")
     # the same payload with its edges in order loads
-    payload["state"][field] = [[[1, 2, 3], [1, 2, 4]]] if kind == "turan" else [1 / 27, [[1, 2, 3]]]
+    payload["state"][field] = [[[1, 2, 3], [1, 2, 4]]] if kind == "turan" else [[1, 2, 3]]
     path.write_text(json.dumps(payload))
     checkpoint_resume(path)
+
+
+def _paused_payload(path, run, nodes):
+    """``run`` paused at ``nodes`` nodes and saved to ``path``; returns the
+    saved payload."""
+    assert not run.run(max_nodes=nodes)
+    checkpoint_save(run, path)
+    return json.loads(path.read_text())
+
+
+def _forge_density_value(state):
+    # a running best with a value above 7/64 beside a genuine survivor
+    state["best_plain"] = [0.11, state["best_plain"]]
+
+
+def _forge_density_clique(state):
+    # K_7^3 contains P3
+    state["best_plain"] = [list(e) for e in complete(7).edges]
+
+
+def _forge_turan_best(state):
+    state["best"] = 15
+
+
+def _forge_turan_witness(state):
+    # K_5^3 contains F5
+    state["witnesses"] = [[list(e) for e in complete(5).edges]]
+
+
+# each forgery resumed to a false exact report while the state stored
+# values it could derive and checked them apart from the run's own tests
+@pytest.mark.parametrize("make,nodes,forge,match,argv", [
+    (lambda: DensityRun("P4", 9), 100, _forge_density_value, r"\['best_plain'\]",
+     ["density", "--pattern", "P4", "--n", "9"]),
+    (lambda: DensityRun("P3", 7), 100, _forge_density_clique, "which the include test refuses",
+     ["density", "--pattern", "P3", "--n", "7"]),
+    (lambda: TuranRun(6, (named("F5"),)), 50, _forge_turan_best, "state fields",
+     ["turan", "--n", "6", "--forbid", "F5"]),
+    (lambda: TuranRun(6, (named("F5"),)), 50, _forge_turan_witness,
+     "which the include test refuses", ["turan", "--n", "6", "--forbid", "F5"]),
+], ids=["density-P4-9-value-0.11", "density-P3-7-best-K7", "turan-F5-6-best-15",
+        "turan-F5-6-witness-K5"])
+def test_checkpoint_refuses_a_forged_result(tmp_path, make, nodes, forge, match, argv):
+    path = tmp_path / "c.json"
+    payload = _paused_payload(path, make(), nodes)
+    forge(payload["state"])
+    _refused(path, payload, match)
+    saved = path.read_text()
+    assert main([*argv, "--checkpoint", str(path)]) == 1
+    assert path.read_text() == saved
+
+
+def test_checkpoint_derives_a_running_best_value_from_its_edges(tmp_path):
+    # a running best is stored as its edges alone, and its value is the one
+    # maximize gives them, as when the run optimized them
+    path = tmp_path / "c.json"
+    run = DensityRun("P4", 9)
+    payload = _paused_payload(path, run, 200)
+    assert run.best_plain[0] == 7 / 64 > run.best_cfree[0] > 0
+    assert checkpoint_resume(path).best_plain == run.best_plain
+    payload["state"]["best_plain"] = payload["state"]["best_cfree"]
+    path.write_text(json.dumps(payload))
+    assert checkpoint_resume(path).best_plain == run.best_cfree
+
+
+def test_checkpoint_refuses_witnesses_of_unequal_sizes(tmp_path):
+    path = tmp_path / "t.json"
+    payload = _paused_turan_payload(path)
+    payload["state"]["witnesses"] = [[[1, 2, 3]], [[1, 2, 3], [1, 2, 4]]]
+    _refused(path, payload, r"unequal sizes \[1, 2\]")
+    # either alone loads, and its size is the best count
+    for w in payload["state"]["witnesses"]:
+        path.write_text(json.dumps({**payload, "state": {**payload["state"], "witnesses": [w]}}))
+        assert checkpoint_resume(path).best == len(w)
+
+
+def test_checkpoint_refuses_a_clique_free_best_holding_the_clique(tmp_path):
+    # K_6^3 is P3-free and left-compressed, so it may be the plain running
+    # best of a P3 run on 7 vertices, but it is the reference clique
+    path = tmp_path / "c.json"
+    payload = _paused_payload(path, DensityRun("P3", 7), 100)
+    k6 = [list(e) for e in complete(6).edges]
+    payload["state"]["best_cfree"] = k6
+    _refused(path, payload, "best_cfree holds the reference clique K_6")
+    payload["state"]["best_cfree"] = None
+    payload["state"]["best_plain"] = k6
+    path.write_text(json.dumps(payload))
+    assert checkpoint_resume(path).best_plain[1] == complete(6).edges
+
+
+def test_checkpoint_refuses_a_running_best_outside_the_left_compressed_space(tmp_path):
+    # {1, 2, 4} without its lower cover {1, 2, 3} is no down-set
+    path = tmp_path / "c.json"
+    payload = _paused_payload(path, DensityRun("P3", 7), 100)
+    payload["state"]["best_plain"] = [[1, 2, 4]]
+    _refused(path, payload, r"includes \(1, 2, 4\) without all its lower covers")
+
+
+def test_checkpoint_state_fields_are_all_checked_and_in_the_schema():
+    # every field a state holds is checked on resume and described by the
+    # schema, and the schema describes no other
+    schema = json.loads((Path(__file__).resolve().parent.parent / "docs" / "schemas"
+                         / "checkpoint.schema.json").read_text())
+    runs = (TuranRun(5, (named("F5"),)), DensityRun("P2", 5))
+    for run in runs:
+        written = set(run.to_state())
+        assert written == {"decisions", "stats"} | (written & set(search_mod._STATE_VALUES))
+        assert written == set(schema["$defs"][f"{run.kind}_state"]["properties"])
+    assert ({"decisions", "stats"} | set(search_mod._STATE_VALUES)
+            == set().union(*(run.to_state() for run in runs)))
 
 
 @pytest.mark.parametrize("part", ["space", "state"])
@@ -1347,7 +1469,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     with pytest.raises(CheckpointError, match="version"):
         checkpoint_resume(path)
     # a version 2 decision list belongs to the tree without the lex-leader cut
-    assert CHECKPOINT_VERSION == 6
+    assert CHECKPOINT_VERSION == 7
     payload["version"] = 2
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="version"):
