@@ -17,10 +17,9 @@ import random
 
 from .hypergraph import Hypergraph, new
 from .freeness import creates_linear_path
-from .lagrangian import OptimizerConfig, is_dense
+from .lagrangian import is_dense
 from .search import enumerate_left_compressed
 
-_GEN_OPT = OptimizerConfig(restarts=12, iterations=250)
 # attempts before covers_pairs_path_free gives up on its seed stream
 _COVERING_TRIES = 400
 
@@ -134,7 +133,7 @@ def covering_path4_free_9() -> tuple[Hypergraph, ...]:
 
 @functools.cache
 def _dense_covering_path4_free_9() -> tuple[Hypergraph, ...]:
-    return tuple(g for g in covering_path4_free_9() if is_dense(g, _GEN_OPT))
+    return tuple(g for g in covering_path4_free_9() if is_dense(g))
 
 
 def left_compressed_dense_path4_free_9(rnd: random.Random) -> Hypergraph:

@@ -34,12 +34,10 @@ def parse_hg(text: str) -> Hypergraph:
         if not line or line.startswith("#"):
             continue
         if r is None:
-            r, n = _parse_header(line, no)
+            r, n = _parse_header(raw, no)
             continue
         verts = []
-        col = 1
-        for tok in raw.split():
-            col = raw.index(tok, col - 1) + 1
+        for col, tok in _fields(raw):
             try:
                 v = int(tok)
             except ValueError:
@@ -49,7 +47,6 @@ def parse_hg(text: str) -> Hypergraph:
             if v in verts:
                 raise HgParseError(f"vertex {v} repeats in this edge", no, col)
             verts.append(v)
-            col += len(tok)
         if len(verts) != r:
             raise HgParseError(f"edge has {len(verts)} vertices, expected {r}", no)
         edges.append(verts)
@@ -58,18 +55,31 @@ def parse_hg(text: str) -> Hypergraph:
     return new(r, n, edges)
 
 
-def _parse_header(line: str, no: int) -> tuple[int, int]:
+def _fields(raw: str):
+    """The whitespace-separated fields of a line with their 1-based columns."""
+    end = 0
+    for tok in raw.split():
+        start = raw.index(tok, end)
+        yield start + 1, tok
+        end = start + len(tok)
+
+
+def _parse_header(raw: str, no: int) -> tuple[int, int]:
+    """The header's r and n; each must appear once, and nothing else."""
     vals = {}
-    col = 1
-    for part in line.split():
+    for col, part in _fields(raw):
         if "=" not in part:
             raise HgParseError(f"malformed header field {part!r}", no, col)
         key, _, sval = part.partition("=")
+        if key not in ("r", "n"):
+            raise HgParseError(f"unknown header field {key!r}; the header is 'r=<int> n=<int>'",
+                               no, col)
+        if key in vals:
+            raise HgParseError(f"header field {key!r} repeats", no, col)
         try:
             vals[key] = int(sval)
         except ValueError:
             raise HgParseError(f"header field {part!r} is not an integer", no, col)
-        col += len(part) + 1
     if "r" not in vals or "n" not in vals:
         raise HgParseError("header must define both r= and n=", no)
     try:

@@ -10,12 +10,13 @@ The maximizer runs two strategies:
 * projected gradient ascent with backtracking line search on the simplex,
   run batched over the uniform start and random restarts.
 
-The reduced polynomial is held as one table per derivative order (value,
-gradient, Hessian): per term, a monomial (a row of column indices) and a
-row of coefficients.  The gradient table is lowered from the value
-table and the Hessian table from the gradient table, all when the
-problem is built, and each order is evaluated by one gather and one
-matrix product.
+The reduced polynomial is held once, as the symmetric coefficient tensor
+T of its polar form (Ramshaw, "Blossoms are polar forms", CAGD 1989):
+f(y) = T(y, .., y).  Everything reads T.  The ascent takes a gradient
+table off it, one gather and one matrix product per batch, and the value
+from the gradient by Euler's identity; the Newton polish contracts T for
+the Hessian; :func:`upper_bound` contracts it with the vertices of
+subsimplices for Bernstein coefficients.
 
 These starts and the certification starts below run as one ascent batch
 per call, every row on the whole simplex.  Each row runs its own line
@@ -144,96 +145,88 @@ def gradient(g: Hypergraph, x):
 # reduced block problem
 
 
-def _lower(mono: np.ndarray, coef: np.ndarray, m: int):
-    """Differentiate a table of monomials once.  Row t of ``mono`` is a
-    monomial, a multiset of column indices, and row t of ``coef`` holds its
-    coefficient in each of c outputs.  Returns the distinct monomials with
-    one column removed, in order of terms and then of ascending removed
-    column, and their (U, c*m) coefficients: column j*m + k holds output
-    j's partial in y_k."""
-    d = mono.shape[1]
-    c = coef.shape[1]
-    lowered: dict[tuple[int, ...], np.ndarray] = {}
-    for t in range(len(mono)):
-        row = mono[t].tolist()
-        for k in sorted(set(row)):
-            rest = row.copy()
-            rest.remove(k)
-            lowered.setdefault(tuple(rest), np.zeros((c, m)))[:, k] = coef[t] * row.count(k)
-    U = len(lowered)
-    return (np.array(list(lowered), dtype=np.int64).reshape(U, max(d - 1, 0)),
-            np.array(list(lowered.values())).reshape(U, c * m))
+def _runs(rows: np.ndarray) -> np.ndarray:
+    """Per entry of each sorted row, its place in its run of equal entries,
+    from 1; a row's product is the product of its multiplicities'
+    factorials."""
+    run = np.ones(rows.shape, dtype=np.int64)
+    for j in range(1, rows.shape[1]):
+        run[:, j] = np.where(rows[:, j] == rows[:, j - 1], run[:, j - 1] + 1, 1)
+    return run
 
 
-def _block_table(g: Hypergraph):
-    """The value table of ``g``'s block form: (cols, coeffs, mults, classes)
-    as :class:`_BlockProblem` takes them, one column per class of
-    :func:`~hyperlag.hypergraph.equivalence_classes`."""
-    part = equivalence_classes(g)
-    classes = part.classes
-    idx = {}
-    for k, c in enumerate(classes):
-        for v in c:
-            idx[v] = k
+def _block_form(g: Hypergraph):
+    """The block form of ``g`` as its polar tensor: (T, mults, classes).
+
+    Column k stands for class k of
+    :func:`~hyperlag.hypergraph.equivalence_classes`, whose ``mults[k]``
+    vertices weigh y_k / mults[k] each.  T is the symmetric tensor with r
+    axes of length m and f(y) = T(y, .., y): entry (a, b, ..) is the
+    coefficient of the monomial {a, b, ..} shared equally among the
+    distinct orderings of that multiset.  An entry rounds at most r+2
+    times: 1.0 is divided by mults[k]^(count of k) for each distinct k of
+    the monomial in ascending order (at most r roundings; the powers are
+    exact integers), multiplied by the number of edges with that monomial,
+    and divided by the number of orderings."""
+    classes = equivalence_classes(g).classes
     mults = np.array([len(c) for c in classes], dtype=float)
-    counts: dict[tuple[int, ...], int] = {}
-    for e in g.edges:
-        mono = tuple(sorted(idx[v] for v in e))
-        counts[mono] = counts.get(mono, 0) + 1
-    # terms in ascending order of their class signatures (the multiplicity
-    # of each column), which for sorted multisets of one size is
-    # descending lex order
-    monos = sorted(counts, reverse=True)
-    coeffs = np.zeros(len(monos))
-    for t, mono in enumerate(monos):
-        # vertex weight = y_k / |class k|
-        scale = 1.0
-        for k in sorted(set(mono)):
-            scale /= mults[k] ** mono.count(k)
-        coeffs[t] = counts[mono] * scale
-    cols = np.array(monos, dtype=np.int64).reshape(len(monos), g.r)
-    return cols, coeffs, mults, classes
+    m, r = len(classes), g.r
+    cls = np.zeros(g.n + 1, dtype=np.int64)
+    for k, c in enumerate(classes):
+        cls[list(c)] = k
+    edges = np.array(g.edges, dtype=np.int64).reshape(len(g.edges), r)
+    monos, counts = np.unique(np.sort(cls[edges], axis=1), axis=0, return_counts=True)
+    run = _runs(monos)
+    scale = np.ones(len(monos))
+    for j in range(r):
+        # the last place of a run of k divides by mults[k]^count
+        last = monos[:, j] != monos[:, j + 1] if j + 1 < r else True
+        scale = np.where(last, scale / mults[monos[:, j]] ** run[:, j], scale)
+    share = counts * scale / (math.factorial(r) // run.prod(axis=1))
+    T = np.zeros((m,) * r)
+    for order in itertools.permutations(range(r)):
+        T[tuple(monos[:, list(order)].T)] = share
+    return T, mults, classes
 
 
 class _BlockProblem:
-    """max  sum_j c_j * prod_k y_k^(A_jk)  over the standard simplex.
+    """max f(y) = T(y, .., y) over the standard simplex, for T the polar
+    tensor of ``g``'s block form (see :func:`_block_form`).
 
-    Built from a hypergraph by collapsing each weight-exchangeable class to
-    one variable; ``mults[k]`` vertices share weight y_k / mults[k], and the
-    coefficients absorb the multiplicities.
-
-    The monomials are homogeneous of the uniformity degree, so each term is
-    stored as a degree-long multiset of columns.  Every derivative order is
-    one such table, a monomial per row and a row of coefficients, evaluated
-    by one gather, a product and a matrix product: the value table
-    (``_cols``, ``coeffs``), the gradient table (``_gmono``, ``_gcoef``)
-    and the Hessian table (``_hmono``, ``_hcoef``), each lowered from the
-    one before by :func:`_lower` when the problem is built.
+    The gradient table is read off T: per sorted (r-1)-multiset u of
+    columns that T uses, the row r * orderings(u) * T[:, u], so that
+    grad f(y) sums the rows weighted by the products of y over u.
+    :meth:`value_grad` evaluates it by one gather, a product and a matrix
+    product, and the value by Euler's identity y . grad f(y) = r f(y).
+    :meth:`hessian` is r(r-1) T(y, .., y, ., .), T contracted with y r-2
+    times (zero for r = 1, where f is linear).
     """
 
-    def __init__(self, cols: np.ndarray, coeffs: np.ndarray, mults: np.ndarray, classes):
-        self._cols = cols         # (T, degree) column indices, ascending in each row
-        self.coeffs = coeffs      # (T,)
-        self.mults = mults        # (m,)
-        self.classes = classes    # tuple of vertex tuples, aligned with columns
-        self.m = len(mults)
-        self.degree = cols.shape[1]
-        self._gmono, self._gcoef = _lower(cols, coeffs[:, None], self.m)
-        self._hmono, self._hcoef = _lower(self._gmono, self._gcoef, self.m)
+    def __init__(self, g: Hypergraph):
+        self.T, self.mults, self.classes = _block_form(g)
+        self.m = m = len(self.mults)
+        self.degree = r = g.r
+        # T's nonzero columns T[:, u] with u sorted, in lex order
+        monos = np.argwhere(self.T.any(axis=0))
+        monos = monos[(np.diff(monos, axis=1) >= 0).all(axis=1)]
+        orderings = math.factorial(r - 1) // _runs(monos).prod(axis=1)
+        flat = monos @ m ** np.arange(r - 2, -1, -1)
+        self._monos = monos
+        self._coefs = (r * orderings)[:, None] * self.T.reshape(m, -1)[:, flat].T
 
-    @classmethod
-    def from_graph(cls, g: Hypergraph):
-        return cls(*_block_table(g))
-
-    def value(self, Y: np.ndarray) -> np.ndarray:
-        return Y[..., self._cols].prod(axis=-1) @ self.coeffs
-
-    def grad(self, Y: np.ndarray) -> np.ndarray:
-        return Y[..., self._gmono].prod(axis=-1) @ self._gcoef
+    def value_grad(self, Y: np.ndarray):
+        # for r = 1 the multisets are empty and their products are 1
+        G = Y[..., self._monos].prod(axis=-1) @ self._coefs
+        return (G * Y).sum(axis=-1) / self.degree, G
 
     def hessian(self, y: np.ndarray) -> np.ndarray:
-        # for 2-graphs the monomials are empty and their products are 1
-        return (y[self._hmono].prod(axis=-1) @ self._hcoef).reshape(self.m, self.m)
+        r = self.degree
+        if r == 1:
+            return np.zeros((self.m, self.m))
+        H = self.T
+        for _ in range(r - 2):
+            H = H @ y
+        return r * (r - 1) * H
 
     def expand(self, y: np.ndarray) -> np.ndarray:
         """Block weights back to per-vertex weights."""
@@ -252,20 +245,6 @@ class _BlockProblem:
 _BOUND_BUDGET = 96
 
 
-def _polar_tensor(cols: np.ndarray, coeffs: np.ndarray, m: int) -> np.ndarray:
-    """The symmetric coefficient tensor of the block form's polar form:
-    entry (a, b, c) is P(e_a, e_b, e_c), the coefficient of the term whose
-    monomial is the multiset {a, b, c} shared equally among the distinct
-    orderings of that multiset."""
-    T = np.zeros((m,) * cols.shape[1])
-    for mono, c in zip(cols.tolist(), coeffs.tolist()):
-        orders = set(itertools.permutations(mono))
-        share = c / len(orders)
-        for order in orders:
-            T[order] = share
-    return T
-
-
 def upper_bound(g: Hypergraph, target: float) -> float:
     """A proved upper bound on the Lagrangian of ``g`` and on
     ``maximize(g).value``, whatever the configuration.  The bound is refined
@@ -274,9 +253,9 @@ def upper_bound(g: Hypergraph, target: float) -> float:
     there), or ``_BOUND_BUDGET`` subsimplices are made; a caller asks
     whether the result is below ``target``.
 
-    The bound is that of the block form f, homogeneous of degree r, over
-    the simplex of class weights (Ramshaw, "Blossoms are polar forms", CAGD
-    1989).  Soundness, in four parts:
+    The bound is that of the block form f(y) = T(y, .., y) of
+    :func:`_block_form`, homogeneous of degree r, over the simplex of class
+    weights.  Soundness, in four parts:
 
     1. λ is the maximum of f.  Swapping two members of one class of
        :func:`~hyperlag.hypergraph.equivalence_classes` is an automorphism,
@@ -288,22 +267,21 @@ def upper_bound(g: Hypergraph, target: float) -> float:
        on points that f describes.
     2. Bernstein coefficients.  A point of a subsimplex with vertex rows
        v_0..v_{m-1} is sum_a β_a v_a with β in the simplex, so f there is
-       P(y, .., y) = sum over ordered r-tuples of β_a β_b .. times
-       P(v_a, v_b, ..), whose weights are nonnegative and sum to one.  So
-       the largest coefficient P(v_a, v_b, ..) bounds f on the subsimplex,
+       T(y, .., y) = sum over ordered r-tuples of β_a β_b .. times
+       T(v_a, v_b, ..), whose weights are nonnegative and sum to one.  So
+       the largest coefficient T(v_a, v_b, ..) bounds f on the subsimplex,
        and the largest over a set of subsimplices covering the simplex
-       bounds λ.  Each subsimplex's coefficients are r contractions of the
-       tensor of :func:`_polar_tensor` with its vertex rows.  Bisecting the
-       longest edge splits a subsimplex into two that cover it; the
-       midpoint of two dyadic points is dyadic, and the budget allows at
-       most (96 − 1)/2 bisections on any chain, so every coordinate is a
-       multiple of 2^-47, exact in floats, and every vertex lies on the
-       simplex.
+       bounds λ.  Each subsimplex's coefficients are r contractions of T
+       with its vertex rows.  Bisecting the longest edge splits a
+       subsimplex into two that cover it; the midpoint of two dyadic
+       points is dyadic, and the budget allows at most (96 − 1)/2
+       bisections on any chain, so every coordinate is a multiple of
+       2^-47, exact in floats, and every vertex lies on the simplex.
     3. The γ margin.  Every term is nonnegative, so each float sum is off
        by at most γ_j = j·u/(1 − j·u) relatively for j roundings on the
        way (Higham, "Accuracy and stability of numerical algorithms",
-       §3.1): r+1 in the coefficient table, one in the tensor entry, m in
-       each contraction.  A float ``maximize`` value exceeds λ by at most
+       §3.1): r+2 in each entry of T (see :func:`_block_form`), m in each
+       contraction.  A float ``maximize`` value exceeds λ by at most
        γ_{r(n+1)} relatively: its weights sum to 1 within n roundings, f
        scales by that sum to the r-th power, and each product and the
        compensated sum round once more.  Doubling the count of roundings
@@ -316,9 +294,8 @@ def upper_bound(g: Hypergraph, target: float) -> float:
     """
     if not g.edges:
         return 0.0
-    cols, coeffs, mults, _ = _block_table(g)
+    T, mults, _ = _block_form(g)
     m, r = len(mults), g.r
-    T = _polar_tensor(cols, coeffs, m)
     k = 2 * ((r + 2) + r * m + r * (g.n + 1))
     gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
     diag = (np.arange(m),) * r
@@ -369,35 +346,31 @@ def _pga(problem: _BlockProblem, Y0: np.ndarray, iters: int, tol: float):
     search.
 
     Each pass makes one trial step for every row still in the batch: a
-    row whose trial does not lose value takes it, grows its step size by
-    1.25 (capped at 1e3) and gets a fresh gradient; any other row halves
+    row whose trial does not lose value takes it, with the gradient there,
+    and grows its step size by 1.25 (capped at 1e3); any other row halves
     its step size and tries again on the next pass.  A row leaves the batch
     after ``iters`` accepted steps, once five accepted steps in a row gain
     less than ``tol``, or when 22 halvings in a row find no ascent
     (stationary at float precision).  Rows never wait for each other, so a
-    pass costs one projection and one evaluation of the rows left."""
+    pass costs one projection and one ``value_grad`` of the rows left."""
     outY = Y0.astype(float).copy()
-    outF = problem.value(outY)
+    outF, G = problem.value_grad(outY)
     if iters <= 0:
         return outY, outF
     idx = np.arange(len(outY))
     Y = outY.copy()
     F = outF.copy()
-    G = np.empty_like(Y)
     eta = np.full(len(Y), 0.25)
     stall = np.zeros(len(Y), dtype=int)
     halved = np.zeros(len(Y), dtype=int)
     steps = np.zeros(len(Y), dtype=int)
-    ok = np.ones(len(Y), dtype=bool)
     while True:
-        moved = np.nonzero(ok)[0]
-        if len(moved):
-            G[moved] = problem.grad(Y[moved])
         cand = _project_rows(Y + eta[:, None] * G)
-        fc = problem.value(cand)
+        fc, gc = problem.value_grad(cand)
         ok = fc >= F
         stall = np.where(ok & (fc - F >= tol), 0, stall + ok)
         Y = np.where(ok[:, None], cand, Y)
+        G = np.where(ok[:, None], gc, G)
         F = np.where(ok, fc, F)
         eta = np.where(ok, np.minimum(eta * 1.25, 1e3), eta * 0.5)
         halved = np.where(ok, 0, halved + 1)
@@ -409,9 +382,9 @@ def _pga(problem: _BlockProblem, Y0: np.ndarray, iters: int, tol: float):
             keep = ~done
             if not keep.any():
                 break
-            idx, Y, F, G, eta, stall, halved, steps, ok = (
+            idx, Y, F, G, eta, stall, halved, steps = (
                 idx[keep], Y[keep], F[keep], G[keep], eta[keep], stall[keep], halved[keep],
-                steps[keep], ok[keep])
+                steps[keep])
     return outY, outF
 
 
@@ -449,7 +422,7 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray):
         support = {k for k in support if y[k] > 1e-12} or {int(np.argmax(y))}
         S = sorted(support)
         s = len(S)
-        g = problem.grad(y[None, :])[0]
+        _, g = problem.value_grad(y)
         mu = float(np.mean(g[S]))
         stuck = False
         for _it in range(40):
@@ -470,7 +443,7 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray):
                 mu2 = mu + step * delta[s]
                 if (y2[S] >= -1e-12).all():
                     y2 = np.clip(y2, 0.0, None)
-                    g2 = problem.grad(y2[None, :])[0]
+                    _, g2 = problem.value_grad(y2)
                     F2 = np.append(g2[S] - mu2, y2[S].sum() - 1.0)
                     if float(np.max(np.abs(F2))) <= base_res * (1.0 - 0.2 * step) + 1e-16:
                         y, mu, g = y2, mu2, g2
@@ -481,8 +454,7 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray):
                 stuck = base_res >= 1e-13
                 break
         if not (stuck and s > 1):
-            g = problem.grad(y[None, :])[0]
-            val = float(problem.value(y[None, :])[0])
+            val, g = problem.value_grad(y)
             grow = [k for k in range(m) if k not in support and g[k] > problem.degree * val + 1e-12]
             if grow:
                 k = max(grow, key=lambda k: g[k])
@@ -503,8 +475,8 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray):
     # left or the input; 1e-13 is above that rounding and far below any
     # real loss
     for fallback in (kept, y_in):
-        if fallback is not None and (float(problem.value(y[None, :])[0])
-                                     < float(problem.value(fallback[None, :])[0]) - 1e-13):
+        if fallback is not None and (problem.value_grad(y)[0]
+                                     < problem.value_grad(fallback)[0] - 1e-13):
             y = fallback
     return y
 
@@ -614,7 +586,7 @@ def maximize(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG) -> Optimum
         support = tuple(range(1, g.n + 1))
         return OptimumResult(0.0, WeightVector(ws), support, 0.0, 0, "float", True, config.seed)
 
-    problem = _BlockProblem.from_graph(g)
+    problem = _BlockProblem(g)
     m = problem.m
     starts = [np.full((1, m), 1.0 / m),
               _dirichlet(np.random.default_rng(config.seed), config.restarts, m),

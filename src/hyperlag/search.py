@@ -181,6 +181,8 @@ class _ColexDFS:
     """
 
     def __init__(self, n: int, r: int, downset: bool):
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got n={n}")
         self.n = n
         self.r = r
         self.downset = downset
@@ -321,7 +323,7 @@ class _ColexDFS:
     def run(self, max_nodes: int | None = None, max_seconds: float | None = None) -> bool:
         """Drive the DFS to completion; False means a budget stopped it.
         The deadline is read each time another 256 nodes are counted."""
-        deadline = time.monotonic() + max_seconds if max_seconds else None
+        deadline = time.monotonic() + max_seconds if max_seconds is not None else None
         budget = max_nodes
         stats = self.stats
         decisions = self.decisions
@@ -332,7 +334,7 @@ class _ColexDFS:
             if budget is not None and stats.nodes >= budget:
                 return False
             if deadline is not None and stats.nodes >= next_clock:
-                if time.monotonic() > deadline:
+                if time.monotonic() >= deadline:
                     return False
                 next_clock = stats.nodes + 256
             d = len(decisions)
@@ -950,7 +952,11 @@ def _checkpointed(run, max_nodes, max_seconds, checkpoint):
     """Execute ``run``.  With a ``checkpoint`` path, an existing file is
     resumed first (refused unless its space is exactly ``run``'s), so
     ``max_nodes`` counts the whole run's nodes, and a run a budget stops is
-    saved there.  Without one no file is touched."""
+    saved there.  Without one no file is touched.  A budget of 0 stops the
+    run at once; a negative one is refused."""
+    for name, budget in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
+        if budget is not None and not budget >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {budget}")
     if checkpoint is not None and os.path.exists(checkpoint):
         run = checkpoint_resume(checkpoint, expect_space=run.space_descriptor())
     result = run.execute(max_nodes, max_seconds)

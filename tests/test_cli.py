@@ -332,6 +332,29 @@ def test_density_capped_exit_three(capsys):
                  "--max-nodes", "3"]) == 3
 
 
+@pytest.mark.parametrize("budget", [["--max-nodes", "0"], ["--max-seconds", "0"]],
+                         ids=["nodes", "seconds"])
+def test_a_zero_budget_stops_the_run_at_once(budget, capsys):
+    assert main(["turan", "--n", "6", "--forbid", "F5", "--json", *budget]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "lower_bound"
+    assert payload["stats"]["nodes"] == 0
+
+
+@pytest.mark.parametrize("budget, message", [
+    (["--max-nodes", "-1"], "max_nodes must be nonnegative, got -1"),
+    (["--max-seconds", "-1"], "max_seconds must be nonnegative, got -1.0"),
+], ids=["nodes", "seconds"])
+def test_a_negative_budget_exits_one(budget, message, capsys):
+    assert main(["density", "--pattern", "P2", "--n", "5", *budget]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_negative_vertex_count_exits_one(capsys):
+    assert main(["turan", "--n", "-3", "--forbid", "F5"]) == 1
+    assert capsys.readouterr().err == "error: n must be nonnegative, got n=-3\n"
+
+
 def test_density_unknown_pattern_exit_one(capsys):
     # the search's own list of patterns is the only one
     assert main(["density", "--pattern", "P5", "--n", "5"]) == 1

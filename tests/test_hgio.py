@@ -42,6 +42,16 @@ def test_parse_bad_header_reports_position():
         parse_hg("r=3 nonsense\n1 2 3\n")
 
 
+def test_parse_refuses_an_unknown_header_field():
+    with pytest.raises(HgParseError, match=r"line 1, column 9: unknown header field 'q'"):
+        parse_hg("r=3 n=5 q=1\n1 2 3\n")
+
+
+def test_parse_refuses_a_repeated_header_field():
+    with pytest.raises(HgParseError, match=r"line 2, column 9: header field 'r' repeats"):
+        parse_hg("# c\nr=3 n=5 r=2\n1 2 3\n")
+
+
 def test_parse_bad_token_reports_line_and_column():
     with pytest.raises(HgParseError, match=r"line 2, column 3"):
         parse_hg("r=3 n=4\n1 x 3\n")

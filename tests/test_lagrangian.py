@@ -307,7 +307,7 @@ def test_one_ascent_batch_per_maximize(monkeypatch):
         assert len(calls) == 1
 
 
-@given(st.sampled_from([2, 3]), st.integers(3, 8), st.integers(0, 10**6), st.booleans())
+@given(st.sampled_from([2, 3, 4]), st.integers(3, 8), st.integers(0, 10**6), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_block_gradient_matches_vertex_gradient(r, n, seed, blow):
     rnd = random.Random(seed)
@@ -315,13 +315,58 @@ def test_block_gradient_matches_vertex_gradient(r, n, seed, blow):
     if blow:
         # blown-up classes are weight-exchangeable, so blocks get multiplicities
         g = blowup(g, [rnd.randint(1, 3) for _ in range(g.n)])
-    problem = _BlockProblem.from_graph(g)
+    problem = _BlockProblem(g)
     y = np.array(random_simplex_point(rnd, problem.m))
-    got = problem.grad(y[None, :])[0]
-    want = gradient(g, problem.expand(y).tolist())
+    value, got = problem.value_grad(y[None, :])
+    x = problem.expand(y).tolist()
+    assert value[0] == pytest.approx(evaluate(g, x), abs=1e-13)
+    want = gradient(g, x)
     for k, cls in enumerate(problem.classes):
         for v in cls:
-            assert got[k] == pytest.approx(want[v - 1], abs=1e-13)
+            assert got[0, k] == pytest.approx(want[v - 1], abs=1e-13)
+
+
+def test_maximize_a_one_uniform_graph():
+    # two singleton edges: the form is linear, its gradient table has one
+    # empty multiset and its Hessian is zero
+    res = maximize(Hypergraph(1, 3, ((1,), (2,))))
+    assert res.value == 1.0
+    assert res.certified and res.exact_value == 1
+
+
+def _loop_polar_tensor(g):
+    """The per-entry loop that _block_form replaced, kept as its reference:
+    each entry is computed by the same operations in the same order."""
+    classes = equivalence_classes(g).classes
+    idx = {v: k for k, c in enumerate(classes) for v in c}
+    counts = {}
+    for e in g.edges:
+        mono = tuple(sorted(idx[v] for v in e))
+        counts[mono] = counts.get(mono, 0) + 1
+    T = np.zeros((len(classes),) * g.r)
+    for mono, count in counts.items():
+        scale = 1.0
+        for k in sorted(set(mono)):
+            scale /= float(len(classes[k])) ** mono.count(k)
+        orders = set(itertools.permutations(mono))
+        for order in orders:
+            T[order] = count * scale / len(orders)
+    return T
+
+
+@given(st.sampled_from([2, 3, 4]), st.integers(3, 6), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_block_form_matches_the_per_entry_loop(r, n, seed, blow):
+    # classes of up to five vertices make coefficients that a reordered
+    # division rounds differently
+    rnd = random.Random(seed)
+    g = random_hypergraph(rnd, max(n, r), r=r)
+    if blow:
+        g = blowup(g, [rnd.randint(1, 5) for _ in range(g.n)])
+    T, mults, classes = lagrangian._block_form(g)
+    assert T.tobytes() == _loop_polar_tensor(g).tobytes()
+    assert classes == equivalence_classes(g).classes
+    assert mults.tolist() == [len(c) for c in classes]
 
 
 def _exact_block_hessian(g, problem, y):
@@ -339,14 +384,14 @@ def _exact_block_hessian(g, problem, y):
                       for l in range(m)] for k in range(m)])
 
 
-@given(st.sampled_from([2, 3]), st.integers(3, 8), st.integers(0, 10**6), st.booleans())
+@given(st.sampled_from([2, 3, 4]), st.integers(3, 8), st.integers(0, 10**6), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_hessian_matches_central_differences(r, n, seed, blow):
     rnd = random.Random(seed)
     g = random_hypergraph(rnd, max(n, r), r=r)
     if blow:
         g = blowup(g, [rnd.randint(1, 3) for _ in range(g.n)])
-    problem = _BlockProblem.from_graph(g)
+    problem = _BlockProblem(g)
     y = np.array(random_simplex_point(rnd, problem.m))
     H = problem.hessian(y)
     assert H == pytest.approx(_exact_block_hessian(g, problem, y), rel=0, abs=1e-13)
@@ -354,7 +399,7 @@ def test_hessian_matches_central_differences(r, n, seed, blow):
     for k in range(problem.m):
         e = np.zeros(problem.m)
         e[k] = h
-        fd = (problem.grad((y + e)[None, :])[0] - problem.grad((y - e)[None, :])[0]) / (2 * h)
+        fd = (problem.value_grad(y + e)[1] - problem.value_grad(y - e)[1]) / (2 * h)
         assert H[:, k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
@@ -375,7 +420,7 @@ def _lockstep_pga(problem, Y0, iters, tol, masks=None):
         s = outY.sum(axis=1, keepdims=True)
         s[s == 0] = 1.0
         outY /= s
-    outF = problem.value(outY)
+    outF = problem.value_grad(outY)[0]
     idx = np.arange(len(outY))
     Y = outY.copy()
     F = outF.copy()
@@ -383,7 +428,7 @@ def _lockstep_pga(problem, Y0, iters, tol, masks=None):
     eta = np.full(len(Y), 0.25)
     stall = np.zeros(len(Y), dtype=int)
     for _ in range(iters):
-        G = problem.grad(Y)
+        G = problem.value_grad(Y)[1]
         if M is not None:
             G = G * M
         cand = Y
@@ -393,7 +438,7 @@ def _lockstep_pga(problem, Y0, iters, tol, masks=None):
             if M is not None:
                 step = np.where(M > 0, step, -1e30)
             cand = lagrangian._project_rows(step)
-            fc = problem.value(cand)
+            fc = problem.value_grad(cand)[0]
             bad = fc < F
             if not bad.any():
                 break
@@ -426,40 +471,34 @@ def _lockstep_pga(problem, Y0, iters, tol, masks=None):
 # rows, so a plain sum too can round a row by the batch it is in.
 
 
-def _rowwise_value(problem, Y):
-    return np.cumsum(Y[..., problem._cols].prod(axis=-1) * problem.coeffs, axis=-1)[..., -1]
-
-
-def _rowwise_grad(problem, Y):
-    P = Y[..., problem._gmono].prod(axis=-1)
-    return np.cumsum(P[..., None, :] * problem._gcoef.T, axis=-1)[..., -1]
+def _rowwise_value_grad(problem, Y):
+    P = Y[..., problem._monos].prod(axis=-1)
+    G = np.cumsum(P[..., None, :] * problem._coefs.T, axis=-1)[..., -1]
+    return np.cumsum(G * Y, axis=-1)[..., -1] / problem.degree, G
 
 
 class _RowwiseProblem:
     """A graph's block problem with value and gradient reduced row by row,
     so that no row's numbers depend on the rest of the batch (the matrix
     products of _BlockProblem may round by the batch's layout).  Rows whose
-    first weight exceeds ``descend_above`` get the negated gradient: each
-    of their trial steps loses value, so they use up their 22 halvings
-    unmoved.  Evaluations are capped, so a line search that never gives
-    up fails instead of hanging."""
+    first weight exceeds ``descend_above`` get the negated gradient (and
+    the true value): each of their trial steps loses value, so they use up
+    their 22 halvings unmoved.  Evaluations are capped, so a line search
+    that never gives up fails instead of hanging."""
 
     def __init__(self, g, descend_above=None, max_values=20_000):
-        self.block = _BlockProblem.from_graph(g)
+        self.block = _BlockProblem(g)
         self.m = self.block.m
         self.descend_above = descend_above
         self.values_left = max_values
 
-    def value(self, Y):
+    def value_grad(self, Y):
         self.values_left -= 1
         assert self.values_left >= 0, "the line search did not terminate"
-        return _rowwise_value(self.block, Y)
-
-    def grad(self, Y):
-        G = _rowwise_grad(self.block, Y)
+        F, G = _rowwise_value_grad(self.block, Y)
         if self.descend_above is not None:
             G = np.where(Y[..., :1] > self.descend_above, -G, G)
-        return G
+        return F, G
 
 
 def _count_projections(monkeypatch, cap=50_000):
@@ -508,12 +547,12 @@ def test_pga_retires_a_row_after_22_failed_halvings(monkeypatch):
     Y, F = lagrangian._pga(problem, Y0[:6], 400, 1e-14)
     assert calls[0] == 22                           # one trial per halving
     assert Y.tobytes() == Y0[:6].tobytes()          # retired unmoved
-    assert F.tobytes() == problem.value(Y0[:6]).tobytes()
+    assert F.tobytes() == problem.value_grad(Y0[:6])[0].tobytes()
     Y, F = lagrangian._pga(problem, Y0, 400, 1e-14)
     Yo, Fo = _lockstep_pga(problem, Y0, 400, 1e-14)
     assert Y.tobytes() == Yo.tobytes() and F.tobytes() == Fo.tobytes()
     assert Y[:6].tobytes() == Y0[:6].tobytes()
-    assert (F[6:] > problem.value(Y0[6:])).all()
+    assert (F[6:] > problem.value_grad(Y0[6:])[0]).all()
 
 
 def test_pga_stall_counts_only_consecutive_small_gains():
@@ -535,8 +574,7 @@ def test_pga_passes_never_exceed_the_lockstep_oracle(monkeypatch):
     # line search, so results must agree bit for bit; the per-row search
     # makes one pass per step of its longest row, the lockstep search one
     # per trial of the batch's slowest halving in every iteration
-    monkeypatch.setattr(_BlockProblem, "value", _rowwise_value)
-    monkeypatch.setattr(_BlockProblem, "grad", _rowwise_grad)
+    monkeypatch.setattr(_BlockProblem, "value_grad", _rowwise_value_grad)
     calls = _count_projections(monkeypatch)
     rnd = random.Random(961)
     graphs = [random_hypergraph(rnd, 6 + i % 5) for i in range(10)]
@@ -566,11 +604,11 @@ def test_maximize_matches_the_support_enumeration_oracle():
     while len(graphs) < 150:
         r = rnd.choice([2, 3])
         g = random_hypergraph(rnd, rnd.randint(r + 1, 9), r=r)
-        if g.edges and 2 <= _BlockProblem.from_graph(g).m <= 7:
+        if g.edges and 2 <= _BlockProblem(g).m <= 7:
             graphs.append(g)
     worst = -math.inf
     for g in graphs:
-        problem = _BlockProblem.from_graph(g)
+        problem = _BlockProblem(g)
         m = problem.m
         masks = np.array([[(bits >> k) & 1 for k in range(m)] for bits in range(1, 2 ** m)],
                          dtype=float)
@@ -765,7 +803,7 @@ def _grid_max(sizes, counts, denom=60):
 @settings(max_examples=30, deadline=None)
 def test_upper_bound_is_above_the_grid_maximum_on_three_blocks(r, seed):
     g, sizes, counts = _typed_graph(random.Random(seed), r)
-    assert _BlockProblem.from_graph(g).m <= 3
+    assert _BlockProblem(g).m <= 3
     grid = _grid_max(sizes, counts)
     assert grid > 0
     for target in (grid, grid * Fraction(1001, 1000)):

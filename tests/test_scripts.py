@@ -1,6 +1,7 @@
 """Every name the benchmark's span tracer wraps exists, and the matcher
 it wraps is the one the searches call, since a missing or bypassed one
-would make its metrics read 0 silently.  Every function and class of
+would make its metrics read 0 silently.  The Lagrangian layer builds
+its block form in one function.  Every function and class of
 the package is reached from outside tests, every JSON schema is used,
 no module imports a name it does not use, and neither the command line
 nor the searches read graph names themselves."""
@@ -64,6 +65,17 @@ def test_searches_reach_the_matcher_only_through_contains_edges():
                              if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "_contains_edges" in used
     assert sorted(used & parts) == []
+
+
+def test_the_block_form_is_built_in_one_place():
+    # the tracer times lagrangian.equivalence_classes, and every reader of
+    # the block form (the ascent, the Newton polish, upper_bound) takes
+    # the tensor from _block_form; a second caller would be a second builder
+    tree = ast.parse((ROOT / "src" / "hyperlag" / "lagrangian.py").read_text())
+    callers = sorted({fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      for node in ast.walk(fn) if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name) and node.func.id == "equivalence_classes"})
+    assert callers == ["_block_form"]
 
 
 # Top-level names no code outside tests reaches, each with its reason.
