@@ -25,6 +25,7 @@ from .hypergraph import (
 )
 from .hgio import HgParseError, emit_hg, from_json_obj, load, parse_hg, save, to_json_obj
 from .lagrangian import (
+    F3_COMPLETION_BOUND,
     ClosedForm,
     OptimizerConfig,
     OptimumResult,

@@ -113,7 +113,7 @@ def cmd_lambda(args) -> int:
         print(f"seed: {args.seed}")
         print(f"value: {_fmt_value(res.value, res.exact_value)}")
         print(f"support: {list(res.support)}")
-        print(f"weights: {[round(w, 12) for w in res.weighting.as_floats()]}")
+        print(f"weights: {[round(w, 12) for w in res.weighting.weights]}")
         print(f"kkt_residual: {res.kkt_residual:.3e}")
         print(f"certified: {res.certified} ({res.mode})")
     return EXIT_OK if res.certified else EXIT_UNCERTIFIED

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from .hypergraph import (
     Hypergraph,
+    complete,
     compress,
     induced,
     linear_path,
@@ -523,7 +524,7 @@ def contains_core(g: Hypergraph, pattern: Hypergraph, p: int) -> bool:
 # dense and left-compressed rewriting
 
 
-_K8_FLOOR = closed_form("K", 8).value - 0.005
+_K8_FLOOR = closed_form(complete(8)).value - 0.005
 
 
 def left_compress_loop(g: Hypergraph, t: int,
@@ -561,7 +562,7 @@ def left_compress_loop(g: Hypergraph, t: int,
         if rounds > cap:
             raise RuntimeError("left_compress_loop failed to terminate within the round cap")
         cur, opt = densify(cur, config)
-        ws = opt.weighting.as_floats()
+        ws = opt.weighting.weights
         order = sorted(range(1, cur.n + 1), key=lambda v: (-ws[v - 1], v))
         mapping = {old: new for new, old in enumerate(order, start=1)}
         cur = relabel(cur, mapping)

@@ -67,9 +67,6 @@ class Hypergraph:
                 d[v] += 1
         return d[1:]
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
     def __repr__(self) -> str:
         shown = ",".join("".join(map(str, e)) if self.n <= 9 else _fmt_edge(e) for e in self.edges[:12])
         more = "..." if len(self.edges) > 12 else ""

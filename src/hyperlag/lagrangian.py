@@ -22,16 +22,17 @@ These starts and the certification starts below run as one ascent batch
 per call, every row on the whole simplex.  Each row runs its own line
 search: a pass makes one trial step for every row left, so a row that has
 found its step size moves on while another is still halving.  A row
-leaves the batch after ``iterations`` accepted steps, when it stalls, or
-when its line search finds no ascent in 22 halvings.
+leaves the batch after ``_ASCENT_STEPS`` accepted steps, when it stalls,
+or when its line search finds no ascent in 22 halvings.
 
 The best point is polished by a guarded Newton iteration on the active
 support, which drops its lightest variable when the optimum is not
 isolated there (a face of maximizers makes the Newton system singular).
 It is then certified: a result is "certified" only if its first-order
-residual is below ``kkt_tol`` and eight extra random starts, which share
-the batch but are never taken as the best point, fail to beat its value
-by more than ``kkt_tol``.  Certification is a stationarity check, not a
+residual is below ``kkt_tol`` (every partial on the support within it of
+r times the value, and none off the support above that by more) and
+eight extra random starts, which share the batch but are never taken as
+the best point, fail to beat its value by more than ``kkt_tol``.  Certification is a stationarity check, not a
 proof of global optimality; the value is always a valid lower bound for
 the true maximum.
 """
@@ -47,7 +48,7 @@ from math import comb
 
 import numpy as np
 
-from .hypergraph import Hypergraph, complete, complete_minus, equivalence_classes, induced, named
+from .hypergraph import Hypergraph, complete, complete_minus, equivalence_classes, induced
 
 __all__ = [
     "WeightVector",
@@ -58,6 +59,7 @@ __all__ = [
     "maximize",
     "closed_form",
     "ClosedForm",
+    "F3_COMPLETION_BOUND",
     "motzkin_straus",
     "is_dense",
     "densify",
@@ -71,38 +73,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightVector:
-    """A point of the standard simplex: n nonnegative weights of unit sum.
+    """A point of the standard simplex: n nonnegative float weights whose
+    sum is 1 within 1e-12."""
 
-    mode "rational" (all entries Fraction, exact unit sum) or "float"
-    (unit sum within 1e-12).
-    """
-
-    weights: tuple
+    weights: tuple[float, ...]
 
     def __post_init__(self):
         ws = self.weights
         if any(w < 0 for w in ws):
             raise ValueError("weights must be nonnegative")
-        if self.mode == "rational":
-            if sum(ws, Fraction(0)) != 1:
-                raise ValueError("rational weights must sum to exactly 1")
-        elif ws and abs(math.fsum(ws) - 1.0) > 1e-12:
-            raise ValueError("float weights must sum to 1 within 1e-12")
-
-    @property
-    def mode(self) -> str:
-        return "rational" if _rational(self.weights) else "float"
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    @classmethod
-    def uniform(cls, n: int) -> "WeightVector":
-        return cls(tuple(Fraction(1, n) for _ in range(n)))
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(w) for w in self.weights)
+        if ws and abs(math.fsum(ws) - 1.0) > 1e-12:
+            raise ValueError("weights must sum to 1 within 1e-12")
 
 
 def _coerce_weights(g: Hypergraph, x):
@@ -489,13 +470,28 @@ def _newton_polish(problem: _BlockProblem, y_in: np.ndarray):
 class OptimizerConfig:
     """The maximizer's settings, one profile for every caller: a density
     search optimizes each maximal survivor once with the configuration it
-    was given.  ``iterations`` caps the accepted ascent steps of a row."""
+    was given.  ``restarts`` random starts join the uniform one, drawn from
+    ``seed``; ``kkt_tol`` bounds the first-order residual and the margin
+    by which a certification start may beat a certified value.  A setting
+    the optimizer cannot use is refused with a ValueError naming it."""
 
     restarts: int = 64
     seed: int = 0
     kkt_tol: float = 1e-8
-    iterations: int = 400
 
+    def __post_init__(self):
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        tol = self.kkt_tol
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                or not (math.isfinite(tol) and tol >= 0)):
+            raise ValueError(f"kkt_tol must be a finite number >= 0, got {tol!r}")
+
+
+# the accepted ascent steps of a row
+_ASCENT_STEPS = 400
 
 DEFAULT_CONFIG = OptimizerConfig()
 
@@ -515,7 +511,7 @@ class OptimumResult:
     def to_json(self) -> dict:
         out = {
             "value": self.value,
-            "weights": list(self.weighting.as_floats()),
+            "weights": list(self.weighting.weights),
             "support": list(self.support),
             "kkt_residual": self.kkt_residual,
             "certified": self.certified,
@@ -592,7 +588,7 @@ def maximize(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG) -> Optimum
               _dirichlet(np.random.default_rng(config.seed), config.restarts, m),
               # the certification starts share the batch but never supply the optimum
               _dirichlet(np.random.default_rng(config.seed + 0x9E3779B9), _CERT_STARTS, m)]
-    Y, f = _pga(problem, np.vstack(starts), config.iterations, 1e-14)
+    Y, f = _pga(problem, np.vstack(starts), _ASCENT_STEPS, 1e-14)
     best = int(np.argmax(f[:-_CERT_STARTS]))
     y = _newton_polish(problem, Y[best])
 
@@ -604,11 +600,12 @@ def maximize(g: Hypergraph, config: OptimizerConfig = DEFAULT_CONFIG) -> Optimum
     # is recomputable as evaluate(g, weighting)
     value = float(evaluate(g, x.tolist()))
     grads = np.array(gradient(g, x.tolist()))
-    support = tuple(int(v + 1) for v in np.nonzero(x > 1e-10)[0])
-    if support:
-        kkt = float(max(abs(grads[v - 1] - g.r * value) for v in support))
-    else:
-        kkt = 0.0
+    on = x > 1e-10
+    support = tuple(int(v + 1) for v in np.nonzero(on)[0])
+    # a maximum on the simplex has every partial on the support equal to
+    # r times the value and none off it above that
+    excess = grads - g.r * value
+    kkt = float(max(np.abs(excess[on]).max(initial=0.0), excess[~on].max(initial=0.0)))
 
     beaten = float(f[-_CERT_STARTS:].max()) > value + config.kkt_tol
     certified = (kkt <= config.kkt_tol) and not beaten
@@ -637,38 +634,35 @@ class ClosedForm:
     blocks: tuple[tuple[int, float], ...] | None = None  # (class size, per-vertex weight)
 
 
-def closed_form(name: str, t: int | None = None, r: int = 3) -> ClosedForm:
-    """Known exact optima for complete and near-complete graphs, plus the
-    block bound for the completion of the 9-vertex pendant-star family.
-
-    Names: "K" with t (and r), "F3_completion_bound", or any name that
-    :func:`~hyperlag.hypergraph.named` reads as a complete graph K_t^r or
-    as K_4^-, K_6^- or K_8^- (3-uniform), however it is spelt.  Raises
-    ValueError for any other name or graph.
-    """
-    if name.upper() == "K":
-        if t is None:
-            raise ValueError("closed_form('K') needs t")
+def closed_form(g: Hypergraph) -> ClosedForm:
+    """The known exact optimum of ``g`` when it is a complete graph K_t^r,
+    or the 3-uniform K_4^-, K_6^- or K_8^- as :func:`complete_minus`
+    labels it.  Raises ValueError for any other graph."""
+    t, r = g.n, g.r
+    if t >= r and g == complete(t, r):
         return ClosedForm(comb(t, r) / t**r, ((t, 1.0 / t),))
-    if name.upper() == "F3_COMPLETION_BOUND":
-        # blocks: 3 hub vertices at weight x, 6 pendant vertices at weight y
-        y = (math.sqrt(873.0) - 15.0) / 162.0
-        x = (1.0 - 6.0 * y) / 3.0
-        return ClosedForm(x**3 + 8 * y**3 + 18 * x**2 * y + 45 * x * y**2, ((3, x), (6, y)))
-    g = named(name)
-    if g == complete(g.n, g.r):
-        return closed_form("K", g.n, g.r)
-    if g.r == 3 and g.n in (4, 6, 8) and g == complete_minus(g.n):
-        if g.n == 4:
+    if r == 3 and t in (4, 6, 8) and g == complete_minus(t):
+        if t == 4:
             # one free vertex weight a, three symmetric weights b; 3ab^2 with a+3b=1
             return ClosedForm(4.0 / 81.0, ((1, 1.0 / 3.0), (3, 2.0 / 9.0)))
-        if g.n == 6:
+        if t == 6:
             # a^3 - 3a^2 + a at its critical point a = (3 - sqrt 6)/3
             a = (3.0 - math.sqrt(6.0)) / 3.0
             return ClosedForm(a**3 - 3 * a**2 + a, ((3, a), (3, (1 - 3 * a) / 3)))
         a = (4.0 - math.sqrt(13.0)) / 3.0
         return ClosedForm((5 * a**3 - 20 * a**2 + 5 * a) / 3.0, ((5, a), (3, (1 - 5 * a) / 3)))
-    raise ValueError(f"no closed form for {name!r}")
+    raise ValueError(f"no closed form for {g!r}")
+
+
+def _f3_completion_bound() -> ClosedForm:
+    # blocks: 3 hub vertices at weight x, 6 pendant vertices at weight y
+    y = (math.sqrt(873.0) - 15.0) / 162.0
+    x = (1.0 - 6.0 * y) / 3.0
+    return ClosedForm(x**3 + 8 * y**3 + 18 * x**2 * y + 45 * x * y**2, ((3, x), (6, y)))
+
+
+# the block bound for the completion of the 9-vertex pendant-star family
+F3_COMPLETION_BOUND = _f3_completion_bound()
 
 
 # ---------------------------------------------------------------------------

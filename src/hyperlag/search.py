@@ -75,7 +75,7 @@ from .hypergraph import (
 )
 from .lagrangian import DEFAULT_CONFIG, OptimizerConfig, closed_form, maximize, upper_bound
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 # the patterns a density run supports, by canonical name
 _DENSITY_PATTERNS = ("P2", "T2", "P3", "P4")
 # enumerate_all walks 2^C(n, r) edge sets; past this many r-sets it refuses
@@ -722,9 +722,9 @@ def turan_number(n: int, forbidden, max_nodes: int | None = None,
 class DensityReport:
     space: dict
     counts: dict
-    max_lambda: float
+    max_lambda: float | None
     argmax_graph: Hypergraph | None
-    max_lambda_complete_free: float
+    max_lambda_complete_free: float | None
     argmax_complete_free: Hypergraph | None
     separations: dict
     status: str
@@ -734,10 +734,12 @@ class DensityReport:
             "space": self.space,
             "counts": self.counts,
             "max_lambda": self.max_lambda,
-            "argmax_graph": to_json_obj(self.argmax_graph) if self.argmax_graph else None,
+            "argmax_graph": (
+                None if self.argmax_graph is None else to_json_obj(self.argmax_graph)),
             "max_lambda_complete_free": self.max_lambda_complete_free,
             "argmax_complete_free": (
-                to_json_obj(self.argmax_complete_free) if self.argmax_complete_free else None),
+                None if self.argmax_complete_free is None
+                else to_json_obj(self.argmax_complete_free)),
             "separations": self.separations,
             "status": self.status,
         }
@@ -915,9 +917,10 @@ class DensityRun(_ColexDFS):
         return None if best[1] is None else canonical_form(Hypergraph(3, self.n, best[1]))
 
     def result(self) -> DensityReport:
-        val = self.best_plain[0]
-        cval = self.best_cfree[0]
-        lam_complete = closed_form("K", self.clique_order).value
+        # a family with no optimized survivor has no maximum to report
+        val, cval = (None if best[1] is None else best[0]
+                     for best in (self.best_plain, self.best_cfree))
+        lam_complete = closed_form(self.clique).value
         return DensityReport(
             space=self.space_descriptor(),
             counts={"nodes": self.stats.nodes, "survivors": self.stats.leaves,
@@ -930,7 +933,7 @@ class DensityRun(_ColexDFS):
             separations={
                 "clique_order": self.clique_order,
                 "lambda_complete": lam_complete,
-                "epsilon_observed": lam_complete - cval if cval >= 0 else None,
+                "epsilon_observed": None if cval is None else lam_complete - cval,
             },
             status="exact" if self.finished else "partial",
         )

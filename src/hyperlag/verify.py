@@ -99,7 +99,7 @@ def check_closed_forms(config: OptimizerConfig) -> list[CheckResult]:
     g6 = complete_minus(6, 3)
     r6 = maximize(g6, config)
     graphs["near-complete-6"] = (g6, r6)
-    cf6 = closed_form("K6_minus").value
+    cf6 = closed_form(g6).value
     out.append(CheckResult("closed-forms", "near-complete-6",
                            abs(r6.value - cf6) <= 1e-7 and r6.value < 0.0887,
                            {"value": r6.value, "closed_form": cf6, "strict_bound": 0.0887}))
@@ -107,14 +107,14 @@ def check_closed_forms(config: OptimizerConfig) -> list[CheckResult]:
     g8 = complete_minus(8, 3)
     r8 = maximize(g8, config)
     graphs["near-complete-8"] = (g8, r8)
-    cf8 = closed_form("K8_minus").value
+    cf8 = closed_form(g8).value
     out.append(CheckResult("closed-forms", "near-complete-8",
                            abs(r8.value - cf8) <= 1e-7 and r8.value < 0.1077,
                            {"value": r8.value, "closed_form": cf8, "strict_bound": 0.1077}))
 
     worst_kkt = 0.0
     for key, (g, res) in graphs.items():
-        grads = gradient(g, res.weighting.as_floats())
+        grads = gradient(g, res.weighting.weights)
         for v in res.support:
             worst_kkt = max(worst_kkt, abs(grads[v - 1] - 3 * res.value))
     out.append(CheckResult("closed-forms", "kkt-support", worst_kkt <= 1e-6,
@@ -230,7 +230,7 @@ def check_path3_density(config: OptimizerConfig) -> list[CheckResult]:
     # the near-complete graph on six vertices is path-free (the path spans
     # seven), clique-free, covers its pairs and is left-compressed, so the
     # clique-free optimum is exactly its closed form
-    expected = closed_form("K6_minus").value
+    expected = closed_form(complete_minus(6, 3)).value
     eps_expected = lam6 - expected
     k6_minus_plus_iso = Hypergraph(3, 7, complete_minus(6, 3).edges)
     cargmax_ok = (rep.argmax_complete_free is not None

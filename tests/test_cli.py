@@ -257,6 +257,15 @@ def test_checkpoints_validate(tmp_path):
         payload["state"]["best"] = -1
         with pytest.raises(jsonschema.ValidationError):
             _validate(payload, "checkpoint.schema.json")
+        # and a version 7 file, whose configuration carries iterations
+        checkpoint_save(DensityRun("P2", 5), path)
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 8
+        assert sorted(payload["space"]["config"]) == ["kkt_tol", "restarts", "seed"]
+        payload["version"] = 7
+        payload["space"]["config"]["iterations"] = 400
+        with pytest.raises(jsonschema.ValidationError):
+            _validate(payload, "checkpoint.schema.json")
 
 
 def test_construct_variants(tmp_path, capsys):
@@ -295,13 +304,34 @@ def test_json_runs_cover_every_subcommand():
     assert {argv[0] for argv in JSON_RUNS} == set(sub.choices)
 
 
+def _strict_json(text):
+    """``text`` as one JSON document; NaN and Infinity, which Python's
+    json module writes and reads but JSON does not have, are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.mark.parametrize("argv", JSON_RUNS, ids=" ".join)
 def test_json_stdout_is_one_json_document(argv, tmp_path, capsys):
     g = tmp_path / "g.hg"
     g.write_text(emit_hg(named("F5")))
     out = tmp_path / "out.hg"
     main([a.format(g=g, out=out) for a in argv] + ["--json"])
-    json.loads(capsys.readouterr().out)
+    _strict_json(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-5"), ("--restarts", "-1"), ("--kkt-tol", "nan"), ("--kkt-tol", "inf"),
+])
+def test_an_optimizer_setting_it_cannot_use_exits_one(flag, value, capsys):
+    # without the check, a negative seed or restart count failed inside
+    # numpy, and a NaN tolerance was accepted and printed as "NaN"
+    assert main(["density", "--pattern", "P2", "--n", "5", flag, value, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
 
 
 def test_turan_command_with_comparison(capsys):
@@ -324,6 +354,26 @@ def test_density_command(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["max_lambda"] == pytest.approx(1 / 16)
+    _validate(payload, "density_report.schema.json")
+
+
+@pytest.mark.parametrize("argv, want", [
+    # a budget that stops the run before any survivor is optimized: no maximum
+    (["--pattern", "P3", "--n", "7", "--max-nodes", "0"],
+     {"max_lambda": None, "argmax_graph": None,
+      "max_lambda_complete_free": None, "argmax_complete_free": None}),
+    # the only survivor is the edgeless graph, whose maximum is 0
+    (["--pattern", "P2", "--n", "2"],
+     {"max_lambda": 0.0, "argmax_graph": {"r": 3, "n": 2, "edges": []},
+      "max_lambda_complete_free": 0.0, "argmax_complete_free": {"r": 3, "n": 2, "edges": []}}),
+    (["--pattern", "T2", "--n", "3", "--mode", "all"],
+     {"max_lambda_complete_free": 0.0, "argmax_complete_free": {"r": 3, "n": 3, "edges": []}}),
+], ids=["unoptimized", "edgeless", "edgeless-clique-free"])
+def test_density_reports_no_sentinel_values(argv, want, capsys):
+    code = main(["density", *argv, "--json"])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == (3 if "--max-nodes" in argv else 0)
+    assert {k: payload[k] for k in want} == want
     _validate(payload, "density_report.schema.json")
 
 

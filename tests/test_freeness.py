@@ -39,7 +39,7 @@ from hyperlag.hypergraph import (
 from hyperlag.lagrangian import OptimizerConfig, is_dense, maximize
 from hyperlag.search import enumerate_left_compressed
 
-FAST_OPT = OptimizerConfig(restarts=16, iterations=250)
+FAST_OPT = OptimizerConfig(restarts=16)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@ it wraps is the one the searches call, since a missing or bypassed one
 would make its metrics read 0 silently.  The Lagrangian layer builds
 its block form in one function.  Every function and class of
 the package is reached from outside tests, every JSON schema is used,
+the checkpoint schema names exactly the optimizer's settings,
 no module imports a name it does not use, and neither the command line
 nor the searches read graph names themselves."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -162,3 +165,14 @@ def test_every_schema_is_validated_or_referenced():
     for path in schemas:
         used |= {ref.split("#")[0] for ref in re.findall(r'"\$ref":\s*"([^"]+)"', path.read_text())}
     assert [p.name for p in schemas if p.name not in used] == []
+
+
+def test_the_checkpoint_schema_names_exactly_the_optimizer_settings():
+    # density reports and checkpoints both refer to this definition
+    from hyperlag.lagrangian import OptimizerConfig
+
+    schema = json.loads((ROOT / "docs" / "schemas" / "checkpoint.schema.json").read_text())
+    config = schema["$defs"]["optimizer_config"]
+    names = [f.name for f in fields(OptimizerConfig)]
+    assert list(config["properties"]) == names
+    assert config["required"] == names

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import random
 import time
 import types
@@ -1070,7 +1071,7 @@ def test_checkpoint_midrun_turan(tmp_path):
 
 
 def test_checkpoint_keeps_every_setting(tmp_path):
-    config = OptimizerConfig(seed=3, restarts=8, iterations=200)
+    config = OptimizerConfig(seed=3, restarts=8, kkt_tol=1e-7)
 
     def fresh():
         return DensityRun("P2", 6, "all", config)
@@ -1083,8 +1084,7 @@ def test_checkpoint_keeps_every_setting(tmp_path):
     payload = json.loads(path.read_text())
     # the space holds exactly the constructor arguments
     assert payload["space"] == {"kind": "density", "pattern": "P2", "n": 6, "mode": "all",
-                                "config": {"restarts": 8, "seed": 3, "kkt_tol": 1e-8,
-                                           "iterations": 200}}
+                                "config": {"restarts": 8, "seed": 3, "kkt_tol": 1e-7}}
     resumed = checkpoint_resume(path)
     assert (resumed.config, resumed.mode) == (config, "all")
     assert (resumed.best_plain, resumed.best_cfree) == (partial.best_plain, partial.best_cfree)
@@ -1098,8 +1098,9 @@ def test_checkpoint_keeps_every_setting(tmp_path):
     # a version 3 file carries the heaps and knobs this version no longer
     # has, a version 4 file the deleted support-enumeration size, a
     # version 5 file no screened count, a version 6 file the values a
-    # version 7 run derives from its graphs
-    for version in (3, 4, 5, 6):
+    # version 7 run derives from its graphs, and a version 7 file the
+    # deleted iterations setting
+    for version in (3, 4, 5, 6, 7):
         payload["version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="version"):
@@ -1114,7 +1115,7 @@ def test_checkpoint_config_must_hold_exactly_the_settings(tmp_path):
     # an unknown setting, such as a deleted one, is refused rather than
     # raising TypeError; a missing one is refused rather than filled in
     # with its default
-    for bad in ({**config, "support_rows": 8},
+    for bad in ({**config, "support_rows": 8}, {**config, "iterations": 400},
                 {k: v for k, v in config.items() if k != "seed"}):
         payload["space"]["config"] = bad
         path.write_text(json.dumps(payload))
@@ -1123,6 +1124,21 @@ def test_checkpoint_config_must_hold_exactly_the_settings(tmp_path):
     payload["space"]["config"] = config
     path.write_text(json.dumps(payload))
     assert checkpoint_resume(path).config == OptimizerConfig(seed=3)
+
+
+def test_checkpoint_config_must_be_usable(tmp_path):
+    # OptimizerConfig refuses these; the checkpoint reports it as its own
+    # error rather than letting a ValueError or a bad run through
+    path = tmp_path / "c.json"
+    checkpoint_save(DensityRun("P2", 5, "all"), path)
+    payload = json.loads(path.read_text())
+    config = payload["space"]["config"]
+    for setting, bad in (("seed", -5), ("restarts", -1), ("restarts", True),
+                         ("kkt_tol", math.nan), ("kkt_tol", -1e-8)):
+        payload["space"]["config"] = {**config, setting: bad}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=setting):
+            checkpoint_resume(path)
 
 
 def _paused_turan_payload(path):
@@ -1469,7 +1485,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     with pytest.raises(CheckpointError, match="version"):
         checkpoint_resume(path)
     # a version 2 decision list belongs to the tree without the lex-leader cut
-    assert CHECKPOINT_VERSION == 7
+    assert CHECKPOINT_VERSION == 8
     payload["version"] = 2
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="version"):
