@@ -20,6 +20,7 @@ from .hypergraph import (
     named,
     new,
     relabel,
+    shadow,
     turan_blowup,
     turan_count,
 )
@@ -40,8 +41,6 @@ from .lagrangian import (
 from .freeness import (
     EmbeddingMap,
     contains,
-    contains_core,
-    is_free,
     left_compress_loop,
 )
 from .search import (

@@ -168,21 +168,25 @@ def cmd_construct(args) -> int:
 
 def cmd_turan(args) -> int:
     forbidden = [pattern_by_name(s) for s in args.forbid]
+    # the balanced-blowup count is the conjectured extremal value only for
+    # large n; report both numbers side by side, asserting nothing.  It is
+    # computed first so that a bad --compare-m fails before the search
+    blowup_edges = None
+    if args.compare_m is not None:
+        blowup_edges = turan_count(args.compare_m, forbidden[0].r, args.n)
     res = turan_number(args.n, forbidden, max_nodes=args.max_nodes, max_seconds=args.max_seconds,
                        checkpoint=args.checkpoint)
     _note_checkpoint(args, res.status == "exact", res.stats.nodes)
     payload = res.to_json()
-    if args.compare_m is not None:
-        # the balanced-blowup count is the conjectured extremal value only
-        # for large n; report both numbers side by side, asserting nothing
-        payload["balanced_blowup_edges"] = turan_count(args.compare_m, 3, args.n)
+    if blowup_edges is not None:
+        payload["balanced_blowup_edges"] = blowup_edges
     if args.json:
         print(json.dumps(payload))
     else:
         print(f"max_edges: {res.max_edges} ({res.status})")
-        if args.compare_m is not None:
+        if blowup_edges is not None:
             print(f"balanced blowup with {args.compare_m} classes: "
-                  f"{payload['balanced_blowup_edges']} edges (no claim at this n)")
+                  f"{blowup_edges} edges (no claim at this n)")
         for w in res.witnesses:
             print(f"witness: {[list(e) for e in w.edges]}")
     return EXIT_OK if res.status == "exact" else EXIT_CAPPED

@@ -1,12 +1,15 @@
-"""Subgraph containment by a bitmask matcher compiled once per pattern
-(whole-graph linear-path tests are ``contains(g, linear_path(t))``), the
-incremental linear-path test that grows a path outward from a new edge
-inside searches, and the dense-and-left-compressed rewriting loop."""
+"""Subgraph containment, by two routines only: the bitmask matcher
+compiled once per pattern behind every whole-graph test (``contains``;
+a pattern-freeness test is ``contains(g, pattern) is None``, a
+linear-path test ``contains(g, linear_path(t))``), and the incremental
+linear-path test that grows a path outward from a new edge inside
+searches.  Questions about covered pairs are read off
+:func:`~hyperlag.hypergraph.shadow`, not answered here.  Also the
+dense-and-left-compressed rewriting loop."""
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -15,7 +18,6 @@ from .hypergraph import (
     Hypergraph,
     complete,
     compress,
-    induced,
     linear_path,
     link_diff,
     relabel,
@@ -464,10 +466,6 @@ def contains(g: Hypergraph, pattern: Hypergraph):
     return EmbeddingMap(tuple(sorted((p, b.bit_length() - 1) for p, b in zip(order, img))))
 
 
-def is_free(g: Hypergraph, pattern: Hypergraph) -> bool:
-    return contains(g, pattern) is None
-
-
 # ---------------------------------------------------------------------------
 # linear paths, grown from a new edge
 
@@ -500,24 +498,6 @@ def creates_linear_path(edge_masks: list[int], new_mask: int, t: int) -> bool:
         return False
 
     return grow(new_mask, new_mask, new_mask, t - 1, 0)
-
-
-def contains_core(g: Hypergraph, pattern: Hypergraph, p: int) -> bool:
-    """Whether some p vertices of g induce a copy of the pattern while
-    every pair of them is covered by an edge of g (the covering edge need
-    not stay inside the p-set)."""
-    if p < pattern.n:
-        raise ValueError(f"core size {p} smaller than pattern order {pattern.n}")
-    if p > g.n:
-        return False
-    covered: set[tuple[int, int]] = set()
-    for e in g.edges:
-        covered.update(itertools.combinations(e, 2))
-    for c in itertools.combinations(range(1, g.n + 1), p):
-        if all(pr in covered for pr in itertools.combinations(c, 2)):
-            if contains(induced(g, c), pattern) is not None:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

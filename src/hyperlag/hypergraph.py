@@ -158,15 +158,15 @@ _NAMED: dict[str, tuple[int, tuple[Edge, ...]]] = {
 # combinatorial operators
 
 
+def shadow(g: Hypergraph) -> Hypergraph:
+    """The 2-shadow: the 2-graph on [n] of the pairs that lie inside some
+    edge of g."""
+    return new(2, g.n, (p for e in g.edges for p in itertools.combinations(e, 2)))
+
+
 def covers_pairs(g: Hypergraph) -> bool:
     """True iff every 2-subset of [n] lies inside some edge."""
-    want = comb(g.n, 2)
-    seen: set[tuple[int, int]] = set()
-    for e in g.edges:
-        seen.update(itertools.combinations(e, 2))
-        if len(seen) == want:
-            return True
-    return len(seen) == want
+    return len(shadow(g).edges) == comb(g.n, 2)
 
 
 def link_diff(g: Hypergraph, j: int, i: int) -> frozenset[Edge]:
@@ -297,9 +297,7 @@ def extension(f: Hypergraph) -> Hypergraph:
     edge through the pair and those vertices.  Uncovered pairs are
     processed in lexicographic order (a normalization; all orders give
     isomorphic results), so outputs are deterministic."""
-    covered = set()
-    for e in f.edges:
-        covered.update(itertools.combinations(e, 2))
+    covered = shadow(f).edge_set()
     uncovered = [p for p in itertools.combinations(range(1, f.n + 1), 2) if p not in covered]
     edges = list(f.edges)
     nxt = f.n + 1

@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from . import corpora
-from .freeness import contains, contains_core, is_free
+from .freeness import contains
 from .hypergraph import (
     Hypergraph,
     complete,
@@ -30,6 +30,7 @@ from .hypergraph import (
     linear_path,
     named,
     new,
+    shadow,
     turan_blowup,
     turan_count,
 )
@@ -41,7 +42,14 @@ from .lagrangian import (
     maximize,
     motzkin_straus,
 )
-from .search import canonical_form, density_evidence, enumerate_all, enumerate_left_compressed, turan_number
+from .search import (
+    canonical_form,
+    density_evidence,
+    enumerate_all,
+    enumerate_left_compressed,
+    isomorphic,
+    turan_number,
+)
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,7 @@ def check_compress_preserve(seed: int) -> list[CheckResult]:
         g = Hypergraph(3, 6, edges)
         if not covers_pairs(g):
             continue
-        g_k6_free = is_free(g, k6)
+        g_k6_free = contains(g, k6) is None
         for i in range(1, 7):
             for j in range(1, 7):
                 if i == j:
@@ -190,7 +198,7 @@ def check_compress_preserve(seed: int) -> list[CheckResult]:
                 checked += 1
                 if contains(pg, p3) is not None:
                     bad_path += 1
-                if g_k6_free and not is_free(pg, k6):
+                if g_k6_free and contains(pg, k6) is not None:
                     bad_clique += 1
     elapsed = time.perf_counter() - t0
     return [CheckResult("compress-preserve", "exhaustive-n6",
@@ -220,7 +228,7 @@ def check_path3_density(seed: int) -> list[CheckResult]:
     elapsed = time.perf_counter() - t0
     lam6 = 5.0 / 54.0
     k6_plus_iso = Hypergraph(3, 7, complete(6, 3).edges)
-    argmax_ok = rep.argmax_graph is not None and canonical_form(rep.argmax_graph) == canonical_form(k6_plus_iso)
+    argmax_ok = rep.argmax_graph is not None and isomorphic(rep.argmax_graph, k6_plus_iso)
     out = [CheckResult("path3-density", "max-is-complete-6",
                        abs(rep.max_lambda - lam6) <= 1e-7 and argmax_ok and elapsed < 3600.0
                        and rep.status == "exact",
@@ -233,7 +241,7 @@ def check_path3_density(seed: int) -> list[CheckResult]:
     eps_expected = lam6 - expected
     k6_minus_plus_iso = Hypergraph(3, 7, complete_minus(6, 3).edges)
     cargmax_ok = (rep.argmax_complete_free is not None
-                  and canonical_form(rep.argmax_complete_free) == canonical_form(k6_minus_plus_iso))
+                  and isomorphic(rep.argmax_complete_free, k6_minus_plus_iso))
     eps = rep.separations["epsilon_observed"]
     out.append(CheckResult("path3-density", "clique-free-separation",
                            abs(rep.max_lambda_complete_free - expected) <= 1e-7
@@ -323,7 +331,7 @@ def check_turan_machinery(seed: int) -> list[CheckResult]:
     out = []
     ext = extension(named("T2"))
     out.append(CheckResult("turan-machinery", "extension-closes-t2",
-                           canonical_form(ext) == canonical_form(named("F5")),
+                           isomorphic(ext, named("F5")),
                            {"extension_edges": [list(e) for e in ext.edges]}))
 
     bnb = turan_number(5, [named("F5")])
@@ -356,10 +364,12 @@ def check_turan_machinery(seed: int) -> list[CheckResult]:
     out.append(CheckResult("turan-machinery", "blowup-counts", not bad,
                            {"mismatches": bad, "m_range": [3, 6], "n_max": 15}))
 
-    core_hits = []
-    for n in range(7, 15):
-        if contains_core(turan_blowup(6, 3, n), linear_path(3), 7):
-            core_hits.append(n)
+    # a copy of P3 whose 7 vertices are pairwise covered is a 7-clique of
+    # the 2-shadow, so a shadow clique number below 7 rules out every such
+    # copy, induced or not, and any 7 pairwise covered vertices at all
+    order = linear_path(3).n
+    core_hits = [n for n in range(7, 15)
+                 if motzkin_straus(shadow(turan_blowup(6, 3, n)))[1] >= order]
     out.append(CheckResult("turan-machinery", "balanced-blowup-core-free", not core_hits,
                            {"violating_n": core_hits, "n_range": [7, 14]}))
     return out

@@ -18,8 +18,9 @@ from hyperlag.hypergraph import (
     matching,
     named,
     turan_blowup,
+    turan_count,
 )
-from hyperlag import lagrangian
+from hyperlag import cli, lagrangian
 from hyperlag.search import DensityRun, TuranRun, canonical_form, checkpoint_save
 
 try:
@@ -360,6 +361,23 @@ def test_turan_command_with_comparison(capsys):
     assert payload["max_edges"] == 6
     assert payload["status"] == "exact"
     assert payload["balanced_blowup_edges"] == 7
+    _validate(payload, "turan.schema.json")
+
+
+def test_turan_compare_m_is_checked_before_the_search(monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "turan_number", no_search)
+    assert main(["turan", "--n", "7", "--forbid", "K4-", "--compare-m", "2"]) == 1
+    assert "need m >= r" in capsys.readouterr().err
+
+
+def test_turan_compare_m_counts_at_the_forbidden_uniformity(capsys):
+    code = main(["turan", "--n", "6", "--forbid", "K5_4", "--compare-m", "5", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["balanced_blowup_edges"] == turan_count(5, 4, 6) == 9
     _validate(payload, "turan.schema.json")
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlag import freeness
+from hyperlag import freeness, verify
 from hyperlag.corpora import covers_pairs_path_free, random_hypergraph
 from hyperlag.freeness import (
     EmbeddingMap,
@@ -17,9 +17,7 @@ from hyperlag.freeness import (
     _pattern_order,
     _plan,
     contains,
-    contains_core,
     creates_linear_path,
-    is_free,
     left_compress_loop,
 )
 from hyperlag.hypergraph import (
@@ -34,9 +32,10 @@ from hyperlag.hypergraph import (
     named,
     new,
     relabel,
+    shadow,
     turan_blowup,
 )
-from hyperlag.lagrangian import is_dense, maximize
+from hyperlag.lagrangian import is_dense, maximize, motzkin_straus
 from hyperlag.search import enumerate_left_compressed
 
 
@@ -604,19 +603,27 @@ def test_creates_linear_path_agrees_with_full_search_on_superset(case):
 # cores
 
 
+def _shadow_clique_number(g):
+    return motzkin_straus(shadow(g))[1]
+
+
 def test_core_in_complete():
-    assert contains_core(complete(7, 3), linear_path(3), 7)
+    assert _shadow_clique_number(complete(7, 3)) == 7
 
 
 def test_core_blocked_by_uncovered_pairs():
     for n in (12, 13, 14):
-        assert not contains_core(turan_blowup(6, 3, n), linear_path(3), 7)
+        assert _shadow_clique_number(turan_blowup(6, 3, n)) == 6
 
 
-def test_core_size_larger_than_graph():
-    assert not contains_core(complete(7, 3), linear_path(3), 8)
-    with pytest.raises(ValueError):
-        contains_core(complete(7, 3), linear_path(3), 5)
+def test_core_check_fails_on_seven_classes(monkeypatch):
+    # with seven classes every n from 7 on has seven pairwise covered
+    # vertices; a check that only flagged a clique number above 7 would
+    # pass here
+    monkeypatch.setattr(verify, "turan_blowup", lambda m, r, n: turan_blowup(m + 1, r, n))
+    entry = next(c for c in verify.check_turan_machinery(0) if c.name == "balanced-blowup-core-free")
+    assert not entry.passed
+    assert entry.detail == {"violating_n": list(range(7, 15)), "n_range": [7, 14]}
 
 
 def test_core_exhaustive_cross_check():
@@ -628,6 +635,7 @@ def test_core_exhaustive_cross_check():
         covered.update(itertools.combinations(e, 2))
     for c in itertools.combinations(range(1, 13), 7):
         assert any(p not in covered for p in itertools.combinations(c, 2))
+    assert _shadow_clique_number(g) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +693,12 @@ def test_compress_preserves_path3_freeness_exhaustive_n6():
         g = Hypergraph(3, 6, edges)
         if not covers_pairs(g):
             continue
-        free_k6 = is_free(g, k6)
+        free_k6 = contains(g, k6) is None
         for i, j in itertools.permutations(range(1, 7), 2):
             pg = compress(g, i, j)
             assert contains(pg, linear_path(3)) is None
             if free_k6:
-                assert is_free(pg, k6)
+                assert contains(pg, k6) is None
 
 
 def test_compress_preserves_path3_freeness_sampled_n7():
@@ -716,10 +724,10 @@ def test_compress_preserves_path4_freeness_on_matched_samples():
         if contains(g, named("F3")) is not None:
             continue
         qualifying += 1
-        free_k8 = is_free(g, k8)
+        free_k8 = contains(g, k8) is None
         for i, j in itertools.permutations(range(1, 10), 2):
             pg = compress(g, i, j)
             assert contains(pg, linear_path(4)) is None
             if free_k8:
-                assert is_free(pg, k8)
+                assert contains(pg, k8) is None
     assert qualifying >= 5

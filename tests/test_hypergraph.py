@@ -23,6 +23,7 @@ from hyperlag.hypergraph import (
     named,
     new,
     relabel,
+    shadow,
     turan_blowup,
     turan_count,
 )
@@ -93,6 +94,16 @@ def test_named_graphs():
     assert (f2.n, len(f2.edges)) == (10, 4)
     with pytest.raises(ValueError):
         named("F9")
+
+
+def test_shadow():
+    for t in range(3, 8):
+        assert shadow(complete(t, 3)) == complete(t, 2)
+    assert shadow(complete(6, 4)) == complete(6, 2)
+    assert len(shadow(linear_path(3)).edges) == 9
+    g = new(2, 5, [(1, 2), (2, 3), (4, 5)])
+    assert shadow(g) == g
+    assert shadow(new(3, 4, [])) == new(2, 4, [])
 
 
 def test_covers_pairs():
