@@ -26,7 +26,6 @@ from .hypergraph import (
 )
 from .hgio import HgParseError, emit_hg, from_json_obj, load, parse_hg, save, to_json_obj
 from .lagrangian import (
-    F3_COMPLETION_BOUND,
     ClosedForm,
     OptimumResult,
     WeightVector,

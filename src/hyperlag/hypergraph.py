@@ -277,18 +277,17 @@ def turan_blowup(m: int, r: int, n: int) -> Hypergraph:
 
 
 def turan_count(m: int, r: int, n: int) -> int:
-    """Edge count of turan_blowup(m, r, n), by the product-sum closed form."""
+    """Edge count of turan_blowup(m, r, n): the r-th elementary symmetric
+    sum of the m class sizes, built up one class at a time (e[j] counts
+    the j-sets meeting j distinct classes so far), in O(m r)."""
     if m < r:
         raise ValueError(f"need m >= r, got m={m}, r={r}")
     q, rem = divmod(n, m)
-    sizes = [q] * (m - rem) + [q + 1] * rem
-    total = 0
-    for combo in itertools.combinations(sizes, r):
-        p = 1
-        for s in combo:
-            p *= s
-        total += p
-    return total
+    e = [1] + [0] * r
+    for s in [q] * (m - rem) + [q + 1] * rem:
+        for j in range(r, 0, -1):
+            e[j] += e[j - 1] * s
+    return e[r]
 
 
 def extension(f: Hypergraph) -> Hypergraph:

@@ -28,14 +28,17 @@ or when its line search finds no ascent in 22 halvings.
 The best point is polished by a guarded Newton iteration on the active
 support, which drops its lightest variable when the optimum is not
 isolated there (a face of maximizers makes the Newton system singular).
-It is then certified: a result is "certified" only if its first-order
-residual is at most ``_KKT_TOL`` (every partial on the support within it
-of r times the value, and none off the support above that by more) and
-the ``_CERT_STARTS`` certification starts, which share the batch but are
-never taken as the best point, fail to beat its value by more than
-``_KKT_TOL``.  Certification is a stationarity check, not a proof of
-global optimality; the value is always a valid lower bound for the true
-maximum.
+It is then certified.  One first-order residual, :func:`_kkt` (how far
+any partial on the support is from r times the value, or any partial off
+it above that), backs both grades.  A result is "certified" only if the
+residual, in floats, is at most ``_KKT_TOL`` and the ``_CERT_STARTS``
+certification starts, which share the batch but are never taken as the
+best point, fail to beat its value by more than ``_KKT_TOL``.  It is
+"rational-certified" when, besides, its weights snap to small rationals
+whose residual, in Fractions through the exact :func:`evaluate` and
+:func:`gradient`, is exactly 0.  Certification is a stationarity check,
+not a proof of global optimality; the value is always a valid lower bound
+for the true maximum.
 
 The optimizer has one setting, the seed that draws the random starts.
 The start counts and the tolerance are constants, so ``certified`` means
@@ -63,7 +66,6 @@ __all__ = [
     "maximize",
     "closed_form",
     "ClosedForm",
-    "F3_COMPLETION_BOUND",
     "motzkin_straus",
     "is_dense",
     "densify",
@@ -103,27 +105,56 @@ def _rational(ws) -> bool:
     return bool(ws) and all(isinstance(w, Fraction) for w in ws)
 
 
+def _scaled(ws) -> tuple[int, list[int]]:
+    """(L, a) for Fraction weights: L their common denominator and a_v =
+    L w_v, so that a product of r weights is an integer over L^r."""
+    L = math.lcm(*(w.denominator for w in ws))
+    return L, [w.numerator * (L // w.denominator) for w in ws]
+
+
 def evaluate(g: Hypergraph, x):
     """Sum over edges of the product of the member weights.  Exact when
-    the weights are Fractions, compensated float summation otherwise."""
+    the weights are Fractions (an integer sum over L^r, L their common
+    denominator), compensated float summation otherwise."""
     ws = _coerce_weights(g, x)
-    rational = _rational(ws)
-    one = Fraction(1) if rational else 1.0
-    terms = [math.prod((ws[v - 1] for v in e), start=one) for e in g.edges]
-    return sum(terms, Fraction(0)) if rational else math.fsum(terms)
+    if not _rational(ws):
+        return math.fsum(math.prod((ws[v - 1] for v in e), start=1.0) for e in g.edges)
+    L, a = _scaled(ws)
+    return Fraction(sum(math.prod(a[v - 1] for v in e) for e in g.edges), L**g.r)
 
 
 def gradient(g: Hypergraph, x):
     """Partial derivatives: entry i sums, over edges through i, the product
-    of the other member weights."""
+    of the other member weights.  Exact for Fractions, as for
+    :func:`evaluate` (integer sums over L^(r-1))."""
     ws = _coerce_weights(g, x)
     rational = _rational(ws)
-    one = Fraction(1) if rational else 1.0
+    if rational:
+        L, ws = _scaled(ws)
+    one = 1 if rational else 1.0
     terms: list[list] = [[] for _ in range(g.n)]
     for e in g.edges:
         for v in e:
             terms[v - 1].append(math.prod((ws[u - 1] for u in e if u != v), start=one))
-    return [sum(t, Fraction(0)) if rational else math.fsum(t) for t in terms]
+    if rational:
+        return [Fraction(sum(t), L ** (g.r - 1)) for t in terms]
+    return [math.fsum(t) for t in terms]
+
+
+def _kkt(g: Hypergraph, ws, on):
+    """(value, residual) of the first-order test at ``ws``, with ``on``
+    flagging the support: ``value`` is :func:`evaluate`, and ``residual``
+    the largest of 0, |partial - r value| on the support and partial -
+    r value off it.  At a maximum on the simplex every partial on the
+    support equals r times the value and none off it exceeds that
+    (Frankl and Rödl, "Hypergraphs do not jump", 1984), so the residual is
+    0.  Exact for Fractions, a float otherwise."""
+    value = evaluate(g, ws)
+    target = g.r * value
+    residual = 0 * target  # 0.0, or the Fraction 0 when exact
+    for d, o in zip(gradient(g, ws), on):
+        residual = max(residual, abs(d - target) if o else d - target)
+    return value, residual
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +524,15 @@ class OptimumResult:
     weighting: WeightVector
     support: tuple[int, ...]
     kkt_residual: float
-    mode: str
     certified: bool
     seed: int
     exact_value: Fraction | None = None
+
+    @property
+    def mode(self) -> str:
+        """"rational-certified" when the rational snap proved the value
+        exactly, "float" otherwise."""
+        return "float" if self.exact_value is None else "rational-certified"
 
     def to_json(self) -> dict:
         out = {
@@ -520,45 +556,25 @@ def _dirichlet(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
     return z
 
 
-def _try_rational_snap(g: Hypergraph, x: np.ndarray, value: float, support):
-    """Snap weights to small rationals and verify stationarity exactly.
-    Returns (exact_value, exact_weights) or None.  The 1e-6 gate only
-    proposes a candidate (a point left inside a face of maximizers sits a
-    few 1e-8 off its vertex); the checks after it are exact, in integers.
-    With L the lcm of the snapped denominators and a_v = L w_v, the value
-    is num / L^r for num the sum over edges of the product of the a_v,
-    and the partial at v is gnum_v / L^(r-1) for gnum_v the sum over edges
-    through v of the product of the other a_u; so the partial equals r
-    times the value exactly when gnum_v L = r num."""
+def _try_rational_snap(g: Hypergraph, x: np.ndarray, value: float):
+    """Snap weights to small rationals and prove the first-order test
+    exactly.  Returns (exact_value, exact_weights) or None.  The 1e-6 gate
+    only proposes a candidate (a point left inside a face of maximizers
+    sits a few 1e-8 off its vertex).  The candidate must then lie on the
+    simplex, have a :func:`_kkt` residual of exactly 0 in Fractions, and
+    not fall below the float ``value`` by more than 1e-9."""
     snapped = []
     for w in x:
         fr = Fraction(float(w)).limit_denominator(3150)
         if abs(float(fr) - float(w)) > 1e-6:
             return None
         snapped.append(fr)
-    scale = math.lcm(*(w.denominator for w in snapped))
-    a = [w.numerator * (scale // w.denominator) for w in snapped]
-    if sum(a) != scale:
+    if sum(snapped) != 1 or any(w < 0 for w in snapped):
         return None
-    if any(c < 0 for c in a):
+    exact, residual = _kkt(g, snapped, [w > 0 for w in snapped])
+    if residual != 0 or float(exact) < value - 1e-9:
         return None
-    num = 0
-    gnum = [0] * g.n
-    for e in g.edges:
-        num += math.prod(a[v - 1] for v in e)
-        for v in e:
-            gnum[v - 1] += math.prod(a[u - 1] for u in e if u != v)
-    exact_val = Fraction(num, scale ** g.r)
-    if float(exact_val) < value - 1e-9:
-        return None
-    target = g.r * num
-    for v in range(g.n):
-        if a[v] > 0:
-            if gnum[v] * scale != target:
-                return None
-        elif gnum[v] * scale > target:
-            return None
-    return exact_val, tuple(snapped)
+    return exact, tuple(snapped)
 
 
 def maximize(g: Hypergraph, seed: int = 0) -> OptimumResult:
@@ -568,7 +584,7 @@ def maximize(g: Hypergraph, seed: int = 0) -> OptimumResult:
     if g.n == 0 or not g.edges:
         ws = tuple([1.0 / g.n] * g.n) if g.n else ()
         support = tuple(range(1, g.n + 1))
-        return OptimumResult(0.0, WeightVector(ws), support, 0.0, "float", True, seed)
+        return OptimumResult(0.0, WeightVector(ws), support, 0.0, True, seed)
 
     problem = _BlockProblem(g)
     m = problem.m
@@ -586,29 +602,22 @@ def maximize(g: Hypergraph, seed: int = 0) -> OptimumResult:
 
     # certification data in the original vertex space; the reported value
     # is recomputable as evaluate(g, weighting)
-    value = float(evaluate(g, x.tolist()))
-    grads = np.array(gradient(g, x.tolist()))
     on = x > 1e-10
     support = tuple(int(v + 1) for v in np.nonzero(on)[0])
-    # a maximum on the simplex has every partial on the support equal to
-    # r times the value and none off it above that
-    excess = grads - g.r * value
-    kkt = float(max(np.abs(excess[on]).max(initial=0.0), excess[~on].max(initial=0.0)))
+    value, kkt = _kkt(g, x.tolist(), on)
 
     beaten = float(f[-_CERT_STARTS:].max()) > value + _KKT_TOL
     certified = (kkt <= _KKT_TOL) and not beaten
 
-    mode = "float"
     exact_value = None
     if certified:
-        snap = _try_rational_snap(g, x, value, support)
+        snap = _try_rational_snap(g, x, value)
         if snap is not None:
             exact_value, exact_weights = snap
-            mode = "rational-certified"
             value = float(exact_value)
             x = np.array([float(w) for w in exact_weights])
     wv = WeightVector(tuple(float(w) for w in x))
-    return OptimumResult(value, wv, support, kkt, mode, certified, seed, exact_value)
+    return OptimumResult(value, wv, support, kkt, certified, seed, exact_value)
 
 
 # ---------------------------------------------------------------------------
@@ -642,17 +651,6 @@ def closed_form(g: Hypergraph) -> ClosedForm:
         a = (4.0 - math.sqrt(13.0)) / 3.0
         return ClosedForm((5 * a**3 - 20 * a**2 + 5 * a) / 3.0, ((5, a), (3, (1 - 5 * a) / 3)))
     raise ValueError(f"no closed form for {g!r}")
-
-
-def _f3_completion_bound() -> ClosedForm:
-    # blocks: 3 hub vertices at weight x, 6 pendant vertices at weight y
-    y = (math.sqrt(873.0) - 15.0) / 162.0
-    x = (1.0 - 6.0 * y) / 3.0
-    return ClosedForm(x**3 + 8 * y**3 + 18 * x**2 * y + 45 * x * y**2, ((3, x), (6, y)))
-
-
-# the block bound for the completion of the 9-vertex pendant-star family
-F3_COMPLETION_BOUND = _f3_completion_bound()
 
 
 # ---------------------------------------------------------------------------

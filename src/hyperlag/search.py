@@ -63,7 +63,7 @@ from dataclasses import asdict, dataclass, fields
 from math import comb
 
 from .freeness import _contains_edges, _Host, creates_linear_path
-from .hgio import to_json_obj
+from .hgio import from_json_obj, to_json_obj
 from .hypergraph import (
     Hypergraph,
     complete,
@@ -71,7 +71,6 @@ from .hypergraph import (
     linear_path,
     lower_covers,
     named,
-    new,
 )
 from .lagrangian import check_seed, closed_form, maximize, upper_bound
 
@@ -1044,8 +1043,7 @@ def checkpoint_resume(path, expect_space: dict | None = None):
                     f"checkpoint space mismatch on {key!r}: {space.get(key)!r} != {val!r}")
     try:
         if kind == "turan":
-            forbidden = [new(f["r"], f["n"], [tuple(e) for e in f["edges"]])
-                         for f in space["forbidden"]]
+            forbidden = [from_json_obj(f) for f in space["forbidden"]]
             run = TuranRun(space["n"], forbidden)
         else:
             run = DensityRun(space["pattern"], space["n"], space["mode"], space["seed"])

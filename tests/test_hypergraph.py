@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -215,11 +216,14 @@ def test_blowup_and_turan_counts():
     assert turan_count(4, 3, 5) == 7
     assert turan_blowup(6, 3, 6) == complete(6, 3)
     assert turan_count(3, 3, 7) == 2 * 2 * 3
+    # with fewer vertices than classes the classes have sizes 0 and 1
+    assert turan_count(2000, 3, 6) == comb(6, 3)
 
 
-@given(st.integers(3, 6), st.integers(3, 15))
-def test_turan_count_matches_blowup(m, n):
-    assert turan_count(m, 3, n) == len(turan_blowup(m, 3, n).edges)
+@given(st.integers(2, 4), st.integers(0, 4), st.integers(0, 15))
+def test_turan_count_matches_blowup(r, extra, n):
+    m = r + extra
+    assert turan_count(m, r, n) == len(turan_blowup(m, r, n).edges)
 
 
 @given(hypergraphs(max_n=5), st.lists(st.integers(0, 2), min_size=5, max_size=5))

@@ -1,8 +1,11 @@
+import dataclasses
+import importlib
 import itertools
 import math
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from hyperlag.hypergraph import (
 )
 from hyperlag import lagrangian
 from hyperlag.lagrangian import (
-    F3_COMPLETION_BOUND,
+    OptimumResult,
     WeightVector,
     _BlockProblem,
     closed_form,
@@ -38,6 +41,9 @@ from hyperlag.lagrangian import (
     motzkin_straus,
     upper_bound,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def matching_grid_max(denom):
@@ -76,6 +82,40 @@ def test_evaluate_examples():
 def test_evaluate_exact_rational():
     val = evaluate(complete(4, 3), [Fraction(1, 4)] * 4)
     assert val == Fraction(1, 16)
+
+
+def _fraction_sums(g, ws):
+    """The value and partials at Fraction weights as plain Fraction sums,
+    independent of ``evaluate`` and ``gradient``."""
+    value = sum((math.prod(ws[v - 1] for v in e) for e in g.edges), Fraction(0))
+    grads = [sum((math.prod(ws[u - 1] for u in e if u != v) for e in g.edges if v in e), Fraction(0))
+             for v in range(1, g.n + 1)]
+    return value, grads
+
+
+def _rational_points(rnd, n):
+    """Rational points of the simplex: some with zero weights, some with
+    unrelated denominators."""
+    counts = [rnd.randint(0, 4) for _ in range(n)]
+    counts[rnd.randrange(n)] += 1
+    yield [Fraction(c, sum(counts)) for c in counts]
+    yield [Fraction(1, 1) if v == 0 else Fraction(0) for v in range(n)]
+    parts = [Fraction(rnd.randint(0, 9), rnd.randint(1, 12)) for _ in range(n - 1)]
+    total = sum(parts, Fraction(0))
+    yield [w / (total + 1) for w in parts] + [1 / (total + 1)]
+
+
+def test_exact_evaluate_and_gradient_are_the_fraction_sums():
+    rnd = random.Random(21)
+    graphs = [Hypergraph(3, 4, ()), Hypergraph(2, 3, ())]
+    graphs += [random_hypergraph(rnd, rnd.randint(r + 1, 8), r=r) for r in (2, 3, 4) for _ in range(5)]
+    for g in graphs:
+        for ws in _rational_points(rnd, g.n):
+            value, grads = _fraction_sums(g, ws)
+            got, got_grads = evaluate(g, ws), gradient(g, ws)
+            assert type(got) is Fraction and got == value, (g, ws)
+            assert all(type(d) is Fraction for d in got_grads)
+            assert got_grads == grads, (g, ws)
 
 
 def test_evaluate_errors():
@@ -169,6 +209,22 @@ def _assert_certified_exactly(g, seeds):
         res = maximize(g, seed)
         assert res.certified, seed
         assert res.kkt_residual <= 1e-12, (seed, res.kkt_residual)
+        assert (res.mode == "rational-certified") == (res.exact_value is not None), seed
+
+
+def test_mode_is_read_off_the_exact_value():
+    # mode is not stored, so it cannot disagree with exact_value
+    assert "mode" not in {f.name for f in dataclasses.fields(OptimumResult)}
+    modes = []
+    for g in (complete(6, 3), complete_minus(6, 3), complete(4, 3), matching(2, 3),
+              turan_blowup(4, 3, 8), Hypergraph(3, 2, ())):
+        res = maximize(g)
+        assert res.certified, g
+        assert (res.mode == "rational-certified") == (res.exact_value is not None), g
+        assert res.to_json()["mode"] == res.mode
+        modes.append(res.mode)
+    assert modes == ["rational-certified", "float", "rational-certified", "rational-certified",
+                     "rational-certified", "float"]
 
 
 def test_polish_keeps_its_converged_point():
@@ -221,10 +277,10 @@ def test_rational_snap_inside_a_face_of_maximizers():
     assert res.exact_value == Fraction(1, 16)
 
 
-def _fraction_snap(g, x, value, support):
-    """The rational snap with every check made in Fractions: the exactness
-    oracle for ``lagrangian._try_rational_snap``, which makes the same
-    checks in integers."""
+def _fraction_snap(g, x, value):
+    """The rational snap with every check made on plain Fraction sums: the
+    exactness oracle for ``lagrangian._try_rational_snap``, which reads
+    the exact ``evaluate`` and ``gradient`` through ``_kkt``."""
     snapped = []
     for w in x:
         fr = Fraction(float(w)).limit_denominator(3150)
@@ -235,10 +291,9 @@ def _fraction_snap(g, x, value, support):
         return None
     if any(w < 0 for w in snapped):
         return None
-    exact_val = evaluate(g, snapped)
+    exact_val, grads = _fraction_sums(g, snapped)
     if float(exact_val) < value - 1e-9:
         return None
-    grads = gradient(g, snapped)
     target = g.r * exact_val
     for v in range(1, g.n + 1):
         if snapped[v - 1] > 0:
@@ -274,7 +329,7 @@ def test_rational_snap_agrees_with_the_fraction_oracle():
         for x in points:
             value = float(evaluate(g, list(x))) if min(x) >= 0 else 0.0
             for claimed in (value, value + 1e-6):  # the second is above the snapped value
-                args = (g, np.array(x), claimed, ())
+                args = (g, np.array(x), claimed)
                 got = lagrangian._try_rational_snap(*args)
                 assert got == _fraction_snap(*args), (g, x, claimed)
                 outcomes.append(got is not None)
@@ -633,11 +688,6 @@ def test_closed_forms():
     a = (4 - math.sqrt(13)) / 3
     assert k8m == pytest.approx((5 * a**3 - 20 * a**2 + 5 * a) / 3, abs=1e-13)
     assert k8m < 0.1077
-    f3b = F3_COMPLETION_BOUND
-    assert f3b.value <= 0.1035
-    sizes = [s for s, _ in f3b.blocks]
-    weights_sum = sum(s * w for s, w in f3b.blocks)
-    assert sizes == [3, 6] and weights_sum == pytest.approx(1.0, abs=1e-12)
     # graphs with no closed form, an edgeless one included
     for g in (complete_minus(5), complete_minus(6, 4), linear_path(3), named("F5"),
               new(3, 7, complete(6).edges), Hypergraph(3, 2, ()), Hypergraph(3, 0, ())):
@@ -660,23 +710,6 @@ def test_closed_form_recognizes_every_copy():
     # the same edge count on more vertices is not a copy
     with pytest.raises(ValueError, match="no closed form"):
         closed_form(new(3, 7, complete_minus(6).edges))
-
-
-def test_f3_completion_bound_matches_direct_optimization():
-    # the 72-edge graph: complete on [9] minus every edge through one of
-    # the pendant pairs (4,5), (6,7), (8,9) and a further pendant vertex
-    pend = [(4, 5), (6, 7), (8, 9)]
-    pendverts = {4, 5, 6, 7, 8, 9}
-    removed = set()
-    for a, b in pend:
-        for x in pendverts - {a, b}:
-            removed.add(tuple(sorted((a, b, x))))
-    edges = [e for e in itertools.combinations(range(1, 10), 3) if e not in removed]
-    g = new(3, 9, edges)
-    assert len(g.edges) == 72
-    cf = F3_COMPLETION_BOUND
-    assert maximize(g).value == pytest.approx(cf.value, abs=1e-9)
-    assert cf.value <= 0.1035
 
 
 def test_closed_form_blocks_reproduce_values():
@@ -947,6 +980,44 @@ def test_kkt_residual_counts_partials_off_the_support(monkeypatch):
     assert res.support == (1, 3) and res.value == 0.0
     assert res.kkt_residual == 1.0
     assert not res.certified
+
+
+def _numpy_residual(g, x, on):
+    """The first-order residual as ``maximize`` computed it in numpy before
+    ``_kkt``: the reference the float ``_kkt`` must match bit for bit."""
+    excess = np.array(gradient(g, x)) - g.r * float(evaluate(g, x))
+    return float(max(np.abs(excess[on]).max(initial=0.0), excess[~on].max(initial=0.0)))
+
+
+def test_float_kkt_residual_matches_the_numpy_expression(monkeypatch):
+    rnd = random.Random(31)
+    for _ in range(60):
+        r = rnd.choice((2, 3, 4))
+        n = rnd.randint(r, 9)
+        g = random_hypergraph(rnd, n, r=r)
+        x = np.array(random_simplex_point(rnd, n))
+        x[rnd.sample(range(n), rnd.randint(0, n - 1))] = 0.0
+        x = x / x.sum()
+        on = x > 1e-10
+        value, residual = lagrangian._kkt(g, x.tolist(), on)
+        assert value == evaluate(g, x.tolist())
+        assert residual.hex() == _numpy_residual(g, x.tolist(), on).hex(), (g, x)
+    # and at every point maximize certifies on one lambda-corpus round
+    kkt = lagrangian._kkt
+    matched = []
+
+    def recording(g, ws, on):
+        out = kkt(g, ws, on)
+        if not isinstance(ws[0], Fraction):  # skip the snap's exact calls
+            matched.append(out[1].hex() == _numpy_residual(g, ws, np.asarray(on)).hex())
+        return out
+
+    monkeypatch.setattr(lagrangian, "_kkt", recording)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    graphs = [g for _, _, g in importlib.import_module("workloads").LambdaCorpus().build(961)["graphs"]]
+    for g in graphs:
+        maximize(g)
+    assert len(matched) == sum(1 for g in graphs if g.edges) and all(matched)
 
 
 def test_optimum_json_shape():
