@@ -51,6 +51,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
@@ -102,20 +103,21 @@ def _coerce_weights(g: Hypergraph, x):
 
 
 def _rational(ws) -> bool:
-    return bool(ws) and all(isinstance(w, Fraction) for w in ws)
+    # ints and Fractions are exact; a single float makes the call a float one
+    return bool(ws) and all(isinstance(w, (int, Fraction)) for w in ws)
 
 
 def _scaled(ws) -> tuple[int, list[int]]:
-    """(L, a) for Fraction weights: L their common denominator and a_v =
-    L w_v, so that a product of r weights is an integer over L^r."""
+    """(L, a) for int and Fraction weights: L their common denominator and
+    a_v = L w_v, so that a product of r weights is an integer over L^r."""
     L = math.lcm(*(w.denominator for w in ws))
     return L, [w.numerator * (L // w.denominator) for w in ws]
 
 
 def evaluate(g: Hypergraph, x):
     """Sum over edges of the product of the member weights.  Exact when
-    the weights are Fractions (an integer sum over L^r, L their common
-    denominator), compensated float summation otherwise."""
+    every weight is an int or a Fraction (an integer sum over L^r, L their
+    common denominator), compensated float summation otherwise."""
     ws = _coerce_weights(g, x)
     if not _rational(ws):
         return math.fsum(math.prod((ws[v - 1] for v in e), start=1.0) for e in g.edges)
@@ -125,7 +127,7 @@ def evaluate(g: Hypergraph, x):
 
 def gradient(g: Hypergraph, x):
     """Partial derivatives: entry i sums, over edges through i, the product
-    of the other member weights.  Exact for Fractions, as for
+    of the other member weights.  Exact for ints and Fractions, as for
     :func:`evaluate` (integer sums over L^(r-1))."""
     ws = _coerce_weights(g, x)
     rational = _rational(ws)
@@ -635,7 +637,9 @@ def closed_form(g: Hypergraph) -> ClosedForm:
     graph K_t^r, or of the 3-uniform K_4^-, K_6^- or K_8^-, on its whole
     vertex set [t].  Edges are distinct r-sets of [t], so C(t, r) of them
     make K_t^r, and C(t, 3) - 1 make a K_t^-, since every triple is like
-    every other under relabelling.  Raises ValueError for any other graph."""
+    every other under relabelling.  Each value is rounded to a float once:
+    K_6^- and K_8^- are evaluated in 50-digit decimal first.  Raises
+    ValueError for any other graph."""
     t, r = g.n, g.r
     edges = len(g.edges)
     if t >= r and edges == comb(t, r):
@@ -645,11 +649,16 @@ def closed_form(g: Hypergraph) -> ClosedForm:
             # one free vertex weight a, three symmetric weights b; 3ab^2 with a+3b=1
             return ClosedForm(4.0 / 81.0, ((1, 1.0 / 3.0), (3, 2.0 / 9.0)))
         if t == 6:
-            # a^3 - 3a^2 + a at its critical point a = (3 - sqrt 6)/3
+            # a^3 - 3a^2 + a at its critical point a = (3 - sqrt 6)/3 is (4 sqrt 6 - 9)/9
             a = (3.0 - math.sqrt(6.0)) / 3.0
-            return ClosedForm(a**3 - 3 * a**2 + a, ((3, a), (3, (1 - 3 * a) / 3)))
+            with localcontext(prec=50):
+                value = (4 * Decimal(6).sqrt() - 9) / 9
+            return ClosedForm(float(value), ((3, a), (3, (1 - 3 * a) / 3)))
+        # (5a^3 - 20a^2 + 5a)/3 at its critical point a = (4 - sqrt 13)/3 is 10/(46 + 13 sqrt 13)
         a = (4.0 - math.sqrt(13.0)) / 3.0
-        return ClosedForm((5 * a**3 - 20 * a**2 + 5 * a) / 3.0, ((5, a), (3, (1 - 5 * a) / 3)))
+        with localcontext(prec=50):
+            value = 10 / (46 + 13 * Decimal(13).sqrt())
+        return ClosedForm(float(value), ((5, a), (3, (1 - 5 * a) / 3)))
     raise ValueError(f"no closed form for {g!r}")
 
 

@@ -68,6 +68,7 @@ from .hypergraph import (
     Hypergraph,
     complete,
     equivalence_classes,
+    induced,
     linear_path,
     lower_covers,
     named,
@@ -753,17 +754,32 @@ class DensityRun(_ColexDFS):
     Subgraph monotonicity makes the maximum over a subset-closed family
     equal to the maximum over its maximal members, so only maximal
     survivors (within the family, and within its clique-free subfamily)
-    are optimized, each once, with random starts drawn from ``seed``.  A
-    running best, value and edges, is kept for the family and for its
-    clique-free part; on a tie the survivor found first stays.  The reported argmax graphs are their
+    are optimized, each valued once.  A running best, value and edges, is
+    kept for the family and for its clique-free part; on a tie the
+    survivor found first stays.  The reported argmax graphs are their
     canonical forms.
 
-    Before a survivor is optimized it is screened: when the bound of
-    :func:`~hyperlag.lagrangian.upper_bound` proves it strictly below
-    every running best it is offered to, it is counted as ``screened`` and
-    not optimized, since its value could not have replaced either best.
-    So screening changes no value, argmax graph or status, only the counts
-    (``optimized`` + ``screened`` is the count without it).
+    A survivor is valued in three steps:
+
+    1. The screen.  When the bound of
+       :func:`~hyperlag.lagrangian.upper_bound` proves it strictly below
+       every running best it is offered to, it is counted as ``screened``
+       and not valued, since its value could not have replaced either
+       best.  So screening changes no value, argmax graph or status, only
+       the counts (``optimized`` + ``screened`` is the count without it).
+    2. The closed form of its core, the graph induced on the vertices that
+       lie in some edge, when :func:`~hyperlag.lagrangian.closed_form`
+       knows one (a K_t^r, K_4^-, K_6^- or K_8^-).  An isolated vertex lies
+       in no edge, so weight on it adds nothing, and moving that weight
+       into the core cannot lower the value: the survivor and its core
+       have the same Lagrangian, and the closed form is that value.
+    3. Otherwise :func:`~hyperlag.lagrangian.maximize`, with random starts
+       drawn from ``seed``.
+
+    Every optimized survivor, whether valued by step 2 or step 3, counts
+    in ``optimized``.  :meth:`_value` takes steps 2 and 3 both for
+    :meth:`_optimize` and for a running best read back from a checkpoint,
+    so a resumed run holds the values the uninterrupted one did.
 
     In down-set mode the pattern and clique tests look only inside
     [v(H)], by the restriction lemma (after Frankl, "The shifting
@@ -842,21 +858,30 @@ class DensityRun(_ColexDFS):
 
     def _screen(self, g: Hypergraph, plain: bool, cfree: bool) -> bool:
         """Does a proved bound place ``g`` strictly below every running best
-        it is offered to?  Its ``maximize`` value could then replace none of
-        them (see :func:`~hyperlag.lagrangian.upper_bound`)."""
+        it is offered to?  Its value could then replace none of them (see
+        :func:`~hyperlag.lagrangian.upper_bound`)."""
         target = min(best[0] for best, offered in ((self.best_plain, plain),
                                                    (self.best_cfree, cfree)) if offered)
         return target > 0 and upper_bound(g, target) < target
 
+    def _value(self, g: Hypergraph) -> float:
+        """The Lagrangian of ``g``: the closed form of its core when there
+        is one, else the value ``maximize`` finds with the run's seed."""
+        core = induced(g, {v for e in g.edges for v in e})
+        try:
+            return closed_form(core).value
+        except ValueError:
+            return maximize(g, self.seed).value
+
     def _optimize(self, edges: tuple, plain: bool, cfree: bool) -> None:
-        """Maximize one survivor and offer its value to the running bests
-        it belongs to, unless it is screened out."""
+        """Value one survivor and offer its value to the running bests it
+        belongs to, unless it is screened out."""
         g = Hypergraph(3, self.n, edges)
         if self._screen(g, plain, cfree):
             self.screened += 1
             return
         self.evaluated += 1
-        value = maximize(g, self.seed).value
+        value = self._value(g)
         if plain and value > self.best_plain[0]:
             self.best_plain = (value, edges)
         if cfree and value > self.best_cfree[0]:
@@ -900,11 +925,11 @@ class DensityRun(_ColexDFS):
 
     def _load_best(self, edges) -> tuple[float, tuple | None]:
         """A running best from its stored edges, replayed through the run's
-        tests, with the value of the call :meth:`_optimize` made."""
+        tests, with the value :meth:`_optimize` gave it."""
         if edges is None:
             return (-1.0, None)
         g = self._replay_graph(edges)
-        return (maximize(g, self.seed).value, g.edges)
+        return (self._value(g), g.edges)
 
     def load_state(self, state: dict) -> None:
         self.best_cfree = self._load_best(state["best_cfree"])

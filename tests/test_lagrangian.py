@@ -3,6 +3,7 @@ import importlib
 import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -82,6 +83,18 @@ def test_evaluate_examples():
 def test_evaluate_exact_rational():
     val = evaluate(complete(4, 3), [Fraction(1, 4)] * 4)
     assert val == Fraction(1, 16)
+
+
+def test_int_weights_keep_evaluate_and_gradient_exact():
+    # a plain int among Fractions is exact too; a single float makes the call a float one
+    g = new(2, 3, [(1, 2), (1, 3)])
+    half = Fraction(1, 2)
+    value, grads = evaluate(g, [half, 0, half]), gradient(g, [half, 0, half])
+    assert type(value) is Fraction and value == Fraction(1, 4)
+    assert all(type(d) is Fraction for d in grads) and grads == [half] * 3
+    value, grads = evaluate(g, [0.5, 0, half]), gradient(g, [0.5, 0, half])
+    assert type(value) is float and value == 0.25
+    assert all(type(d) is float for d in grads) and grads == [0.5] * 3
 
 
 def _fraction_sums(g, ws):
@@ -693,6 +706,18 @@ def test_closed_forms():
               new(3, 7, complete(6).edges), Hypergraph(3, 2, ()), Hypergraph(3, 0, ())):
         with pytest.raises(ValueError, match="no closed form"):
             closed_form(g)
+
+
+def test_near_complete_closed_forms_are_rounded_once():
+    # another expression for each value, evaluated in 50 digits and rounded once
+    with localcontext(prec=50):
+        a = (3 - Decimal(6).sqrt()) / 3
+        k6m = a**3 - 3 * a**2 + a
+        a = (4 - Decimal(13).sqrt()) / 3
+        k8m = (5 * a**3 - 20 * a**2 + 5 * a) / 3
+    assert closed_form(complete_minus(6)).value == float(k6m)
+    assert closed_form(complete_minus(8)).value == float(k8m)
+    assert closed_form(complete_minus(4)).value == 4 / 81
 
 
 def test_closed_form_recognizes_every_copy():

@@ -1,7 +1,8 @@
 """Every name the benchmark's span tracer wraps exists, and the matcher
 it wraps is the one the searches call, since a missing or bypassed one
 would make its metrics read 0 silently.  The Lagrangian layer builds
-its block form in one function.  Every function and class of
+its block form in one function, and a density run calls maximize in one
+method.  Every function and class of
 the package is reached from outside tests, every JSON schema is used,
 the checkpoint schema names exactly the optimizer's settings,
 no module imports a name it does not use, and neither the command line
@@ -78,6 +79,18 @@ def test_the_block_form_is_built_in_one_place():
                       for node in ast.walk(fn) if isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Name) and node.func.id == "equivalence_classes"})
     assert callers == ["_block_form"]
+
+
+def test_a_density_run_values_survivors_in_one_place():
+    # a run and its resume both value a survivor through DensityRun._value;
+    # a second maximize caller in the search could value one in two ways
+    tree = ast.parse((ROOT / "src" / "hyperlag" / "search.py").read_text())
+    functions = [(f"{cls.name}.", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    functions += [("", fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    callers = sorted({prefix + fn.name for prefix, fn in functions for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and "maximize" in _names(node.func)})
+    assert callers == ["DensityRun._value"]
 
 
 # Top-level names no code outside tests reaches, each with its reason.

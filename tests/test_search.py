@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hyperlag.cli import main
 from hyperlag.corpora import random_hypergraph
 from hyperlag.freeness import _plan, contains, creates_linear_path
+from hyperlag.lagrangian import closed_form
 import hyperlag.search as search_mod
 from hyperlag.hypergraph import (
     Hypergraph,
@@ -661,9 +662,11 @@ def test_maximal_survivors_match_every_survivor_oracle(pattern, n, mode):
     assert fast.counts["optimized"] <= oracle.counts["optimized"]
 
 
-@pytest.mark.parametrize("pattern,n,mode", [
-    ("P2", 5, "all"), ("P2", 6, "all"), ("T2", 4, "all"), ("P3", 7, "left_compressed"),
-    ("P3", 7, "all"), ("P4", 8, "left_compressed")])
+ORACLE_CASES = [("P2", 5, "all"), ("P2", 6, "all"), ("T2", 4, "all"), ("P3", 7, "left_compressed"),
+                ("P3", 7, "all"), ("P4", 8, "left_compressed")]
+
+
+@pytest.mark.parametrize("pattern,n,mode", ORACLE_CASES)
 def test_screening_changes_nothing_but_the_counts(pattern, n, mode):
     screened = density_evidence(pattern, n, mode).to_json()
     oracle = UnscreenedDensityRun(pattern, n, mode).execute().to_json()
@@ -674,21 +677,97 @@ def test_screening_changes_nothing_but_the_counts(pattern, n, mode):
     assert got == want
 
 
-def test_one_maximize_call_per_optimized_survivor(monkeypatch):
-    calls = []
-    maximize = search_mod.maximize
+class _MaximizeOnly:
+    """Values every survivor by maximize, never by a closed form."""
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return maximize(*args, **kwargs)
+    def _value(self, g):
+        return search_mod.maximize(g, self.seed).value
+
+
+class MaximizeOnlyDensityRun(_MaximizeOnly, DensityRun):
+    """The oracle for valuing survivors by the closed forms of their cores."""
+
+
+@pytest.mark.parametrize("pattern,n,mode", ORACLE_CASES)
+def test_closed_forms_change_nothing_but_the_last_digits(pattern, n, mode):
+    fast = density_evidence(pattern, n, mode).to_json()
+    oracle = MaximizeOnlyDensityRun(pattern, n, mode).execute().to_json()
+    for key in ("max_lambda", "max_lambda_complete_free"):
+        assert fast.pop(key) == pytest.approx(oracle.pop(key), abs=1e-12)
+    eps = "epsilon_observed"
+    assert fast["separations"].pop(eps) == pytest.approx(oracle["separations"].pop(eps), abs=1e-12)
+    assert fast == oracle               # counts, argmax graphs and status
+
+
+def _has_closed_form(g):
+    try:
+        closed_form(induced(g, {v for e in g.edges for v in e}))
+    except ValueError:
+        return False
+    return True
+
+
+def test_one_valuation_per_optimized_survivor(monkeypatch):
+    valued, maximized = [], []
+    value, maximize = DensityRun._value, search_mod.maximize
+
+    def counting_value(self, g):
+        valued.append(g)
+        return value(self, g)
+
+    def counting_maximize(g, seed):
+        maximized.append(g)
+        return maximize(g, seed)
+
+    monkeypatch.setattr(DensityRun, "_value", counting_value)
+    monkeypatch.setattr(search_mod, "maximize", counting_maximize)
+    runs = {}
+    for pattern, n, mode in (("P3", 7, "left_compressed"), ("P3", 7, "all"), ("P2", 6, "all")):
+        valued.clear()
+        maximized.clear()
+        rep = density_evidence(pattern, n, mode)
+        assert len(valued) == rep.counts["optimized"]
+        # maximize runs exactly on the survivors whose core has no closed form
+        assert maximized == [g for g in valued if not _has_closed_form(g)]
+        runs[pattern, mode] = (rep.counts["optimized"], rep.counts["screened"], len(maximized))
+    # on seven vertices every P3 survivor the screen passes is a K_6 or a
+    # K_6^-, bar in full mode the first one, which no running best screens
+    assert runs["P3", "left_compressed"] == (2, 5, 0)
+    assert runs["P3", "all"] == (3, 13, 1)
+    assert runs["P2", "all"] == (2, 2, 0)    # a K_4 and a K_4^-
+
+
+def test_value_takes_the_closed_form_of_the_core(monkeypatch):
+    spots = (1, 2, 3, 5, 6, 7)
+    k6m = new(3, 7, [tuple(spots[v - 1] for v in e) for e in complete_minus(6).edges])
+    path = new(3, 9, linear_path(3).edges)
+    maximize, calls = search_mod.maximize, []
+
+    def refuse(g, seed):
+        raise AssertionError(f"maximize called on {g!r}")
+
+    monkeypatch.setattr(search_mod, "maximize", refuse)
+    assert DensityRun("P3", 7)._value(k6m) == closed_form(complete_minus(6)).value
+
+    def counting(g, seed):
+        calls.append((g, seed))
+        return maximize(g, seed)
 
     monkeypatch.setattr(search_mod, "maximize", counting)
-    rep = density_evidence("P3", 7)
-    assert (rep.counts["optimized"], rep.counts["screened"]) == (2, 5)
-    assert len(calls) == 2
-    calls.clear()
-    rep = density_evidence("P2", 6, "all")
-    assert len(calls) == rep.counts["optimized"]
+    assert DensityRun("P3", 9, seed=3)._value(path) == maximize(path, 3).value
+    assert calls == [(path, 3)]
+
+
+@pytest.mark.parametrize("n,mode", [(7, "left_compressed"), (7, "all"), (11, "left_compressed")])
+def test_p3_reports_do_not_depend_on_the_seed(n, mode):
+    reports = []
+    for seed in (0, 1, 5):
+        rep = density_evidence("P3", n, mode, seed).to_json()
+        assert rep["space"].pop("seed") == seed
+        reports.append(rep)
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["max_lambda"] == closed_form(complete(6)).value
+    assert reports[0]["max_lambda_complete_free"] == closed_form(complete_minus(6)).value
 
 
 # ---------------------------------------------------------------------------
@@ -1362,7 +1441,7 @@ def test_checkpoint_refuses_a_forged_result(tmp_path, make, nodes, forge, match,
 
 def test_checkpoint_derives_a_running_best_value_from_its_edges(tmp_path):
     # a running best is stored as its edges alone, and its value is the one
-    # maximize gives them, as when the run optimized them
+    # the run's valuation gives them, as when the run optimized them
     path = tmp_path / "c.json"
     run = DensityRun("P4", 9)
     payload = _paused_payload(path, run, 200)
